@@ -1,37 +1,28 @@
-// campaign_perf — deterministic perf report for the prover stack.
+// campaign_perf — deterministic counter guard for the prover stack.
 //
 // Runs the Table-1 single-instruction campaign (8 instruction classes ×
 // both QED modes, the CI smoke grid) with sequential provers: BMC first,
-// then k-induction, no cancellation, default solver config plus
-// learnt-clause sharing (the cone-digest clause vault; sequential mode
-// is vault-only and bit-reproducible — docs/SOLVER.md). Every counter
-// in the report — SAT conflicts / propagations / decisions, CNF
-// variable / clause counts, and the sharing traffic — is then a
-// deterministic function of the code, so consecutive runs (and CI runs
-// on different machines) produce identical numbers and the counters
-// form a comparable perf trajectory across commits. Wall time is reported too but is machine-dependent and
-// excluded from comparisons (this container pins 1 CPU; see README).
+// then k-induction, no cancellation, default solver config. Every
+// counter in the report — SAT conflicts / propagations / decisions, CNF
+// variable / clause counts, cone-cache traffic — is then a deterministic
+// function of the code, so consecutive runs (and CI runs on different
+// machines) produce identical numbers and the counters form a comparable
+// trajectory across commits. Wall time is reported too but is
+// machine-dependent and excluded from comparisons; the wall-clock
+// yardstick is perfbench (perfbench/NOTES.md).
 //
-// The campaign runs THREE times:
+// The campaign runs TWICE:
 //
-//   cold — fresh cone cache + empty verdict-cache directory, sharing
-//          on. The cone counters (lookups / hits / clauses replayed,
-//          the "blast avoided" metric) measure intra-campaign cone
-//          sharing; all still deterministic at 1 thread with
-//          sequential provers.
+//   cold — fresh cone cache + empty verdict-cache directory. The cone
+//          counters (lookups / hits / clauses replayed, the "blast
+//          avoided" metric) measure intra-campaign cone sharing; all
+//          still deterministic at 1 thread with sequential provers.
 //   warm — same cone cache, same verdict-cache directory. Every job is
 //          served from the verdict journal, so the warm totals (solver
 //          conflicts, blasted clauses, jobs solved) drop to zero — the
 //          headline saving the cache exists for. The bench hard-fails if
 //          any warm verdict field differs from its cold twin: the cache
 //          must never change answers, only skip work.
-//   ref  — sharing OFF, fresh caches. Its conflict total is the
-//          no-sharing reference recorded as "no_sharing_totals" in the
-//          JSON; the CI perf-report job asserts the sharing-on total
-//          stays strictly below the committed reference, so the vault's
-//          saving can only regress loudly. The bench hard-fails if the
-//          reference run's verdicts differ from the cold run's: sharing
-//          must never change answers, only shrink the search.
 //
 // Usage: campaign_perf [--json FILE] [--rows N] [--bound N] [--max-k N]
 // The default grid must stay in sync with bench/baseline.json and the CI
@@ -61,7 +52,6 @@ struct Totals {
   std::uint64_t cone_lookups = 0, cone_hits = 0, cone_clauses_replayed = 0;
   std::uint64_t eliminated_vars = 0, subsumed_clauses = 0, vivified_clauses = 0;
   std::uint64_t sat_retries = 0, jobs_hit_memory_limit = 0;
-  std::uint64_t clauses_exported = 0, clauses_imported = 0, vault_hits = 0;
   std::uint64_t jobs_from_cache = 0;
 };
 
@@ -80,9 +70,6 @@ Totals tally(const engine::CampaignReport& report) {
     t.subsumed_clauses += j.subsumed_clauses;
     t.vivified_clauses += j.vivified_clauses;
     t.sat_retries += j.sat_retries;
-    t.clauses_exported += j.clauses_exported;
-    t.clauses_imported += j.clauses_imported;
-    t.vault_hits += j.vault_hits;
     if (j.hit_memory_limit) ++t.jobs_hit_memory_limit;
     if (j.from_cache) ++t.jobs_from_cache;
   }
@@ -90,8 +77,7 @@ Totals tally(const engine::CampaignReport& report) {
 }
 
 std::string perf_json(const engine::CampaignReport& cold,
-                      const engine::CampaignReport& warm,
-                      const engine::CampaignReport& noshare, unsigned rows,
+                      const engine::CampaignReport& warm, unsigned rows,
                       unsigned bound, unsigned max_k) {
   std::ostringstream os;
   os << "{\n  \"campaign\": {\"bugs\": \"table1\", \"rows\": " << rows
@@ -120,10 +106,7 @@ std::string perf_json(const engine::CampaignReport& cold,
        << ", \"cone_clauses_replayed\": " << j.cone_clauses_replayed
        << ", \"eliminated_vars\": " << j.eliminated_vars
        << ", \"subsumed_clauses\": " << j.subsumed_clauses
-       << ", \"vivified_clauses\": " << j.vivified_clauses
-       << ", \"clauses_exported\": " << j.clauses_exported
-       << ", \"clauses_imported\": " << j.clauses_imported
-       << ", \"vault_hits\": " << j.vault_hits << "}";
+       << ", \"vivified_clauses\": " << j.vivified_clauses << "}";
   }
   os << "\n  ]";
   const Totals c = tally(cold);
@@ -140,52 +123,38 @@ std::string perf_json(const engine::CampaignReport& cold,
      // this fault-free bench, and compare_perf.py treats them as
      // advisory, absence-tolerant fields so older baselines still load.
      << ", \"sat_retries\": " << c.sat_retries
-     << ", \"jobs_hit_memory_limit\": " << c.jobs_hit_memory_limit
-     // Learnt-clause sharing traffic (docs/SOLVER.md): vault-only in
-     // this sequential bench, deterministic, and advisory /
-     // absence-tolerant in compare_perf.py like the cache counters.
-     << ", \"clauses_exported\": " << c.clauses_exported
-     << ", \"clauses_imported\": " << c.clauses_imported
-     << ", \"vault_hits\": " << c.vault_hits << "}";
+     << ", \"jobs_hit_memory_limit\": " << c.jobs_hit_memory_limit << "}";
   // The warm rerun against the same cache directory: everything served
   // from the verdict journal, zero fresh solver work. These totals are
   // deterministic too (they must all be zero with every job cached).
   os << ",\n  \"warm_totals\": {\"jobs_from_cache\": " << w.jobs_from_cache
      << ", \"jobs_total\": " << warm.jobs.size() << ", \"conflicts\": " << w.conflicts
      << ", \"cnf_clauses\": " << w.cnf_clauses << "}";
-  // The sharing-off reference run: same grid, share_clauses = 0, fresh
-  // caches. The CI perf-report job gates the sharing-on conflict total
-  // strictly below the committed copy of this figure.
-  const Totals n = tally(noshare);
-  os << ",\n  \"no_sharing_totals\": {\"conflicts\": " << n.conflicts
-     << ", \"propagations\": " << n.propagations
-     << ", \"decisions\": " << n.decisions << "}";
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.3f", cold.wall_seconds);
   os << ",\n  \"wall_seconds\": " << buf << "\n}\n";
   return os.str();
 }
 
-/// The contract the warm and sharing-off runs must prove: identical
-/// verdict-bearing fields, job by job. `what` names the rerun in the
-/// diagnostic. Returns false (and prints the offender) on drift.
+/// The contract the warm run must prove: identical verdict-bearing
+/// fields, job by job. Returns false (and prints the offender) on drift.
 bool verdicts_match(const engine::CampaignReport& cold,
-                    const engine::CampaignReport& other, const char* what) {
-  if (cold.jobs.size() != other.jobs.size()) {
-    std::fprintf(stderr, "campaign_perf: %s run has %zu jobs, cold %zu\n", what,
-                 other.jobs.size(), cold.jobs.size());
+                    const engine::CampaignReport& warm) {
+  if (cold.jobs.size() != warm.jobs.size()) {
+    std::fprintf(stderr, "campaign_perf: warm run has %zu jobs, cold %zu\n",
+                 warm.jobs.size(), cold.jobs.size());
     return false;
   }
   for (std::size_t i = 0; i < cold.jobs.size(); ++i) {
     const engine::JobResult& a = cold.jobs[i];
-    const engine::JobResult& b = other.jobs[i];
+    const engine::JobResult& b = warm.jobs[i];
     if (a.name != b.name || a.verdict != b.verdict ||
         a.trace_length != b.trace_length || a.proved_k != b.proved_k ||
         a.bad_label != b.bad_label || a.note != b.note) {
       std::fprintf(stderr,
-                   "campaign_perf: VERDICT DRIFT on '%s': %s run disagrees "
-                   "with cold (%s vs %s) — an answer changed\n",
-                   a.name.c_str(), what, engine::verdict_name(b.verdict),
+                   "campaign_perf: VERDICT DRIFT on '%s': warm run disagrees "
+                   "with cold (%s vs %s) — the cache changed an answer\n",
+                   a.name.c_str(), engine::verdict_name(b.verdict),
                    engine::verdict_name(a.verdict));
       return false;
     }
@@ -244,14 +213,6 @@ int main(int argc, char** argv) {
   matrix.budget.max_bound = bound;
   matrix.budget.max_k = max_k;
   matrix.budget.sequential_provers = true;
-  // Sharing on (LBD cap 8) with one epoch-synchronized helper entrant:
-  // sequential mode runs the helper to completion first, its learnts
-  // reach entrant 0 through the cone-digest vault at the matching
-  // epochs, and the job counters — entrant 0's path, exactly as a race
-  // reports — stay bit-reproducible. No conflict/memory budget is set
-  // above, so the per-job determinism guard never zeroes this.
-  matrix.budget.share_clauses = 8;
-  matrix.budget.portfolio = 2;
 
   const engine::CampaignSpec spec = engine::expand(matrix, 1);
 
@@ -284,7 +245,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "campaign_perf: warm run failed: %s\n", run_error.c_str());
     return 1;
   }
-  if (!verdicts_match(cold, warm, "warm")) return 1;
+  if (!verdicts_match(cold, warm)) return 1;
   const Totals w = tally(warm);
   std::fprintf(stderr,
                "warm run: %llu/%zu jobs from cache, %llu conflicts, %llu "
@@ -295,39 +256,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(tally(cold).conflicts),
                static_cast<unsigned long long>(tally(cold).cnf_clauses));
 
-  // Sharing-off reference: same grid, share_clauses = 0, its own fresh
-  // cone cache and no verdict-cache directory (the spec digest differs,
-  // so reusing the cold cache would be refused anyway). Verdicts must
-  // match the cold run exactly — sharing never changes answers.
-  std::fprintf(stderr, "sharing-off reference run...\n");
-  engine::CampaignMatrix ref_matrix = matrix;
-  ref_matrix.budget.share_clauses = 0;
-  const engine::CampaignSpec ref_spec = engine::expand(ref_matrix, 1);
-  engine::ShardRunOptions ref_options;
-  ref_options.pool.threads = 1;
-  ref_options.pool.cone_cache = std::make_shared<smt::ConeCache>();
-  ref_options.pool.witness.check = false;
-  ref_options.fingerprint = "bench=campaign_perf;xlen=4;modes=both;share=off";
-  const engine::CampaignReport noshare =
-      engine::run_sharded(ref_spec, ref_options, &run_error);
-  if (!run_error.empty()) {
-    std::fprintf(stderr, "campaign_perf: sharing-off run failed: %s\n",
-                 run_error.c_str());
-    return 1;
-  }
-  if (!verdicts_match(cold, noshare, "sharing-off")) return 1;
-  const Totals c = tally(cold);
-  const Totals n = tally(noshare);
-  std::fprintf(stderr,
-               "sharing: %llu conflicts with the vault vs %llu without "
-               "(%llu exported, %llu imported, %llu vault hits)\n",
-               static_cast<unsigned long long>(c.conflicts),
-               static_cast<unsigned long long>(n.conflicts),
-               static_cast<unsigned long long>(c.clauses_exported),
-               static_cast<unsigned long long>(c.clauses_imported),
-               static_cast<unsigned long long>(c.vault_hits));
-
-  const std::string json = perf_json(cold, warm, noshare, rows, bound, max_k);
+  const std::string json = perf_json(cold, warm, rows, bound, max_k);
   if (json_path == "-") {
     std::printf("%s", json.c_str());
   } else {

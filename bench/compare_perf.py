@@ -32,11 +32,6 @@ INPROC_COUNTERS = ("eliminated_vars", "subsumed_clauses", "vivified_clauses")
 # a nonzero value is flagged loudly (it means the bench host itself is
 # failing transiently) but never fails the run.
 ROBUST_COUNTERS = ("sat_retries", "jobs_hit_memory_limit")
-# Learnt-clause sharing traffic (exports captured, clauses imported,
-# vault hits — docs/SOLVER.md). Advisory and absence-tolerant like the
-# cache counters; more sharing is not inherently better or worse, so the
-# smaller-is-better regression marker does not apply.
-SHARING_COUNTERS = ("clauses_exported", "clauses_imported", "vault_hits")
 VERDICT_FIELDS = ("verdict", "trace_length", "proved_k", "bad_label")
 
 
@@ -100,8 +95,7 @@ def main() -> int:
             )
 
     regressed = False
-    for counter in (COUNTERS + CACHE_COUNTERS + INPROC_COUNTERS + ROBUST_COUNTERS +
-                    SHARING_COUNTERS):
+    for counter in COUNTERS + CACHE_COUNTERS + INPROC_COUNTERS + ROBUST_COUNTERS:
         b, c = base["totals"].get(counter), cur["totals"].get(counter)
         if b is None or c is None:
             which = "baseline" if b is None else "current"
@@ -120,9 +114,6 @@ def main() -> int:
         elif counter in INPROC_COUNTERS:
             if abs(delta) > threshold:
                 marker = "  (inprocessing shift — informational)"
-        elif counter in SHARING_COUNTERS:
-            if abs(delta) > threshold:
-                marker = "  (sharing-traffic shift — informational)"
         elif delta > threshold:
             marker = f"  <-- REGRESSION beyond {threshold:.0%} (advisory)"
             regressed = True

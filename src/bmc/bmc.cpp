@@ -13,11 +13,10 @@ using smt::TermRef;
 
 Bmc::Bmc(const ts::TransitionSystem& ts, const sat::SolverConfig& config,
          bool plaisted_greenbaum, std::shared_ptr<smt::ConeCache> cone_cache,
-         sat::BackendKind backend, sat::SharingContext sharing)
+         sat::BackendKind backend)
     : ts_(ts),
       mgr_(ts.mgr()),
-      solver_(mgr_, config, plaisted_greenbaum, std::move(cone_cache), backend,
-              sharing) {
+      solver_(mgr_, config, plaisted_greenbaum, std::move(cone_cache), backend) {
   assert(ts.complete() && "every state needs a next function");
 }
 
@@ -87,9 +86,6 @@ void Bmc::snapshot_solver_stats() {
   stats_.cone_clauses_replayed = cone.clauses_replayed;
   stats_.hit_memory_limit = sat.out_of_memory();
   stats_.sat_retries = sat.num_retries();
-  stats_.clauses_exported = sat.num_clauses_exported();
-  stats_.clauses_imported = sat.num_clauses_imported();
-  stats_.vault_hits = sat.num_vault_hits();
 }
 
 std::optional<Witness> Bmc::check(const BmcOptions& options) {

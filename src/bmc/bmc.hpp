@@ -74,11 +74,6 @@ struct BmcStats {
   // backend failures absorbed by retrying (docs/ROBUSTNESS.md).
   bool hit_memory_limit = false;
   std::uint64_t sat_retries = 0;
-  // Learnt-clause sharing traffic (zero when sharing is off or the
-  // backend cannot share; see sat/exchange.hpp).
-  std::uint64_t clauses_exported = 0;
-  std::uint64_t clauses_imported = 0;
-  std::uint64_t vault_hits = 0;
 };
 
 /// The unrolling engine. One instance per (transition system, run).
@@ -92,18 +87,15 @@ struct BmcStats {
 /// across bounds by the incremental core.
 class Bmc {
  public:
-  /// `config` tunes the underlying CDCL heuristics (portfolio racing);
+  /// `config` tunes the underlying CDCL heuristics;
   /// `plaisted_greenbaum` = true opts into polarity-split encoding (the
   /// equivalence tests run both encodings against each other);
   /// `cone_cache` shares bit-blasted cones campaign-wide (cone_cache.hpp);
-  /// `backend` picks the SAT engine (sat/backend.hpp);
-  /// `sharing` attaches the engine to a campaign's learnt-clause pools
-  /// (sat/exchange.hpp) — default-constructed, sharing is off.
+  /// `backend` picks the SAT engine (sat/backend.hpp).
   explicit Bmc(const ts::TransitionSystem& ts, const sat::SolverConfig& config = {},
                bool plaisted_greenbaum = false,
                std::shared_ptr<smt::ConeCache> cone_cache = nullptr,
-               sat::BackendKind backend = sat::BackendKind::Native,
-               sat::SharingContext sharing = {});
+               sat::BackendKind backend = sat::BackendKind::Native);
 
   /// Search for any bad state reachable within options.max_bound steps.
   /// Nullopt = no violation found up to the bound (or resource limit hit —

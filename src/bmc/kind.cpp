@@ -22,11 +22,10 @@ class InductiveWindow {
  public:
   InductiveWindow(const ts::TransitionSystem& ts, const sat::SolverConfig& config,
                   bool plaisted_greenbaum, std::shared_ptr<smt::ConeCache> cone_cache,
-                  sat::BackendKind backend, sat::SharingContext sharing)
+                  sat::BackendKind backend)
       : ts_(ts),
         mgr_(ts.mgr()),
-        solver_(mgr_, config, plaisted_greenbaum, std::move(cone_cache), backend,
-                sharing) {}
+        solver_(mgr_, config, plaisted_greenbaum, std::move(cone_cache), backend) {}
 
   /// Ensure steps 0..k exist. Returns the "any bad at step k" term.
   TermRef extend_to(unsigned k) {
@@ -100,15 +99,10 @@ KInductionResult prove_by_k_induction(const ts::TransitionSystem& ts,
   Stopwatch clock;
   KInductionResult result;
 
-  // The two internal solvers are distinct pool members: the base-case Bmc
-  // revisits the BMC prover's epoch chain exactly (identical blast
-  // stream), which is what lets the vault seed it.
-  sat::SharingContext window_sharing = options.sharing;
-  window_sharing.member = options.sharing.member + 1;
   Bmc base(ts, options.solver_config, options.plaisted_greenbaum,
-           options.cone_cache, options.backend, options.sharing);
+           options.cone_cache, options.backend);
   InductiveWindow window(ts, options.solver_config, options.plaisted_greenbaum,
-                         options.cone_cache, options.backend, window_sharing);
+                         options.cone_cache, options.backend);
 
   const auto remaining = [&]() {
     return options.max_seconds > 0 ? options.max_seconds - clock.seconds() : 0.0;
@@ -137,9 +131,6 @@ KInductionResult prove_by_k_induction(const ts::TransitionSystem& ts,
     result.vivified_clauses = bs.vivified_clauses + wsat.num_vivified_clauses();
     result.hit_memory_limit = bs.hit_memory_limit || wsat.out_of_memory();
     result.sat_retries = bs.sat_retries + wsat.num_retries();
-    result.clauses_exported = bs.clauses_exported + wsat.num_clauses_exported();
-    result.clauses_imported = bs.clauses_imported + wsat.num_clauses_imported();
-    result.vault_hits = bs.vault_hits + wsat.num_vault_hits();
   };
 
   for (unsigned k = 1; k <= options.max_k; ++k) {

@@ -41,7 +41,7 @@ struct KInductionOptions {
   /// Cooperative cancellation, threaded into both the base-case BMC and
   /// the inductive-step solver (see BmcOptions::stop).
   const std::atomic<bool>* stop = nullptr;
-  /// CDCL heuristics of both internal solvers (portfolio racing).
+  /// CDCL heuristics of both internal solvers.
   sat::SolverConfig solver_config;
   /// Polarity-split (Plaisted–Greenbaum) bit-blasting in both internal
   /// solvers (see Bmc's constructor flag). Off = full Tseitin.
@@ -50,10 +50,6 @@ struct KInductionOptions {
   std::shared_ptr<smt::ConeCache> cone_cache;
   /// SAT engine for both internal solvers (sat/backend.hpp).
   sat::BackendKind backend = sat::BackendKind::Native;
-  /// Learnt-clause sharing for both internal solvers (sat/exchange.hpp):
-  /// the base-case Bmc shares as `sharing.member`, the inductive-window
-  /// solver as `sharing.member + 1`. Default-constructed, sharing is off.
-  sat::SharingContext sharing;
 };
 
 struct KInductionResult {
@@ -83,10 +79,6 @@ struct KInductionResult {
   /// Robustness observables across both solvers (docs/ROBUSTNESS.md).
   bool hit_memory_limit = false;
   std::uint64_t sat_retries = 0;
-  /// Learnt-clause sharing traffic across both solvers (zero when off).
-  std::uint64_t clauses_exported = 0;
-  std::uint64_t clauses_imported = 0;
-  std::uint64_t vault_hits = 0;
 };
 
 /// Run k-induction on every bad condition of `ts` (disjunctively: a

@@ -35,7 +35,6 @@ namespace {
 
 /// Outcome of one prover inside the race.
 struct BmcSide {
-  bool ran = false;
   std::optional<bmc::Witness> found;
   bmc::BmcStats stats;
   std::string witness_text;
@@ -57,14 +56,15 @@ struct KindSide {
 };
 
 constexpr int kClaimNone = -1;
+constexpr int kClaimBmc = 0;
+constexpr int kClaimKind = 1;
 
-/// Re-derive the canonical witness of a falsified job with the
-/// default-config BMC sweep. A witness found by a non-default portfolio
-/// member is model-shaped by that member's heuristics; replaying the
-/// deterministic default sweep up to the (member-independent) minimal
-/// violation length reproduces exactly the trace a single-config run
-/// reports, keeping reports byte-deterministic whatever the portfolio
-/// width. Costs one default-config sweep, paid only on falsified jobs.
+/// Re-derive the canonical witness of a falsified job with the native
+/// default-config BMC sweep. A witness found through another backend is
+/// shaped by that engine's model; replaying the native sweep up to the
+/// (engine-independent) minimal violation length reproduces exactly the
+/// trace a native run reports, keeping reports byte-identical across
+/// backends. Costs one sweep, paid only on falsified jobs.
 /// The replay deliberately runs without the job's budgets: the bound is
 /// known SAT, and a claimed violation whose witness cannot be read back
 /// is worse than a slightly-overspent cap (same rationale as the old
@@ -77,10 +77,9 @@ void canonical_witness(const JobSpec& job, unsigned length,
   std::string build_error;
   [[maybe_unused]] const bool built = job.build(ts, &build_error);
   assert(built && "a job that produced a witness must rebuild");
-  // Same encoding as a default single-config run: the canonical trace is
-  // the one that run reports. The replay always uses the native backend —
-  // an external engine's model is solver-shaped, and re-deriving it here
-  // is what keeps stable reports backend-independent.
+  // Same encoding as the job's own run, on the native backend: an
+  // external engine's model is solver-shaped, and re-deriving it here is
+  // what keeps stable reports backend-independent.
   bmc::Bmc checker(ts, sat::SolverConfig{},
                    job.budget.plaisted_greenbaum.value_or(false), cone_cache);
   bmc::BmcOptions bo;
@@ -96,51 +95,29 @@ void canonical_witness(const JobSpec& job, unsigned length,
   out->trace = std::make_shared<const WitnessTrace>(extract_trace(ts, *out->found));
 }
 
-/// Sum the deterministic work counters of both prover stacks into the
-/// result (sequential mode: nothing was cancelled, so this is the
-/// deterministic total-work proxy the perf trajectory tracks).
-void tally_sequential_counters(const BmcSide& b, const KindSide& k, JobResult* r) {
-  r->conflicts = b.stats.solver_conflicts;
-  r->propagations = b.stats.solver_propagations;
-  r->decisions = b.stats.solver_decisions;
-  r->cnf_vars = b.stats.cnf_vars;
-  r->cnf_clauses = b.stats.cnf_clauses;
-  r->cone_lookups = b.stats.cone_lookups;
-  r->cone_hits = b.stats.cone_hits;
-  r->cone_clauses_replayed = b.stats.cone_clauses_replayed;
-  r->eliminated_vars = b.stats.eliminated_vars;
-  r->subsumed_clauses = b.stats.subsumed_clauses;
-  r->vivified_clauses = b.stats.vivified_clauses;
-  r->hit_memory_limit = b.stats.hit_memory_limit;
-  r->sat_retries = b.stats.sat_retries;
-  r->clauses_exported = b.stats.clauses_exported;
-  r->clauses_imported = b.stats.clauses_imported;
-  r->vault_hits = b.stats.vault_hits;
-  if (k.ran) {
-    r->conflicts += k.result.solver_conflicts;
-    r->propagations += k.result.solver_propagations;
-    r->decisions += k.result.solver_decisions;
-    r->cnf_vars += k.result.cnf_vars;
-    r->cnf_clauses += k.result.cnf_clauses;
-    r->cone_lookups += k.result.cone_lookups;
-    r->cone_hits += k.result.cone_hits;
-    r->cone_clauses_replayed += k.result.cone_clauses_replayed;
-    r->eliminated_vars += k.result.eliminated_vars;
-    r->subsumed_clauses += k.result.subsumed_clauses;
-    r->vivified_clauses += k.result.vivified_clauses;
-    r->hit_memory_limit = r->hit_memory_limit || k.result.hit_memory_limit;
-    r->sat_retries += k.result.sat_retries;
-    r->clauses_exported += k.result.clauses_exported;
-    r->clauses_imported += k.result.clauses_imported;
-    r->vault_hits += k.result.vault_hits;
-  }
+/// Add one prover stack's work counters to the job's (BmcStats and
+/// KInductionResult spell them alike).
+template <class Stats>
+void add_counters(const Stats& s, JobResult* r) {
+  r->conflicts += s.solver_conflicts;
+  r->propagations += s.solver_propagations;
+  r->decisions += s.solver_decisions;
+  r->cnf_vars += s.cnf_vars;
+  r->cnf_clauses += s.cnf_clauses;
+  r->cone_lookups += s.cone_lookups;
+  r->cone_hits += s.cone_hits;
+  r->cone_clauses_replayed += s.cone_clauses_replayed;
+  r->eliminated_vars += s.eliminated_vars;
+  r->subsumed_clauses += s.subsumed_clauses;
+  r->vivified_clauses += s.vivified_clauses;
+  r->hit_memory_limit = r->hit_memory_limit || s.hit_memory_limit;
+  r->sat_retries += s.sat_retries;
 }
 
 }  // namespace
 
 JobResult run_job(const JobSpec& job,
-                  const std::shared_ptr<smt::ConeCache>& cone_cache,
-                  const std::shared_ptr<sat::ClauseVault>& clause_vault) {
+                  const std::shared_ptr<smt::ConeCache>& cone_cache) {
   assert(job.build && "JobSpec needs a model builder");
   Stopwatch clock;
   JobResult r;
@@ -151,47 +128,18 @@ JobResult run_job(const JobSpec& job,
   // Workload families resolve their encoding default at expansion; a
   // spec-level nullopt means plain Tseitin.
   const bool plaisted_greenbaum = job.budget.plaisted_greenbaum.value_or(false);
+  // A native witness is canonical as found; another engine's trace is
+  // re-derived after the race (canonical_witness).
+  const bool native = job.budget.backend == sat::BackendKind::Native;
+  sat::SolverConfig config;
+  config.memory_limit_mb = job.budget.memory_limit_mb;
 
-  // Clause sharing. Disabled under conflict budgets and memory ceilings:
-  // an implied import can never change a verdict, but it CAN change when
-  // a budget trips, and in race mode pool content is timing-dependent —
-  // so a budget-capped job with sharing on could flip between Unknown and
-  // definite run to run. Without budgets, imports only shortcut searches
-  // whose answers are already fixed.
-  const unsigned share_cap =
-      (job.budget.conflict_budget != 0 || job.budget.memory_limit_mb != 0)
-          ? 0
-          : job.budget.share_clauses;
-  // Sequential mode runs one entrant per prover — except with sharing on,
-  // where extra portfolio entrants become epoch-synchronized helpers: they
-  // run to completion FIRST, exporting their learnts to the vault under
-  // every epoch of the (identical) blast chain, and entrant 0 then imports
-  // them at the matching epochs. This is the deterministic mirror of the
-  // racing portfolio: job counters report entrant 0's path either way (a
-  // race never counts the losers' work), so the conflict saving from
-  // cross-pollination lands in the perf trajectory bit-reproducibly.
-  const unsigned portfolio =
-      job.budget.sequential_provers
-          ? (share_cap != 0 ? std::max(1u, job.budget.portfolio) : 1)
-          : std::max(1u, job.budget.portfolio);
-  // Tier 1, intra-job: one exchange pool for every entrant of both
-  // provers. Sequential mode skips it (one solver stack lives at a time;
-  // the vault already carries clauses between them deterministically).
-  std::unique_ptr<sat::ClauseExchange> exchange;
-  if (share_cap != 0 && !job.budget.sequential_provers)
-    exchange = std::make_unique<sat::ClauseExchange>();
-  // Tier 2, cross-job: the campaign vault.
-  sat::ClauseVault* vault = share_cap != 0 ? clause_vault.get() : nullptr;
+  BmcSide bside;
+  KindSide kside;
 
-  // Entrants: `portfolio` BMC sweeps and (optionally) `portfolio`
-  // k-induction runs, each on its own solver configuration. Entrant 0 of
-  // each prover is always the default configuration.
-  std::vector<BmcSide> bsides(portfolio);
-  std::vector<KindSide> ksides(with_kind ? portfolio : 0);
-
-  // The race state: the first entrant with a *definite* verdict
+  // The race state: the first prover with a *definite* verdict
   // (counterexample or proof) claims the job and raises the stop flag the
-  // losers' CDCL loops poll. Indefinite outcomes (clean sweep, exhausted
+  // loser's CDCL loops poll. Indefinite outcomes (clean sweep, exhausted
   // max_k, budget) never cancel anyone — that is what keeps verdicts
   // deterministic across thread counts.
   std::atomic<bool> stop{false};
@@ -205,73 +153,50 @@ JobResult run_job(const JobSpec& job,
     return false;
   };
 
-  const auto bmc_prover = [&](unsigned idx, const std::atomic<bool>* stop_flag) {
-    BmcSide& side = bsides[idx];
-    side.ran = true;
+  const auto bmc_prover = [&](const std::atomic<bool>* stop_flag) {
     smt::TermManager mgr;
     ts::TransitionSystem ts(mgr);
     // Build failures (e.g. a corpus file that does not parse) are
-    // deterministic: every entrant fails identically, so recording the
+    // deterministic: both provers fail identically, so recording the
     // diagnostic and returning leaves the race with no claimant and the
     // job reports Unknown with the note attached.
-    if (!job.build(ts, &side.build_error)) return;
-    sat::SolverConfig cfg = sat::SolverConfig::portfolio_member(idx);
-    cfg.memory_limit_mb = job.budget.memory_limit_mb;
-    bmc::Bmc checker(ts, cfg, plaisted_greenbaum, cone_cache, job.budget.backend,
-                     sat::SharingContext{exchange.get(), vault, idx, share_cap});
+    if (!job.build(ts, &bside.build_error)) return;
+    bmc::Bmc checker(ts, config, plaisted_greenbaum, cone_cache, job.budget.backend);
     bmc::BmcOptions bo;
     bo.max_bound = job.budget.max_bound;
     bo.conflict_budget_per_bound = job.budget.conflict_budget;
     bo.max_seconds = job.budget.max_seconds;
     bo.stop = stop_flag;
-    side.found = checker.check(bo);
-    side.stats = checker.stats();
-    if (side.found && (!stop_flag || try_claim(static_cast<int>(idx)))) {
-      // The native default-config witness is already canonical; any other
-      // winner's trace is re-derived after the join (canonical_witness).
-      // Sharing disqualifies the direct read-back too: imports steer the
-      // model toward whatever the pool happened to contain.
-      if (idx == 0 && job.budget.backend == sat::BackendKind::Native &&
-          share_cap == 0) {
-        side.witness_text = bmc::witness_to_string(ts, *side.found);
-        side.bad_label = side.found->bad_label;
-        side.trace =
-            std::make_shared<const WitnessTrace>(extract_trace(ts, *side.found));
-      }
-    }
+    bside.found = checker.check(bo);
+    bside.stats = checker.stats();
+    if (!bside.found || (stop_flag && !try_claim(kClaimBmc)) || !native) return;
+    bside.witness_text = bmc::witness_to_string(ts, *bside.found);
+    bside.bad_label = bside.found->bad_label;
+    bside.trace = std::make_shared<const WitnessTrace>(extract_trace(ts, *bside.found));
   };
 
-  const auto kind_prover = [&](unsigned idx, const std::atomic<bool>* stop_flag) {
-    KindSide& side = ksides[idx];
-    side.ran = true;
+  const auto kind_prover = [&](const std::atomic<bool>* stop_flag) {
+    kside.ran = true;
     smt::TermManager mgr;
     ts::TransitionSystem ts(mgr);
-    if (!job.build(ts, &side.build_error)) return;
+    if (!job.build(ts, &kside.build_error)) return;
     bmc::KInductionOptions ko;
     ko.max_k = job.budget.max_k;
     ko.conflict_budget = job.budget.conflict_budget;
     ko.max_seconds = job.budget.max_seconds;
     ko.stop = stop_flag;
-    ko.solver_config = sat::SolverConfig::portfolio_member(idx);
-    ko.solver_config.memory_limit_mb = job.budget.memory_limit_mb;
+    ko.solver_config = config;
     ko.plaisted_greenbaum = plaisted_greenbaum;
     ko.cone_cache = cone_cache;
     ko.backend = job.budget.backend;
-    // Members `portfolio + 2*idx` (base Bmc) and `+1` (inductive window):
-    // disjoint from the BMC entrants' 0..portfolio-1 and from each other.
-    ko.sharing =
-        sat::SharingContext{exchange.get(), vault, portfolio + 2 * idx, share_cap};
-    side.result = bmc::prove_by_k_induction(ts, ko);
-    if (side.result.status != bmc::KInductionStatus::Unknown &&
-        (!stop_flag || try_claim(static_cast<int>(portfolio + idx)))) {
-      if (side.result.witness && idx == 0 &&
-          job.budget.backend == sat::BackendKind::Native && share_cap == 0) {
-        side.witness_text = bmc::witness_to_string(ts, *side.result.witness);
-        side.bad_label = side.result.witness->bad_label;
-        side.trace = std::make_shared<const WitnessTrace>(
-            extract_trace(ts, *side.result.witness));
-      }
-    }
+    kside.result = bmc::prove_by_k_induction(ts, ko);
+    if (kside.result.status == bmc::KInductionStatus::Unknown ||
+        (stop_flag && !try_claim(kClaimKind)) || !kside.result.witness || !native)
+      return;
+    kside.witness_text = bmc::witness_to_string(ts, *kside.result.witness);
+    kside.bad_label = kside.result.witness->bad_label;
+    kside.trace =
+        std::make_shared<const WitnessTrace>(extract_trace(ts, *kside.result.witness));
   };
 
   if (job.budget.sequential_provers) {
@@ -279,132 +204,79 @@ JobResult run_job(const JobSpec& job,
     // calling thread, nothing is cancelled, and the claim arbitration is
     // by fixed order (BMC's counterexample first, else k-induction's
     // verdict) — which yields exactly the verdict fields the race
-    // produces, with fully reproducible work counters on top. Helper
-    // entrants (1..N-1, sharing only) go first so the vault is warm by
-    // the time entrant 0 — whose counters the job reports — runs.
-    for (unsigned e = 1; e < portfolio; ++e) bmc_prover(e, nullptr);
-    bmc_prover(0, nullptr);
-    if (bsides[0].found) {
-      claim.store(0);
-    } else if (with_kind && bsides[0].build_error.empty()) {
-      for (unsigned e = 1; e < portfolio; ++e) kind_prover(e, nullptr);
-      kind_prover(0, nullptr);
-      if (ksides[0].result.status != bmc::KInductionStatus::Unknown)
-        claim.store(static_cast<int>(portfolio));
+    // produces, with fully reproducible work counters on top.
+    bmc_prover(nullptr);
+    if (bside.found) {
+      claim.store(kClaimBmc);
+    } else if (with_kind && bside.build_error.empty()) {
+      kind_prover(nullptr);
+      if (kside.result.status != bmc::KInductionStatus::Unknown) claim.store(kClaimKind);
     }
   } else {
-    const unsigned entrants = portfolio + (with_kind ? portfolio : 0);
-    std::vector<std::thread> others;
-    others.reserve(entrants - 1);
-    for (unsigned e = 1; e < entrants; ++e) {
-      if (e < portfolio) {
-        others.emplace_back([&, e] { bmc_prover(e, &stop); });
-      } else {
-        others.emplace_back([&, e] { kind_prover(e - portfolio, &stop); });
-      }
-    }
-    bmc_prover(0, &stop);
-    for (std::thread& t : others) t.join();
+    std::thread kind_thread;
+    if (with_kind) kind_thread = std::thread([&] { kind_prover(&stop); });
+    bmc_prover(&stop);
+    if (kind_thread.joinable()) kind_thread.join();
   }
 
-  const auto any_loser_cancelled = [&](int who) {
-    for (unsigned i = 0; i < bsides.size(); ++i)
-      if (bsides[i].ran && static_cast<int>(i) != who && bsides[i].stats.cancelled)
-        return true;
-    for (unsigned i = 0; i < ksides.size(); ++i)
-      if (ksides[i].ran && static_cast<int>(portfolio + i) != who &&
-          ksides[i].result.cancelled)
-        return true;
-    return false;
-  };
-
-  r.bmc_bounds_checked = bsides[0].stats.bounds_checked;
   const int who = claim.load(std::memory_order_acquire);
-  if (!bsides[0].build_error.empty()) {
-    // The model never built (deterministically — every entrant sees the
+  // A race reports the winner's counters (the loser's depend on when it
+  // was cancelled); sequential mode and a race nobody won report the
+  // deterministic totals of both provers.
+  if (job.budget.sequential_provers || who == kClaimNone) {
+    add_counters(bside.stats, &r);
+    if (kside.ran) add_counters(kside.result, &r);
+  } else if (who == kClaimBmc) {
+    add_counters(bside.stats, &r);
+  } else {
+    add_counters(kside.result, &r);
+  }
+
+  r.bmc_bounds_checked = bside.stats.bounds_checked;
+  if (!bside.build_error.empty()) {
+    // The model never built (deterministically — both provers see the
     // same source), so there is nothing a prover could have decided.
     // Report the diagnostic instead of aborting the campaign.
     r.verdict = Verdict::Unknown;
-    r.note = bsides[0].build_error;
-  } else if (who >= 0 && who < static_cast<int>(portfolio)) {
-    BmcSide& side = bsides[who];
+    r.note = bside.build_error;
+  } else if (who == kClaimBmc) {
     r.verdict = Verdict::Falsified;
     r.winner = Prover::Bmc;
-    r.trace_length = side.found->length;
-    if (who != 0 || job.budget.backend != sat::BackendKind::Native ||
-        share_cap != 0)
-      canonical_witness(job, side.found->length, cone_cache, &side);
-    r.bad_label = side.bad_label;
-    r.witness = side.witness_text;
-    r.trace = side.trace;
-    r.conflicts = side.stats.solver_conflicts;
-    r.propagations = side.stats.solver_propagations;
-    r.decisions = side.stats.solver_decisions;
-    r.cnf_vars = side.stats.cnf_vars;
-    r.cnf_clauses = side.stats.cnf_clauses;
-    r.cone_lookups = side.stats.cone_lookups;
-    r.cone_hits = side.stats.cone_hits;
-    r.cone_clauses_replayed = side.stats.cone_clauses_replayed;
-    r.eliminated_vars = side.stats.eliminated_vars;
-    r.subsumed_clauses = side.stats.subsumed_clauses;
-    r.vivified_clauses = side.stats.vivified_clauses;
-    r.clauses_exported = side.stats.clauses_exported;
-    r.clauses_imported = side.stats.clauses_imported;
-    r.vault_hits = side.stats.vault_hits;
-    r.loser_cancelled = any_loser_cancelled(who);
-    if (job.budget.sequential_provers)
-      tally_sequential_counters(bsides[0], ksides.empty() ? KindSide{} : ksides[0],
-                                &r);
-  } else if (who >= static_cast<int>(portfolio)) {
-    const unsigned idx = static_cast<unsigned>(who) - portfolio;
-    KindSide& side = ksides[idx];
+    r.trace_length = bside.found->length;
+    if (!native) canonical_witness(job, r.trace_length, cone_cache, &bside);
+    r.bad_label = bside.bad_label;
+    r.witness = bside.witness_text;
+    r.trace = bside.trace;
+    r.loser_cancelled = kside.ran && kside.result.cancelled;
+  } else if (who == kClaimKind) {
     r.winner = Prover::KInduction;
-    r.conflicts = side.result.solver_conflicts;
-    r.propagations = side.result.solver_propagations;
-    r.decisions = side.result.solver_decisions;
-    r.cnf_vars = side.result.cnf_vars;
-    r.cnf_clauses = side.result.cnf_clauses;
-    r.cone_lookups = side.result.cone_lookups;
-    r.cone_hits = side.result.cone_hits;
-    r.cone_clauses_replayed = side.result.cone_clauses_replayed;
-    r.eliminated_vars = side.result.eliminated_vars;
-    r.subsumed_clauses = side.result.subsumed_clauses;
-    r.vivified_clauses = side.result.vivified_clauses;
-    r.clauses_exported = side.result.clauses_exported;
-    r.clauses_imported = side.result.clauses_imported;
-    r.vault_hits = side.result.vault_hits;
-    r.loser_cancelled = any_loser_cancelled(who);
-    if (side.result.status == bmc::KInductionStatus::Falsified) {
+    r.loser_cancelled = bside.stats.cancelled;
+    if (kside.result.status == bmc::KInductionStatus::Falsified) {
       r.verdict = Verdict::Falsified;
-      r.trace_length = side.result.witness ? side.result.witness->length : 0;
-      if ((idx != 0 || job.budget.backend != sat::BackendKind::Native ||
-           share_cap != 0) &&
-          side.result.witness) {
+      r.trace_length = kside.result.witness ? kside.result.witness->length : 0;
+      if (!native && kside.result.witness) {
         BmcSide canon;
-        canonical_witness(job, side.result.witness->length, cone_cache, &canon);
-        side.witness_text = canon.witness_text;
-        side.bad_label = canon.bad_label;
-        side.trace = canon.trace;
+        canonical_witness(job, r.trace_length, cone_cache, &canon);
+        kside.witness_text = canon.witness_text;
+        kside.bad_label = canon.bad_label;
+        kside.trace = canon.trace;
       }
-      r.bad_label = side.bad_label;
-      r.witness = side.witness_text;
-      r.trace = side.trace;
+      r.bad_label = kside.bad_label;
+      r.witness = kside.witness_text;
+      r.trace = kside.trace;
     } else {
       r.verdict = Verdict::Proved;
-      r.proved_k = side.result.k;
+      r.proved_k = kside.result.k;
     }
-    if (job.budget.sequential_provers)
-      tally_sequential_counters(bsides[0], ksides[0], &r);
   } else {
-    // No definite verdict from any entrant. A completed BMC sweep is
+    // No definite verdict from either prover. A completed BMC sweep is
     // itself a definite bounded result (BoundClean) even when the
     // induction side ran out of budget — only BMC's own budgets can
     // demote the verdict to Unknown. This keeps verdicts deterministic
     // under (deterministic) conflict budgets: a budget-truncated
     // k-induction run never changes the verdict, it only loses the
     // chance to upgrade it to Proved.
-    tally_sequential_counters(bsides[0], ksides.empty() ? KindSide{} : ksides[0], &r);
-    if (bsides[0].stats.hit_resource_limit || bsides[0].stats.cancelled) {
+    if (bside.stats.hit_resource_limit || bside.stats.cancelled) {
       r.verdict = Verdict::Unknown;
       r.hit_resource_limit = true;
       // A memory-ceiling trip is deterministic for a fixed spec and
@@ -413,8 +285,7 @@ JobResult run_job(const JobSpec& job,
       if (r.hit_memory_limit) r.note = "resource: memory";
     } else {
       r.verdict = Verdict::BoundClean;
-      r.hit_resource_limit = !ksides.empty() && ksides[0].ran &&
-                             ksides[0].result.hit_resource_limit;
+      r.hit_resource_limit = kside.ran && kside.result.hit_resource_limit;
     }
   }
   r.seconds = clock.seconds();
@@ -439,14 +310,6 @@ CampaignReport run_campaign(const CampaignSpec& spec, const CampaignOptions& opt
   const std::shared_ptr<smt::ConeCache> cone_cache =
       options.cone_cache ? options.cone_cache : std::make_shared<smt::ConeCache>();
 
-  // Likewise one learnt-clause vault (sat/exchange.hpp): clauses learnt
-  // under a cone digest in one job seed every later job that blasts the
-  // same cone chain. Imports are implied clauses, so — like cone replay —
-  // this cannot perturb verdicts; it only shortcuts searches.
-  const std::shared_ptr<sat::ClauseVault> clause_vault =
-      options.clause_vault ? options.clause_vault
-                           : std::make_shared<sat::ClauseVault>();
-
   // Work queue: an atomic cursor over the job list. Each worker pops the
   // next index and runs the job in full isolation; results land in spec
   // order so the report is independent of scheduling.
@@ -460,7 +323,7 @@ CampaignReport run_campaign(const CampaignSpec& spec, const CampaignOptions& opt
       if (fault::global_stop_requested()) return;
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= spec.jobs.size()) return;
-      report.jobs[i] = run_job(spec.jobs[i], cone_cache, clause_vault);
+      report.jobs[i] = run_job(spec.jobs[i], cone_cache);
       report.jobs[i].spec_index = i;
       // Witness post-pass before the completion hook, so checkpoint
       // journals and verdict caches only ever record checked rows.
@@ -596,9 +459,6 @@ std::string CampaignReport::to_json(bool include_timing) const {
       os << ", \"eliminated_vars\": " << j.eliminated_vars;
       os << ", \"subsumed_clauses\": " << j.subsumed_clauses;
       os << ", \"vivified_clauses\": " << j.vivified_clauses;
-      os << ", \"clauses_exported\": " << j.clauses_exported;
-      os << ", \"clauses_imported\": " << j.clauses_imported;
-      os << ", \"vault_hits\": " << j.vault_hits;
       os << ", \"sat_retries\": " << j.sat_retries;
       os << ", \"hit_memory_limit\": " << (j.hit_memory_limit ? "true" : "false");
       os << ", \"from_cache\": " << (j.from_cache ? "true" : "false");

@@ -4,7 +4,7 @@
 // parallel sweeps: instruction classes × QED mode {EDDI-V, EDSEP-V} ×
 // injected mutation, each cell an independent model-checking run. This
 // engine is the architectural seam those sweeps (and every future scaling
-// direction — sharding, portfolio solvers, multi-backend) plug into:
+// direction — sharding, multi-backend) plug into:
 //
 //   * a CampaignSpec is a declarative list of verification jobs; where
 //     the jobs come from is a *workload family* concern (engine/
@@ -90,19 +90,10 @@ struct JobBudget {
   std::uint64_t conflict_budget = 0;  // per-solver-call cap (0 = none)
   double max_seconds = 0.0;           // per-job wall cap (0 = none)
   bool race_k_induction = true;       // false = BMC only, no second prover
-  /// Race this many differently-configured CDCL instances per prover
-  /// (sat::SolverConfig::portfolio_member). 1 = the default config only.
-  /// Verdict-bearing fields stay deterministic: all members agree on
-  /// verdict/length/depth by construction, and a witness found by a
-  /// non-default member is re-derived with the default config before it
-  /// is reported. Under a conflict budget a wider portfolio can only
-  /// *upgrade* Unknown verdicts to definite ones, never change them.
-  unsigned portfolio = 1;
   /// Run the provers sequentially on the calling thread with no
-  /// cancellation (and the default solver config only). Slower, but every
-  /// counter in the JobResult — not just the verdict fields — is then
-  /// deterministic: both provers always run to completion. Used by
-  /// bench/campaign_perf for the perf trajectory.
+  /// cancellation. Slower, but every counter in the JobResult — not just
+  /// the verdict fields — is then deterministic: both provers always run
+  /// to completion. Used by bench/campaign_perf for the perf trajectory.
   bool sequential_provers = false;
   /// Bit-blasting encoding for both provers. nullopt = the workload
   /// family's default, resolved at expansion: QED keeps full Tseitin
@@ -117,24 +108,12 @@ struct JobBudget {
   /// re-derived with the native default-config replay, so stable JSON is
   /// backend-independent for definite verdicts.
   sat::BackendKind backend = sat::BackendKind::Native;
-  /// Per-entrant SAT-arena memory ceiling in MiB (0 = none). A job whose
+  /// Per-solver SAT-arena memory ceiling in MiB (0 = none). A job whose
   /// solvers outgrow it degrades to Verdict::Unknown with a
   /// "resource: memory" note — a diagnosed row, never a process abort.
   /// Deterministic (the arena is a pure function of the clause stream),
   /// so it is part of the verdict-cache key and the spec digest.
   unsigned memory_limit_mb = 0;
-  /// Learnt-clause sharing (sat/exchange.hpp): 0 = off, N = export learnt
-  /// clauses with LBD <= N between portfolio entrants (intra-job) and
-  /// through the campaign clause vault (cross-job). Imported clauses are
-  /// always implied, so definite verdicts are sharing-invariant — and
-  /// stable JSON stays byte-identical because witnesses are re-derived by
-  /// an unshared canonical replay whenever sharing is on. Guard: sharing
-  /// is disabled per-job while conflict_budget or memory_limit_mb is set,
-  /// because an import can change *when* a budget trips, and in race mode
-  /// pool content is timing-dependent — the only path by which sharing
-  /// could perturb a pinned verdict. Part of the verdict-cache key and
-  /// the spec digest.
-  unsigned share_clauses = 0;
 };
 
 /// One verification job: a self-contained model builder plus budgets.
@@ -226,12 +205,6 @@ struct JobResult {
   /// backend failures by retrying (docs/ROBUSTNESS.md).
   bool hit_memory_limit = false;
   std::uint64_t sat_retries = 0;
-  /// Learnt-clause sharing traffic (same determinism caveats as the other
-  /// counters; zero with sharing off). In sequential mode only the vault
-  /// is active, so all three are bit-reproducible.
-  std::uint64_t clauses_exported = 0;
-  std::uint64_t clauses_imported = 0;
-  std::uint64_t vault_hits = 0;
   double seconds = 0.0;  // job wall time
 };
 
@@ -263,11 +236,6 @@ struct CampaignOptions {
   /// share blasted cones across *campaigns* in the same process (as
   /// bench/campaign_perf's warm run does).
   std::shared_ptr<smt::ConeCache> cone_cache;
-  /// Learnt-clause vault shared by every job (sat/exchange.hpp). Only
-  /// consulted by jobs whose budget sets share_clauses. When null,
-  /// run_campaign creates a fresh one per call — pass one explicitly to
-  /// share learnt clauses across campaigns in the same process.
-  std::shared_ptr<sat::ClauseVault> clause_vault;
 };
 
 struct CampaignReport {
@@ -316,13 +284,10 @@ struct CampaignReport {
 
 /// Run one job on the calling thread (racing its provers internally).
 /// `cone_cache` (may be null) is shared by every solver stack the job
-/// spins up — the portfolio entrants, both provers, and the canonical
-/// witness replay all hit the same store. `clause_vault` (may be null)
-/// is the cross-job learnt-clause store; it is only consulted when
-/// job.budget.share_clauses is set.
+/// spins up — both provers and the canonical witness replay hit the
+/// same store.
 JobResult run_job(const JobSpec& job,
-                  const std::shared_ptr<smt::ConeCache>& cone_cache = nullptr,
-                  const std::shared_ptr<sat::ClauseVault>& clause_vault = nullptr);
+                  const std::shared_ptr<smt::ConeCache>& cone_cache = nullptr);
 
 /// Fan the campaign out over a worker pool and aggregate the report.
 CampaignReport run_campaign(const CampaignSpec& spec,

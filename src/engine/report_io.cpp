@@ -392,18 +392,6 @@ bool parse_job(const JsonValue& obj, std::size_t position, JobResult* out,
     if (!get_u64(obj, "vivified_clauses", &n, error)) return false;
     out->vivified_clauses = n;
   }
-  if (obj.find("clauses_exported")) {
-    if (!get_u64(obj, "clauses_exported", &n, error)) return false;
-    out->clauses_exported = n;
-  }
-  if (obj.find("clauses_imported")) {
-    if (!get_u64(obj, "clauses_imported", &n, error)) return false;
-    out->clauses_imported = n;
-  }
-  if (obj.find("vault_hits")) {
-    if (!get_u64(obj, "vault_hits", &n, error)) return false;
-    out->vault_hits = n;
-  }
   if (obj.find("sat_retries")) {
     if (!get_u64(obj, "sat_retries", &n, error)) return false;
     out->sat_retries = n;

@@ -15,6 +15,7 @@
 #include "engine/witness.hpp"
 #include "util/fault.hpp"
 #include "util/parse.hpp"
+#include "util/stopwatch.hpp"
 
 namespace sepe::engine {
 
@@ -72,14 +73,12 @@ std::string spec_digest_of(const CampaignSpec& spec, const std::string& fingerpr
     std::memcpy(&seconds_bits, &job.budget.max_seconds, sizeof seconds_bits);
     mix_u64(seconds_bits);
     mix_byte(job.budget.race_k_induction ? 1 : 0);
-    mix_u64(job.budget.portfolio);
     mix_byte(job.budget.sequential_provers ? 1 : 0);
     mix_byte(job.budget.plaisted_greenbaum
                  ? (*job.budget.plaisted_greenbaum ? 2 : 1)
                  : 0);
     mix_byte(static_cast<unsigned char>(job.budget.backend));
     mix_u64(job.budget.memory_limit_mb);
-    mix_u64(job.budget.share_clauses);
   }
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
@@ -230,6 +229,10 @@ std::optional<CampaignReport> CampaignReport::merge(
 
 CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& options,
                            std::string* error) {
+  // The report's wall time covers the whole call: checkpoint and cache
+  // loads and the re-derivation of cached FALSIFIED rows all happen
+  // before run_campaign, which times only the jobs still pending.
+  const Stopwatch clock;
   if (error) error->clear();
   CampaignReport empty;
   const ShardSpec effective = options.shard.value_or(ShardSpec{});
@@ -434,13 +437,13 @@ CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& opti
   CampaignReport report;
   report.seed = full.seed;
   report.threads = fresh.threads;
-  report.wall_seconds = fresh.wall_seconds;
   if (options.shard) report.shard = info;
   for (std::size_t i = 0; i < fresh.jobs.size(); ++i)
     results[pending_to_plan[i]] = fresh.jobs[i];
   report.jobs = std::move(results);
   for (std::size_t i = 0; i < report.jobs.size(); ++i)
     report.jobs[i].spec_index = plan.spec_indices[i];
+  report.wall_seconds = clock.seconds();
   return report;
 }
 

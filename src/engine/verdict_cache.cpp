@@ -23,11 +23,10 @@ namespace {
 /// older binary become unreachable instead of misread. v2: the per-job
 /// memory ceiling (JobBudget::memory_limit_mb) joined the key — a
 /// memory-capped Unknown must never be replayed as an uncapped verdict
-/// (or vice versa). v3: the sharing width (JobBudget::share_clauses)
-/// joined the key — sharing never changes a verdict, but keeping the
-/// slots distinct keeps every cached row attributable to exactly one
-/// budget configuration.
-constexpr int kFormatVersion = 3;
+/// (or vice versa). v3: the learnt-clause sharing width joined the key.
+/// v4: the portfolio and sharing widths left it again, together with
+/// the mechanisms themselves.
+constexpr int kFormatVersion = 4;
 
 std::uint64_t fnv1a(const char* data, std::size_t n,
                     std::uint64_t h = 1469598103934665603ull) {
@@ -142,7 +141,7 @@ bool VerdictCache::cacheable(const JobSpec& job) {
   // Wall-capped verdicts depend on machine load (campaign.hpp's
   // determinism caveat); replaying one would present a load-dependent
   // answer as reproducible. Everything else — conflict budgets, bounds,
-  // portfolio width, encoding — is deterministic and safe to reuse.
+  // encoding — is deterministic and safe to reuse.
   return job.budget.max_seconds <= 0.0;
 }
 
@@ -177,7 +176,6 @@ std::string VerdictCache::key_of(const JobSpec& job, const std::string& fingerpr
   // max_seconds deliberately not mixed: cacheable() refuses wall-capped
   // jobs outright, so every cached job has max_seconds == 0.
   mix_byte(job.budget.race_k_induction ? 1 : 0);
-  mix_u64(job.budget.portfolio);
   mix_byte(job.budget.sequential_provers ? 1 : 0);
   mix_byte(job.budget.plaisted_greenbaum.value_or(false) ? 1 : 0);
   // A campaign solved by a different SAT engine is a different campaign:
@@ -187,9 +185,6 @@ std::string VerdictCache::key_of(const JobSpec& job, const std::string& fingerpr
   // The memory ceiling changes what a job can conclude (campaign.hpp), so
   // capped and uncapped runs must never share a cache slot.
   mix_u64(job.budget.memory_limit_mb);
-  // Sharing width: verdict-invariant, but a cached row should still be
-  // attributable to exactly one budget configuration.
-  mix_u64(job.budget.share_clauses);
   return hex16(h);
 }
 

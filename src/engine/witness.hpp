@@ -2,8 +2,8 @@
 // shrinking, and standalone artifacts for every FALSIFIED verdict.
 //
 // Counterexample traces come out of the blast/solve/extract chain, and
-// with caching (engine/verdict_cache.hpp), clause sharing and a
-// multi-process dispatcher all feeding verdicts, a bug anywhere in that
+// with caching (engine/verdict_cache.hpp) and a multi-process
+// dispatcher feeding verdicts, a bug anywhere in that
 // chain — or a tampered cache line or dispatch worker — could ship a
 // bogus trace undetected. This layer is the engine-independent backstop:
 //

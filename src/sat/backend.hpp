@@ -29,9 +29,6 @@
 namespace sepe::sat {
 
 struct SolverConfig;
-struct ShareKey;
-class ClauseExchange;
-class ClauseVault;
 
 /// A propositional literal: variable index plus sign. Encoded as
 /// 2*var + (negated ? 1 : 0), the classic MiniSat representation.
@@ -171,25 +168,6 @@ class Backend {
   /// Transient failures absorbed by retrying (subprocess respawns, torn
   /// model re-reads). Engines that never retry report zero.
   virtual std::uint64_t num_retries() const { return 0; }
-
-  // --- learnt-clause sharing (sat/exchange.hpp) ---
-  /// Engines that cannot exchange learnt clauses (subprocess backends have
-  /// no access to their solver's learnt DB) report false and every sharing
-  /// call below is a no-op — the campaign simply skips them.
-  virtual bool supports_sharing() const { return false; }
-  /// Attach this engine to a job's exchange pool and/or the campaign
-  /// vault. `member` is this engine's id inside the pool (so it never
-  /// re-imports its own exports); `lbd_cap` bounds the LBD of exported
-  /// clauses (intersected with SolverConfig::share_lbd_cap).
-  virtual void attach_sharing(ClauseExchange* /*exchange*/, ClauseVault* /*vault*/,
-                              unsigned /*member*/, unsigned /*lbd_cap*/) {}
-  /// The bit-blaster publishes its state digest here after each top-level
-  /// blast, marking a new share epoch: clauses learnt from now on are
-  /// tagged with this key, and vault clauses stored under it are imported.
-  virtual void set_share_epoch(const ShareKey& /*epoch*/) {}
-  virtual std::uint64_t num_clauses_exported() const { return 0; }
-  virtual std::uint64_t num_clauses_imported() const { return 0; }
-  virtual std::uint64_t num_vault_hits() const { return 0; }
 
  protected:
   std::uint64_t conflict_budget_ = 0;

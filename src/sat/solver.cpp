@@ -21,14 +21,10 @@ std::string SolverConfig::to_string() const {
                         restart_base, restart_mult, phase_init_true ? 1 : 0,
                         random_branch_freq, seed, reduce_base, reduce_increment,
                         inprocess_interval, bve_occurrence_limit, vivify ? 1 : 0);
-  // Tail segments are appended only when non-default so existing
+  // The tail segment is appended only when non-default so existing
   // (pre-knob) strings stay byte-identical and keep parsing.
   if (memory_limit_mb != 0)
-    n += std::snprintf(buf + n, sizeof buf - n, ";mem=%u", memory_limit_mb);
-  if (share_lbd_cap != 8)
-    n += std::snprintf(buf + n, sizeof buf - n, ";slbd=%u", share_lbd_cap);
-  if (share_import_interval != 2000)
-    std::snprintf(buf + n, sizeof buf - n, ";simp=%" PRIu64, share_import_interval);
+    std::snprintf(buf + n, sizeof buf - n, ";mem=%u", memory_limit_mb);
   return buf;
 }
 
@@ -47,23 +43,13 @@ std::optional<SolverConfig> SolverConfig::from_string(const std::string& text) {
       &c.random_branch_freq, &c.seed, &c.reduce_base, &c.reduce_increment,
       &c.inprocess_interval, &c.bve_occurrence_limit, &vivify_flag, &consumed);
   if (got != 12) return std::nullopt;
-  // Optional tail segments, in emission order. to_string writes each one
-  // only when the knob is non-default, so a tail carrying the default
-  // value is non-canonical and rejected.
+  // Optional tail segment. to_string writes it only when the knob is
+  // non-default, so a tail carrying the default value is non-canonical
+  // and rejected.
   const char* tail = text.c_str() + consumed;
   int seg = 0;
   if (std::sscanf(tail, ";mem=%u%n", &c.memory_limit_mb, &seg) == 1) {
     if (c.memory_limit_mb == 0) return std::nullopt;
-    tail += seg;
-  }
-  seg = 0;
-  if (std::sscanf(tail, ";slbd=%u%n", &c.share_lbd_cap, &seg) == 1) {
-    if (c.share_lbd_cap == 8) return std::nullopt;
-    tail += seg;
-  }
-  seg = 0;
-  if (std::sscanf(tail, ";simp=%" SCNu64 "%n", &c.share_import_interval, &seg) == 1) {
-    if (c.share_import_interval == 2000) return std::nullopt;
     tail += seg;
   }
   if (*tail != '\0') return std::nullopt;
@@ -82,56 +68,6 @@ std::optional<SolverConfig> SolverConfig::from_string(const std::string& text) {
   if (!(c.restart_mult >= 1.0) || c.restart_base == 0) return std::nullopt;
   // A zero reduction cadence would purge the learnt DB on every conflict.
   if (c.reduce_base == 0 || c.reduce_increment == 0) return std::nullopt;
-  return c;
-}
-
-SolverConfig SolverConfig::portfolio_member(unsigned index) {
-  SolverConfig c;
-  if (index == 0) return c;  // member 0: the default configuration, untouched
-  switch (index % 4) {
-    case 0:
-      // Index 4, 8, ...: default heuristics plus seeded random branching,
-      // so the per-index seed actually diversifies the search.
-      c.random_branch_freq = 256;
-      break;
-    case 1:
-      // Slow decay + geometric restarts + eager inprocessing: long-haul
-      // UNSAT grinder.
-      c.var_decay = 0.99;
-      c.restart = Restart::Geometric;
-      c.restart_base = 200;
-      c.restart_mult = 1.3;
-      c.inprocess_interval = 2000;
-      // The grinder both gives and takes the most: export looser glue,
-      // poll the pool twice as often.
-      c.share_lbd_cap = 10;
-      c.share_import_interval = 1000;
-      break;
-    case 2:
-      // Phase-true init + occasional random branching, no vivification:
-      // model diversity for SAT-leaning queries.
-      c.phase_init_true = true;
-      c.random_branch_freq = 128;
-      c.vivify = false;
-      // SAT-leaning member: export only the tightest glue (its learnts
-      // mostly describe the model neighbourhood, not the core).
-      c.share_lbd_cap = 4;
-      break;
-    case 3:
-      // The pre-tuning historical configuration: slower decay, longer
-      // Luby bursts, eager learnt reduction, no inprocessing at all —
-      // structurally different search from the retention-heavy default.
-      c.var_decay = 0.95;
-      c.restart_base = 100;
-      c.reduce_base = 4000;
-      c.reduce_increment = 2000;
-      c.inprocess_interval = 0;
-      // Historical member keeps its independent search character: rare
-      // imports so foreign glue barely perturbs its trajectory.
-      c.share_import_interval = 8000;
-      break;
-  }
-  c.seed = 0x9e3779b97f4a7c15ULL * (index + 1);
   return c;
 }
 
@@ -491,7 +427,7 @@ void Solver::backtrack(int target) {
 }
 
 Lit Solver::pick_branch() {
-  // Portfolio diversity: every Nth decision branches on a pseudo-random
+  // Random branching: every Nth decision branches on a pseudo-random
   // unassigned variable instead of the VSIDS top. Deterministic (seeded);
   // falls through to VSIDS when the drawn variable is already assigned.
   if (config_.random_branch_freq != 0 && !assigns_.empty() &&
@@ -1049,120 +985,6 @@ bool Solver::memory_exceeded() {
   return false;
 }
 
-// --- learnt-clause sharing --------------------------------------------
-//
-// Soundness (the full argument lives atop sat/exchange.hpp): a learnt
-// clause is implied by the problem clauses alone, and equal share epochs
-// mean identical clause-stream prefixes, so a clause exported under an
-// epoch this solver has visited is implied by this solver's own formula
-// verbatim — no variable remapping, no verdict influence, only shortcuts.
-
-void Solver::attach_sharing(ClauseExchange* exchange, ClauseVault* vault,
-                            unsigned member, unsigned lbd_cap) {
-  share_exchange_ = exchange;
-  share_vault_ = vault;
-  share_member_ = member;
-  share_cap_ = std::min(lbd_cap, config_.share_lbd_cap);
-}
-
-void Solver::try_export(const std::vector<Lit>& learnt, std::uint32_t lbd) {
-  if (!sharing_enabled() || !share_epoch_.valid()) return;
-  if (lbd > share_cap_ || learnt.size() > kShareMaxLits) return;
-  SharedClause sc;
-  sc.lits.reserve(learnt.size());
-  for (const Lit l : learnt) sc.lits.push_back(l.code());
-  std::sort(sc.lits.begin(), sc.lits.end());
-  sc.lbd = lbd;
-  if (!share_seen_.insert(shared_clause_hash(sc.lits)).second) return;
-  ++stats_exported_;
-  export_buffer_.push_back(std::move(sc));
-}
-
-void Solver::flush_exports() {
-  if (export_buffer_.empty()) return;
-  // Everything buffered was learnt under the current epoch: the buffer is
-  // flushed before set_share_epoch moves to a new one.
-  for (const SharedClause& sc : export_buffer_) {
-    if (share_exchange_ != nullptr)
-      share_exchange_->publish(share_member_, share_epoch_, sc.lits, sc.lbd);
-    if (share_vault_ != nullptr) share_vault_->store(share_epoch_, sc.lits, sc.lbd);
-  }
-  export_buffer_.clear();
-}
-
-void Solver::import_clause(const SharedClause& sc) {
-  assert(decision_level() == 0);
-  // Ledger first: even a clause skipped below never needs re-examination.
-  if (!share_seen_.insert(shared_clause_hash(sc.lits)).second) return;
-  std::vector<Lit> out;
-  out.reserve(sc.lits.size());
-  for (const int code : sc.lits) {
-    const Lit l = Lit::from_code(code);
-    // A publisher with a different config may not share this solver's BVE
-    // choices: a clause over a variable eliminated *here* is skipped
-    // whole rather than resurrecting the variable. Out-of-range vars
-    // cannot occur under a visited epoch but are guarded the same way.
-    if (l.var() < 0 || l.var() >= num_vars() || eliminated(l.var())) return;
-    const Value v = value(l);
-    if (v == Value::True) return;  // root-satisfied: nothing to learn
-    if (v == Value::False) continue;
-    out.push_back(l);
-  }
-  if (out.empty()) {
-    root_unsat_ = true;
-    return;
-  }
-  ++stats_imported_;
-  if (out.size() == 1) {
-    enqueue(out[0], kNullRef);  // the caller runs propagation to fixpoint
-    return;
-  }
-  // Attached as a learnt (lbd >= 2): reduce_learnts may drop it again and
-  // vivification's problem-only propagation never uses it as a source.
-  const ClauseRef ref = alloc_clause(out, /*learnt=*/true);
-  header(ref)->lbd = std::max<std::uint32_t>(
-      2, std::min<std::uint32_t>(sc.lbd, static_cast<std::uint32_t>(out.size())));
-  learnts_.push_back(ref);
-  attach(ref);
-}
-
-void Solver::import_pending() {
-  if (share_exchange_ == nullptr) return;
-  const std::uint64_t version = share_exchange_->version();
-  if (version == exchange_seen_version_) return;  // lock-free fast path
-  exchange_seen_version_ = version;
-  std::vector<SharedClause> incoming;
-  for (const ShareKey& epoch : visited_epochs_)
-    share_exchange_->collect(share_member_, epoch, &exchange_cursors_[epoch], &incoming);
-  for (const SharedClause& sc : incoming) {
-    if (root_unsat_) return;
-    import_clause(sc);
-  }
-}
-
-void Solver::set_share_epoch(const ShareKey& epoch) {
-  if (!sharing_enabled()) return;
-  flush_exports();
-  if (epoch == share_epoch_) return;
-  share_epoch_ = epoch;
-  if (!epoch.valid()) return;
-  // First visit of this epoch: open an exchange cursor and drain the
-  // vault once. (A solver sits at decision level 0 between solves, which
-  // is when the bit-blaster publishes epochs.)
-  if (!exchange_cursors_.emplace(epoch, 0).second) return;
-  visited_epochs_.push_back(epoch);
-  if (share_vault_ == nullptr || root_unsat_) return;
-  backtrack(0);
-  const std::vector<SharedClause> clauses = share_vault_->lookup(epoch);
-  if (clauses.empty()) return;
-  ++stats_vault_hits_;
-  for (const SharedClause& sc : clauses) {
-    if (root_unsat_) return;
-    import_clause(sc);
-  }
-  if (propagate() != kNullRef) root_unsat_ = true;
-}
-
 SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
   if (root_unsat_) {
     conflict_core_.clear();
@@ -1186,21 +1008,6 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
     root_unsat_ = true;
     return SolveResult::Unsat;
   }
-  // Exports buffered during the search are published whichever way this
-  // solve returns (epoch changes between solves must see them).
-  struct ShareFlush {
-    Solver* s;
-    ~ShareFlush() { s->flush_exports(); }
-  } share_flush{this};
-  if (sharing_enabled() && share_exchange_ != nullptr) {
-    // Pick up whatever the other members published since the last solve.
-    import_pending();
-    if (root_unsat_ || propagate() != kNullRef) {
-      root_unsat_ = true;
-      conflict_core_.clear();
-      return SolveResult::Unsat;
-    }
-  }
 
   const auto solve_start = std::chrono::steady_clock::now();
   std::uint64_t conflicts_at_start = stats_conflicts_;
@@ -1210,8 +1017,6 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
   std::uint64_t next_reduce = config_.reduce_base;
   if (config_.inprocess_interval != 0 && next_inprocess_ == 0)
     next_inprocess_ = config_.inprocess_interval;
-  if (sharing_enabled() && next_share_import_ == 0)
-    next_share_import_ = config_.share_import_interval;
 
   std::vector<Lit> learnt;
   for (;;) {
@@ -1231,22 +1036,13 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
         conflict_core_.clear();
         return SolveResult::Unsat;
       }
-      // If the conflict is at or below the assumption prefix, the
-      // assumptions are responsible.
+      // A conflict inside the assumption prefix needs no special case:
+      // after backtracking, the decision loop below meets the falsified
+      // assumption and analyze_final derives the core.
       int btlevel;
       std::uint32_t lbd;
       analyze(confl, learnt, btlevel, lbd);
-      if (decision_level() <= static_cast<int>(assumptions.size()) &&
-          btlevel < static_cast<int>(assumptions.size())) {
-        // The learnt clause is falsified within the assumption prefix if
-        // all its literals are assumption-level: derive the core from the
-        // asserting literal's complement.
-        // Simplest sound approach: if after backtracking the asserting
-        // literal conflicts with an assumption, analyze_final handles it
-        // in the decision loop below.
-      }
       backtrack(btlevel);
-      try_export(learnt, lbd);
       if (learnt.size() == 1) {
         if (value(learnt[0]) == Value::Unknown) {
           enqueue(learnt[0], kNullRef);
@@ -1299,21 +1095,6 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
         next_inprocess_ = stats_conflicts_ + config_.inprocess_interval;
         backtrack(0);
         inprocess(assumptions);
-        if (root_unsat_) {
-          conflict_core_.clear();
-          return SolveResult::Unsat;
-        }
-      }
-      // Exchange with the other portfolio members on the same
-      // restart-boundary cadence: publish the buffered exports, then
-      // import foreign clauses at the root (the loop re-propagates and
-      // re-decides the assumption prefix on its next iteration).
-      if (sharing_enabled() && share_exchange_ != nullptr &&
-          stats_conflicts_ >= next_share_import_) {
-        next_share_import_ = stats_conflicts_ + config_.share_import_interval;
-        backtrack(0);
-        flush_exports();
-        import_pending();
         if (root_unsat_) {
           conflict_core_.clear();
           return SolveResult::Unsat;

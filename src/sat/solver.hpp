@@ -19,22 +19,17 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sat/backend.hpp"
-#include "sat/exchange.hpp"
 
 namespace sepe::sat {
 
 /// Tunable CDCL heuristics, extracted from what used to be hard-coded
-/// constants so a campaign job can race differently-configured solver
-/// instances on the same query (portfolio solving). The defaults are
-/// tuned on the deep-UNSAT QED campaign queries (short Luby bursts,
-/// faster decay, twice the learnt-clause retention of the historical
-/// constants — ~30% fewer total conflicts on the Table-1 sweep; the
-/// historical configuration survives as portfolio_member(3)).
+/// constants. The defaults are tuned on the deep-UNSAT QED campaign
+/// queries (short Luby bursts, faster decay, twice the learnt-clause
+/// retention of the historical constants — ~30% fewer total conflicts on
+/// the Table-1 sweep).
 ///
 /// Every knob is deterministic: two solvers with the same config and the
 /// same clause stream make identical decisions (random branching draws
@@ -77,14 +72,6 @@ struct SolverConfig {
   /// abort. Deterministic: the arena size is a pure function of the
   /// clause stream.
   unsigned memory_limit_mb = 0;
-  /// Clause sharing (sat/exchange.hpp): export learnt clauses with LBD at
-  /// most this (further capped by the job-level attach_sharing lbd_cap).
-  /// Only consulted once sharing is attached; a detached solver behaves
-  /// identically at any value.
-  unsigned share_lbd_cap = 8;
-  /// Poll the exchange pool for foreign clauses at the first restart after
-  /// this many conflicts since the previous poll.
-  std::uint64_t share_import_interval = 2000;
 
   bool operator==(const SolverConfig&) const = default;
 
@@ -92,11 +79,6 @@ struct SolverConfig {
   std::string to_string() const;
   /// Parse to_string() output. Nullopt on any malformed field.
   static std::optional<SolverConfig> from_string(const std::string& text);
-
-  /// The standard portfolio: member 0 is the default config; higher
-  /// indices diversify restarts, decay, phase, random branching and the
-  /// inprocessing pipeline. Deterministic in `index`.
-  static SolverConfig portfolio_member(unsigned index);
 };
 
 /// Incremental CDCL SAT solver — the native Backend implementation.
@@ -141,15 +123,6 @@ class Solver final : public Backend {
   std::uint64_t num_subsumed_clauses() const override { return stats_subsumed_clauses_; }
   std::uint64_t num_vivified_clauses() const override { return stats_vivified_clauses_; }
   bool out_of_memory() const override { return hit_memory_limit_; }
-
-  // --- learnt-clause sharing (sat/exchange.hpp) ---
-  bool supports_sharing() const override { return true; }
-  void attach_sharing(ClauseExchange* exchange, ClauseVault* vault, unsigned member,
-                      unsigned lbd_cap) override;
-  void set_share_epoch(const ShareKey& epoch) override;
-  std::uint64_t num_clauses_exported() const override { return stats_exported_; }
-  std::uint64_t num_clauses_imported() const override { return stats_imported_; }
-  std::uint64_t num_vault_hits() const override { return stats_vault_hits_; }
 
  private:
   // Clauses live in an arena; a ClauseRef is an offset into it.
@@ -224,23 +197,6 @@ class Solver final : public Backend {
     return var < static_cast<int>(eliminated_.size()) && eliminated_[var] != 0;
   }
 
-  // --- learnt-clause sharing ---
-  //
-  // Exports are buffered and flushed at restart boundaries / solve exit /
-  // epoch changes; imports land only at decision level 0 and are attached
-  // as learnts (lbd >= 2), so reduce_learnts can drop them and the
-  // vivifier's problem-only propagation never leans on them (the PR-7
-  // soundness rule). share_seen_ records the hash of every clause this
-  // solver exported or imported, preventing self re-import through the
-  // vault or the pool.
-  bool sharing_enabled() const {
-    return share_cap_ != 0 && (share_exchange_ != nullptr || share_vault_ != nullptr);
-  }
-  void try_export(const std::vector<Lit>& learnt, std::uint32_t lbd);
-  void flush_exports();
-  void import_clause(const SharedClause& clause);
-  void import_pending();
-
   /// The per-job memory ceiling (config_.memory_limit_mb, or the
   /// solver.alloc:oom fault point): checked at solve() entry (the arena
   /// is mostly grown by bit-blasting before the search starts) and once
@@ -311,23 +267,6 @@ class Solver final : public Backend {
   std::vector<Lit> analyze_stack_;
   std::vector<int> minimize_marked_;
   std::vector<int> analyze_toclear_;
-
-  // Clause-sharing state (all inert until attach_sharing is called).
-  static constexpr std::size_t kShareMaxLits = 30;
-  ClauseExchange* share_exchange_ = nullptr;
-  ClauseVault* share_vault_ = nullptr;
-  unsigned share_member_ = 0;
-  unsigned share_cap_ = 0;  // effective export LBD cap; 0 = sharing off
-  ShareKey share_epoch_;
-  std::vector<ShareKey> visited_epochs_;
-  std::unordered_map<ShareKey, std::size_t, ShareKeyHash> exchange_cursors_;
-  std::uint64_t exchange_seen_version_ = 0;
-  std::uint64_t next_share_import_ = 0;
-  std::vector<SharedClause> export_buffer_;
-  std::unordered_set<std::uint64_t> share_seen_;
-  std::uint64_t stats_exported_ = 0;
-  std::uint64_t stats_imported_ = 0;
-  std::uint64_t stats_vault_hits_ = 0;
 
   std::uint64_t stats_conflicts_ = 0;
   std::uint64_t stats_decisions_ = 0;

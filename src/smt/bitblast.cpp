@@ -416,15 +416,6 @@ const std::vector<Lit>& BitBlaster::blast(TermRef t, std::uint8_t polarity) {
   // Every top-level call — including no-ops — advances the state digest,
   // keeping the key an exact function of the call history.
   const TermDigest key = advance_state(t, polarity);
-  const Bits& bits = blast_under_key(t, polarity, key);
-  // Publish the new share epoch only now: the cone's clauses exist, so a
-  // vault clause served under this epoch can only mention live variables.
-  publish_epoch();
-  return bits;
-}
-
-const BitBlaster::Bits& BitBlaster::blast_under_key(TermRef t, std::uint8_t polarity,
-                                                    const TermDigest& key) {
   if (auto it = cache_.find(t); it != cache_.end()) {
     if (!pg_) return it->second;
     const auto pit = term_pol_.find(t);
@@ -496,20 +487,6 @@ const BitBlaster::Bits& BitBlaster::blast_under_key(TermRef t, std::uint8_t pola
 Lit BitBlaster::blast_bit(TermRef t, std::uint8_t polarity) {
   assert(mgr_.width(t) == 1);
   return blast(t, polarity)[0];
-}
-
-void BitBlaster::publish_epoch() {
-  solver_.set_share_epoch(sat::ShareKey{state_.lo, state_.hi});
-}
-
-void BitBlaster::note_assert(Lit l) {
-  // Tag 0x617373657274 = "assert". Folding top-level unit assertions into
-  // the digest keeps "equal epoch" equivalent to "identical clause
-  // stream" — the property every cross-solver import leans on.
-  const std::uint64_t code = static_cast<std::uint32_t>(l.code());
-  state_.lo = mix64(state_.lo ^ 0x617373657274ULL ^ (code << 16));
-  state_.hi = mix64(state_.hi ^ 0x617373657274ULL ^ code);
-  publish_epoch();
 }
 
 BitBlaster::Bits BitBlaster::encode(TermRef t) {

@@ -70,13 +70,6 @@ class BitBlaster {
   /// Single literal for a 1-bit term.
   sat::Lit blast_bit(TermRef t, std::uint8_t polarity = kBoth);
 
-  /// Record a top-level unit assertion of `l` in the state digest. Every
-  /// clause the solver carries must be digest-visible, or two stacks with
-  /// equal digests could differ in their root units — which would break
-  /// the clause-sharing soundness argument (sat/exchange.hpp). SmtSolver
-  /// calls this right after asserting the blasted literal.
-  void note_assert(sat::Lit l);
-
   /// Literal fixed to true (for constants).
   sat::Lit true_lit() const { return true_lit_; }
 
@@ -138,12 +131,6 @@ class BitBlaster {
   /// Validate-then-apply `tape` for blast(t, polarity). Returns false
   /// (touching nothing) when digest validation refuses the tape.
   bool replay_tape(TermRef t, std::uint8_t polarity, const ConeTape& tape);
-  /// blast() body: encode (or replay) `t` under the already-advanced
-  /// digest `key`. Split out so blast() can publish the new share epoch
-  /// only *after* the cone's clauses exist in the solver.
-  const Bits& blast_under_key(TermRef t, std::uint8_t polarity, const TermDigest& key);
-  /// Push the current state digest to the backend as its share epoch.
-  void publish_epoch();
 
   struct GateKey;
   /// Gate-cache lookup shared by every gate encoder: returns the (cached

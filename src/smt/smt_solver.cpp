@@ -6,11 +6,7 @@ namespace sepe::smt {
 
 void SmtSolver::assert_formula(TermRef t) {
   assert(mgr_.width(t) == 1);
-  const sat::Lit l = blaster_.blast_bit(t, BitBlaster::kPos);
-  sat_->add_clause(l);
-  // The unit clause is solver state the blast stream alone doesn't
-  // capture; fold it into the share-epoch digest (see note_assert).
-  blaster_.note_assert(l);
+  sat_->add_clause(blaster_.blast_bit(t, BitBlaster::kPos));
 }
 
 Result SmtSolver::check(const std::vector<TermRef>& assumptions) {

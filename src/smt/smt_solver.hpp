@@ -33,27 +33,20 @@ enum class Result { Sat, Unsat, Unknown };
 
 class SmtSolver {
  public:
-  /// `config` tunes the CDCL heuristics (portfolio racing).
+  /// `config` tunes the CDCL heuristics.
   /// `plaisted_greenbaum` = true opts into polarity-split encoding (see
   /// bitblast.hpp for why full Tseitin is the default).
   /// `cone_cache`, when non-null, shares bit-blasted cones with the other
   /// solver stacks of a campaign (see cone_cache.hpp).
   /// `backend` picks the SAT engine behind the blaster (backend.hpp);
   /// the native CDCL is the default and the only one `config` tunes.
-  /// `sharing` attaches the backend to a campaign's learnt-clause pools
-  /// (sat/exchange.hpp); backends that cannot share (DIMACS) skip it.
   explicit SmtSolver(TermManager& mgr, const sat::SolverConfig& config = {},
                      bool plaisted_greenbaum = false,
                      std::shared_ptr<ConeCache> cone_cache = nullptr,
-                     sat::BackendKind backend = sat::BackendKind::Native,
-                     sat::SharingContext sharing = {})
+                     sat::BackendKind backend = sat::BackendKind::Native)
       : mgr_(mgr),
         sat_(sat::make_backend(backend, config)),
-        blaster_(mgr, *sat_, plaisted_greenbaum, std::move(cone_cache)) {
-    if (sharing.enabled() && sat_->supports_sharing())
-      sat_->attach_sharing(sharing.exchange, sharing.vault, sharing.member,
-                           sharing.lbd_cap);
-  }
+        blaster_(mgr, *sat_, plaisted_greenbaum, std::move(cone_cache)) {}
 
   TermManager& mgr() { return mgr_; }
 

@@ -211,17 +211,6 @@ bool configure(const std::string& plan, std::string* error) {
 bool init_from_environment() {
   std::string plan;
   if (const char* env = std::getenv("SEPE_FAULT")) plan = env;
-  // One-release aliases for the pre-framework dispatch fault tokens.
-  if (const char* kill_token = std::getenv("SEPE_RUN_KILL_TOKEN")) {
-    if (!plan.empty()) plan += ';';
-    plan += "point=worker.job_done:kill@token:";
-    plan += kill_token;
-  }
-  if (const char* hang_token = std::getenv("SEPE_RUN_HANG_TOKEN")) {
-    if (!plan.empty()) plan += ';';
-    plan += "point=worker.job_done:hang@token:";
-    plan += hang_token;
-  }
   if (plan.empty()) return true;
   std::string error;
   if (!configure(plan, &error)) {

@@ -62,10 +62,7 @@ enum class Action : std::uint8_t {
 /// init_from_environment().
 bool configure(const std::string& plan, std::string* error = nullptr);
 
-/// Arm from $SEPE_FAULT plus the legacy one-release aliases
-/// $SEPE_RUN_KILL_TOKEN / $SEPE_RUN_HANG_TOKEN (each maps to a
-/// `worker.job_done:{kill,hang}@token:PATH` plan entry appended after the
-/// SEPE_FAULT entries). Malformed plans disarm and report on stderr
+/// Arm from $SEPE_FAULT. Malformed plans disarm and report on stderr
 /// rather than aborting: a bad fault plan must never take down a
 /// production run. Returns false on a malformed plan.
 bool init_from_environment();

@@ -234,13 +234,18 @@ TEST(BackendEquivalence, PinnedTableRowStableJsonIsByteIdentical) {
   matrix.budget.max_bound = 6;
   matrix.budget.max_k = 2;
 
-  const std::string native_json = engine::run_campaign(engine::expand(matrix, 1))
-                                      .to_json(/*include_timing=*/false);
+  const engine::CampaignReport native = engine::run_campaign(engine::expand(matrix, 1));
   matrix.budget.backend = BackendKind::Dimacs;
-  const std::string dimacs_json = engine::run_campaign(engine::expand(matrix, 1))
-                                      .to_json(/*include_timing=*/false);
-  EXPECT_EQ(native_json, dimacs_json);
+  const engine::CampaignReport dimacs = engine::run_campaign(engine::expand(matrix, 1));
+  const std::string native_json = native.to_json(/*include_timing=*/false);
+  EXPECT_EQ(native_json, dimacs.to_json(/*include_timing=*/false));
   EXPECT_NE(native_json.find("FALSIFIED"), std::string::npos);
+  // The DIMACS backend is the path into canonical_witness: the rendered
+  // trace table matches the native one too.
+  ASSERT_EQ(native.jobs.size(), 1u);
+  ASSERT_EQ(dimacs.jobs.size(), 1u);
+  EXPECT_FALSE(native.jobs[0].witness.empty());
+  EXPECT_EQ(native.jobs[0].witness, dimacs.jobs[0].witness);
 }
 
 }  // namespace

@@ -276,46 +276,6 @@ TEST(EngineMatrix, ExpandsMutationsTimesModes) {
   for (const JobSpec& job : spec.jobs) EXPECT_TRUE(static_cast<bool>(job.build));
 }
 
-// --- portfolio racing: verdict determinism ---
-
-TEST(EnginePortfolio, VerdictsMatchSingleConfigRun) {
-  // The same mixed campaign with a 3-wide portfolio per prover: every
-  // verdict-bearing field (and hence the stable JSON byte stream) must
-  // match the single-config run, whichever entrant happens to win.
-  CampaignSpec spec = mixed_spec();
-  CampaignOptions opts;
-  opts.threads = 2;
-  const CampaignReport single = run_campaign(spec, opts);
-  for (JobSpec& job : spec.jobs) job.budget.portfolio = 3;
-  const CampaignReport wide = run_campaign(spec, opts);
-  ASSERT_EQ(single.jobs.size(), wide.jobs.size());
-  for (std::size_t i = 0; i < single.jobs.size(); ++i) {
-    EXPECT_EQ(single.jobs[i].verdict, wide.jobs[i].verdict) << single.jobs[i].name;
-    EXPECT_EQ(single.jobs[i].trace_length, wide.jobs[i].trace_length)
-        << single.jobs[i].name;
-    EXPECT_EQ(single.jobs[i].proved_k, wide.jobs[i].proved_k) << single.jobs[i].name;
-    EXPECT_EQ(single.jobs[i].bad_label, wide.jobs[i].bad_label) << single.jobs[i].name;
-    EXPECT_EQ(single.jobs[i].witness, wide.jobs[i].witness) << single.jobs[i].name;
-  }
-  EXPECT_EQ(single.to_json(/*include_timing=*/false),
-            wide.to_json(/*include_timing=*/false));
-}
-
-TEST(EnginePortfolio, WideFalsifiedJobReportsCanonicalWitness) {
-  // A falsified job under a wide portfolio must report the same trace
-  // as the default-config run even when a diversified entrant wins.
-  JobBudget budget;
-  budget.max_bound = 10;
-  budget.max_k = 4;
-  const JobResult narrow = run_job(counter_job("cnt5", 8, 5, budget));
-  budget.portfolio = 4;
-  const JobResult wide = run_job(counter_job("cnt5", 8, 5, budget));
-  EXPECT_EQ(wide.verdict, Verdict::Falsified);
-  EXPECT_EQ(wide.trace_length, narrow.trace_length);
-  EXPECT_EQ(wide.bad_label, narrow.bad_label);
-  EXPECT_EQ(wide.witness, narrow.witness);
-}
-
 // --- sequential deterministic perf mode (bench/campaign_perf) ---
 
 TEST(EngineSequential, VerdictsMatchRaceAndCountersAreDeterministic) {

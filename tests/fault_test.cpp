@@ -203,20 +203,6 @@ TEST_F(FaultEnvelope, DataActionsAreNoOpsInExecute) {
   EXPECT_FALSE(fault::global_stop_requested());
 }
 
-TEST_F(FaultEnvelope, LegacyKillTokenAliasStillArms) {
-  const auto dir = fresh_dir("fault_alias_test");
-  const std::string token = (dir / "kill_token").string();
-  std::ofstream(token) << "1\n";
-  ::unsetenv("SEPE_FAULT");
-  ::setenv("SEPE_RUN_KILL_TOKEN", token.c_str(), 1);
-  EXPECT_TRUE(fault::init_from_environment());
-  ::unsetenv("SEPE_RUN_KILL_TOKEN");
-  ASSERT_TRUE(fault::armed());
-  const auto action = fault::hit("worker.job_done");
-  ASSERT_TRUE(action.has_value());
-  EXPECT_EQ(*action, fault::Action::Kill);  // consulted, never executed here
-}
-
 // --- per-job memory ceiling (solver layer) ---
 
 TEST_F(FaultSolver, MemoryCeilingRoundTripsThroughConfigString) {

@@ -200,7 +200,7 @@ TEST_P(SatRandomTest, AgreesWithBruteForceOnRandom3Sat) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SatRandomTest, ::testing::Range(1, 9));
 
-// --- SolverConfig: round-trip, portfolio members, verdict agreement ---
+// --- SolverConfig: round-trip, verdict agreement across heuristics ---
 
 TEST(SolverConfig, DefaultRoundTripsThroughString) {
   const SolverConfig c;
@@ -209,62 +209,35 @@ TEST(SolverConfig, DefaultRoundTripsThroughString) {
   EXPECT_EQ(*parsed, c);
 }
 
-TEST(SolverConfig, EveryPortfolioMemberRoundTrips) {
-  for (unsigned i = 0; i < 8; ++i) {
-    const SolverConfig c = SolverConfig::portfolio_member(i);
+/// Four structurally different heuristic settings: the default, a
+/// slow-decay geometric-restart grinder with eager inprocessing, seeded
+/// random branching from phase-true without vivification, and the
+/// historical pre-tuning constants with inprocessing off.
+std::vector<SolverConfig> diverse_configs() {
+  std::vector<SolverConfig> configs(4);
+  configs[1].var_decay = 0.99;
+  configs[1].restart = SolverConfig::Restart::Geometric;
+  configs[1].restart_base = 200;
+  configs[1].restart_mult = 1.3;
+  configs[1].inprocess_interval = 2000;
+  configs[2].phase_init_true = true;
+  configs[2].random_branch_freq = 128;
+  configs[2].vivify = false;
+  configs[2].seed = 3;
+  configs[3].var_decay = 0.95;
+  configs[3].restart_base = 100;
+  configs[3].reduce_base = 4000;
+  configs[3].reduce_increment = 2000;
+  configs[3].inprocess_interval = 0;
+  return configs;
+}
+
+TEST(SolverConfig, DiverseConfigsRoundTripThroughString) {
+  for (const SolverConfig& c : diverse_configs()) {
     const auto parsed = SolverConfig::from_string(c.to_string());
     ASSERT_TRUE(parsed.has_value()) << c.to_string();
     EXPECT_EQ(*parsed, c) << c.to_string();
   }
-}
-
-TEST(SolverConfig, MemberZeroIsTheDefault) {
-  EXPECT_EQ(SolverConfig::portfolio_member(0), SolverConfig{});
-}
-
-TEST(SolverConfig, SharingKnobsRoundTripThroughString) {
-  SolverConfig c;
-  c.share_lbd_cap = 4;
-  c.share_import_interval = 500;
-  const auto parsed = SolverConfig::from_string(c.to_string());
-  ASSERT_TRUE(parsed.has_value()) << c.to_string();
-  EXPECT_EQ(*parsed, c);
-  // Combined with the other optional tail (memory ceiling), order is fixed.
-  c.memory_limit_mb = 64;
-  const auto parsed2 = SolverConfig::from_string(c.to_string());
-  ASSERT_TRUE(parsed2.has_value()) << c.to_string();
-  EXPECT_EQ(*parsed2, c);
-  // The canonical form omits default-valued tails; a spelled-out default
-  // is therefore malformed, keeping to_string() the unique encoding.
-  EXPECT_FALSE(
-      SolverConfig::from_string(SolverConfig{}.to_string() + ";slbd=8").has_value());
-  EXPECT_FALSE(
-      SolverConfig::from_string(SolverConfig{}.to_string() + ";simp=2000")
-          .has_value());
-}
-
-TEST(SolverConfig, PortfolioMembersDiversifySharing) {
-  // The diversified members must still round-trip and must not all share
-  // identically (different export caps / poll cadences probe different
-  // pool dynamics).
-  bool diverse = false;
-  for (unsigned i = 1; i < 4; ++i) {
-    const SolverConfig c = SolverConfig::portfolio_member(i);
-    const auto parsed = SolverConfig::from_string(c.to_string());
-    ASSERT_TRUE(parsed.has_value()) << c.to_string();
-    EXPECT_EQ(*parsed, c) << c.to_string();
-    diverse = diverse || c.share_lbd_cap != SolverConfig{}.share_lbd_cap ||
-              c.share_import_interval != SolverConfig{}.share_import_interval;
-  }
-  EXPECT_TRUE(diverse);
-}
-
-TEST(SolverConfig, MembersAreDiverse) {
-  // The first four members must be pairwise distinct configurations.
-  for (unsigned i = 0; i < 4; ++i)
-    for (unsigned j = i + 1; j < 4; ++j)
-      EXPECT_NE(SolverConfig::portfolio_member(i), SolverConfig::portfolio_member(j))
-          << i << " vs " << j;
 }
 
 TEST(SolverConfig, FromStringRejectsMalformedText) {
@@ -287,8 +260,8 @@ TEST(SolverConfig, FromStringRejectsMalformedText) {
   EXPECT_FALSE(SolverConfig::from_string(zero_reduce).has_value());
 }
 
-/// Pigeonhole: n+1 pigeons into n holes (UNSAT) — every portfolio member
-/// must agree, whatever its restart/decay/phase/random-branch policy.
+/// Pigeonhole: n+1 pigeons into n holes (UNSAT) — every config must
+/// agree, whatever its restart/decay/phase/random-branch policy.
 void add_pigeonhole(Solver& s, int holes) {
   const int pigeons = holes + 1;
   std::vector<std::vector<int>> var(pigeons, std::vector<int>(holes));
@@ -305,18 +278,20 @@ void add_pigeonhole(Solver& s, int holes) {
         s.add_clause(Lit(var[p1][h], true), Lit(var[p2][h], true));
 }
 
-TEST(SolverConfig, AllMembersRefutePigeonhole) {
-  for (unsigned i = 0; i < 4; ++i) {
-    Solver s(SolverConfig::portfolio_member(i));
+TEST(SolverConfig, AllConfigsRefutePigeonhole) {
+  const std::vector<SolverConfig> configs = diverse_configs();
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    Solver s(configs[i]);
     add_pigeonhole(s, 5);
-    EXPECT_EQ(s.solve(), SolveResult::Unsat) << "member " << i;
+    EXPECT_EQ(s.solve(), SolveResult::Unsat) << "config " << i;
   }
 }
 
-TEST(SolverConfig, AllMembersAgreeOnRandom3Sat) {
-  // Random 3-SAT at the satisfiability threshold: every member must
+TEST(SolverConfig, AllConfigsAgreeOnRandom3Sat) {
+  // Random 3-SAT at the satisfiability threshold: every config must
   // return the same verdict as the default solver, and Sat models must
   // satisfy the clauses.
+  const std::vector<SolverConfig> configs = diverse_configs();
   Rng rng(0xc0ffee);
   for (int round = 0; round < 20; ++round) {
     const int nvars = 14;
@@ -329,8 +304,8 @@ TEST(SolverConfig, AllMembersAgreeOnRandom3Sat) {
       clauses.push_back(cl);
     }
     SolveResult reference = SolveResult::Unknown;
-    for (unsigned i = 0; i < 4; ++i) {
-      Solver s(SolverConfig::portfolio_member(i));
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      Solver s(configs[i]);
       for (int v = 0; v < nvars; ++v) s.new_var();
       bool root_conflict = false;
       for (const auto& cl : clauses)
@@ -339,13 +314,13 @@ TEST(SolverConfig, AllMembersAgreeOnRandom3Sat) {
       if (i == 0) {
         reference = r;
       } else {
-        EXPECT_EQ(r, reference) << "member " << i << " round " << round;
+        EXPECT_EQ(r, reference) << "config " << i << " round " << round;
       }
       if (r == SolveResult::Sat) {
         for (const auto& cl : clauses) {
           bool sat = false;
           for (Lit l : cl) sat |= s.model_value(l);
-          EXPECT_TRUE(sat) << "member " << i << " model violates a clause";
+          EXPECT_TRUE(sat) << "config " << i << " model violates a clause";
         }
       }
     }

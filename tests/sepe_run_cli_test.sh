@@ -51,8 +51,8 @@ expect_usage_error duplicate_bug     -- --bugs add_carry_stuck,add_carry_stuck
 expect_usage_error bad_mode          -- --modes sideways
 expect_usage_error shard_malformed   -- --shard 4of4
 expect_usage_error shard_range       -- --shard 4/4
-expect_usage_error portfolio_zero    -- --portfolio 0
-expect_usage_error portfolio_huge    -- --portfolio 99
+expect_usage_error retired_portfolio -- --portfolio 2
+expect_usage_error retired_sharing   -- --share-clauses on
 expect_usage_error unknown_flag      -- --frobnicate
 expect_usage_error merge_no_inputs   -- merge
 expect_usage_error corpus_no_dir     -- corpus
@@ -122,21 +122,6 @@ for bad in "shard0.json shard1.json" "shard0.json shard0.json shard1.json"; do
     FAILURES=$((FAILURES + 1))
   fi
 done
-
-# Portfolio racing must not change the stable report: same campaign with
-# --portfolio 3 is byte-identical to the single-config reference.
-if ! "$SEPE_RUN" "${CAMPAIGN[@]}" --threads 1 --portfolio 3 \
-    --json "$WORK/portfolio.json" >/dev/null; then
-  echo "FAIL: portfolio run"
-  FAILURES=$((FAILURES + 1))
-fi
-if cmp -s "$WORK/reference.json" "$WORK/portfolio.json"; then
-  echo "ok: --portfolio 3 stable JSON is byte-identical to single-config"
-else
-  echo "FAIL: portfolio report differs from the single-config reference:"
-  diff "$WORK/reference.json" "$WORK/portfolio.json"
-  FAILURES=$((FAILURES + 1))
-fi
 
 # Checkpoint/resume: a second run against the finished journal does no
 # solving and reproduces the same stable JSON.
@@ -233,39 +218,12 @@ else
   FAILURES=$((FAILURES + 1))
 fi
 
-# A worker killed mid-shard (SIGKILL after its first journaled job, via
-# the claim-once fault token) is retried from its checkpoint journal and
-# the merged report is still byte-identical to the reference.
-touch "$WORK/kill.token"
-if ! SEPE_RUN_KILL_TOKEN="$WORK/kill.token" "$SEPE_RUN" dispatch \
-    --workers 1 --shards 1 "${CAMPAIGN[@]}" \
-    --json "$WORK/dispatched-kill.json" >/dev/null 2>"$WORK/dispatch-kill.log"; then
-  echo "FAIL: dispatch run with a killed worker"
-  cat "$WORK/dispatch-kill.log"
-  FAILURES=$((FAILURES + 1))
-fi
-if [ ! -e "$WORK/kill.token.claimed" ]; then
-  echo "FAIL: no worker claimed the kill token"
-  FAILURES=$((FAILURES + 1))
-elif ! grep -q "crashed (signal 9)" "$WORK/dispatch-kill.log" \
-    || ! grep -q "resuming 1 journaled jobs" "$WORK/dispatch-kill.log"; then
-  echo "FAIL: dispatcher log is missing the crash/resume trail:"
-  cat "$WORK/dispatch-kill.log"
-  FAILURES=$((FAILURES + 1))
-elif cmp -s "$WORK/reference.json" "$WORK/dispatched-kill.json"; then
-  echo "ok: a killed worker is retried from its journal, byte-identical merge"
-else
-  echo "FAIL: post-kill merged JSON differs from the unsharded reference:"
-  diff "$WORK/reference.json" "$WORK/dispatched-kill.json"
-  FAILURES=$((FAILURES + 1))
-fi
-
 # A hung worker (claim-once hang token) is out-raced: its shard is
 # stolen from a journal snapshot by the idle worker, the straggler is
 # terminated, and the merge is still byte-identical.
 touch "$WORK/hang.token"
-if ! SEPE_RUN_HANG_TOKEN="$WORK/hang.token" "$SEPE_RUN" dispatch \
-    --workers 2 --steal-after 0.2 "${CAMPAIGN[@]}" \
+if ! SEPE_FAULT="point=worker.job_done:hang@token:$WORK/hang.token" \
+    "$SEPE_RUN" dispatch --workers 2 --steal-after 0.2 "${CAMPAIGN[@]}" \
     --json "$WORK/dispatched-hang.json" >/dev/null 2>"$WORK/dispatch-hang.log"; then
   echo "FAIL: dispatch run with a hung worker"
   cat "$WORK/dispatch-hang.log"
@@ -284,9 +242,9 @@ else
   FAILURES=$((FAILURES + 1))
 fi
 
-# The unified fault plan drives the same worker-kill drill: SEPE_FAULT's
-# worker.job_done:kill@token entry must behave exactly like the legacy
-# SEPE_RUN_KILL_TOKEN alias exercised above.
+# A worker killed mid-shard (SIGKILL after its first journaled job, via
+# the claim-once fault token) is retried from its checkpoint journal and
+# the merged report is still byte-identical to the reference.
 touch "$WORK/kill2.token"
 if ! SEPE_FAULT="point=worker.job_done:kill@token:$WORK/kill2.token" \
     "$SEPE_RUN" dispatch --workers 1 --shards 1 "${CAMPAIGN[@]}" \
@@ -304,7 +262,7 @@ elif ! grep -q "crashed (signal 9)" "$WORK/dispatch-kill2.log" \
   cat "$WORK/dispatch-kill2.log"
   FAILURES=$((FAILURES + 1))
 elif cmp -s "$WORK/reference.json" "$WORK/dispatched-kill2.json"; then
-  echo "ok: SEPE_FAULT worker kill matches the legacy token drill"
+  echo "ok: a killed worker is retried from its journal, byte-identical merge"
 else
   echo "FAIL: post-SEPE_FAULT-kill merged JSON differs from the reference:"
   diff "$WORK/reference.json" "$WORK/dispatched-kill2.json"

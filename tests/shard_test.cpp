@@ -318,26 +318,34 @@ TEST(ReportIo, TimingReportRoundTrips) {
   EXPECT_EQ(parsed.shard->total_jobs, spec.jobs.size());
 }
 
-// PR 6 once silently dropped newly-added timing fields on the parse
-// side; this pins every sharing counter through a full parse→emit cycle
-// with values that cannot be confused with defaults.
-TEST(ReportIo, SharingCountersRoundTrip) {
-  const std::string json =
-      "{\"seed\": 7, \"jobs\": [{\"name\": \"s\", \"mode\": \"EDDI-V\", "
-      "\"verdict\": \"PROVED\", \"proved_k\": 1, \"winner\": \"k-induction\", "
-      "\"conflicts\": 12, \"clauses_exported\": 31, \"clauses_imported\": 17, "
-      "\"vault_hits\": 5}]}";
-  CampaignReport report;
+// Backward compatibility: timing reports written while learnt-clause
+// sharing existed carry three counters this binary no longer knows.
+// Such shard reports (an old checkpoint, an older worker in the fleet)
+// must still parse and merge, with the retired keys ignored.
+TEST(ReportIo, RetiredSharingCountersAreIgnored) {
+  const auto shard_json = [](unsigned index, const std::string& name) {
+    return "{\"seed\": 7, \"shard\": {\"index\": " + std::to_string(index) +
+           ", \"count\": 2, \"total_jobs\": 2}, \"threads\": 1, "
+           "\"wall_seconds\": 0.5, \"jobs\": [{\"name\": \"" + name +
+           "\", \"spec_index\": " + std::to_string(index) +
+           ", \"mode\": \"EDDI-V\", \"verdict\": \"PROVED\", \"proved_k\": 1, "
+           "\"winner\": \"k-induction\", \"conflicts\": 12, "
+           "\"clauses_exported\": 31, \"clauses_imported\": 17, "
+           "\"vault_hits\": 5}]}";
+  };
+  std::vector<CampaignReport> shards(2);
   std::string error;
-  ASSERT_TRUE(parse_report(json, &report, &error)) << error;
-  ASSERT_EQ(report.jobs.size(), 1u);
-  EXPECT_EQ(report.jobs[0].clauses_exported, 31u);
-  EXPECT_EQ(report.jobs[0].clauses_imported, 17u);
-  EXPECT_EQ(report.jobs[0].vault_hits, 5u);
-  const std::string emitted = report.to_json(/*include_timing=*/true);
-  EXPECT_NE(emitted.find("\"clauses_exported\": 31"), std::string::npos) << emitted;
-  EXPECT_NE(emitted.find("\"clauses_imported\": 17"), std::string::npos) << emitted;
-  EXPECT_NE(emitted.find("\"vault_hits\": 5"), std::string::npos) << emitted;
+  ASSERT_TRUE(parse_report(shard_json(0, "a"), &shards[0], &error)) << error;
+  ASSERT_TRUE(parse_report(shard_json(1, "b"), &shards[1], &error)) << error;
+  EXPECT_EQ(shards[0].jobs[0].conflicts, 12u);
+  const auto merged = CampaignReport::merge(shards, &error);
+  ASSERT_TRUE(merged.has_value()) << error;
+  ASSERT_EQ(merged->jobs.size(), 2u);
+  EXPECT_EQ(merged->jobs[1].name, "b");
+  EXPECT_EQ(merged->jobs[1].proved_k, 1u);
+  const std::string emitted = merged->to_json(/*include_timing=*/true);
+  for (const char* retired : {"clauses_exported", "clauses_imported", "vault_hits"})
+    EXPECT_EQ(emitted.find(retired), std::string::npos) << emitted;
 }
 
 // Forward compatibility: a report written by a *newer* binary may carry
@@ -348,13 +356,13 @@ TEST(ReportIo, UnknownTimingKeysAreTolerated) {
   const std::string json =
       "{\"seed\": 7, \"jobs\": [{\"name\": \"s\", \"mode\": \"EDDI-V\", "
       "\"verdict\": \"PROVED\", \"proved_k\": 3, "
-      "\"counter_from_the_future\": 999, \"vault_hits\": 2}]}";
+      "\"counter_from_the_future\": 999, \"cone_hits\": 2}]}";
   CampaignReport report;
   std::string error;
   ASSERT_TRUE(parse_report(json, &report, &error)) << error;
   ASSERT_EQ(report.jobs.size(), 1u);
   EXPECT_EQ(report.jobs[0].proved_k, 3u);
-  EXPECT_EQ(report.jobs[0].vault_hits, 2u);
+  EXPECT_EQ(report.jobs[0].cone_hits, 2u);
 }
 
 TEST(ReportIo, RejectsMalformedInput) {

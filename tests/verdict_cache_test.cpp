@@ -16,6 +16,7 @@
 #include "engine/report_io.hpp"
 #include "engine/shard.hpp"
 #include "engine/verdict_cache.hpp"
+#include "util/stopwatch.hpp"
 
 namespace sepe::engine {
 namespace {
@@ -110,7 +111,6 @@ TEST(VerdictCacheFormat, KeySeparatesEveryVerdictDeterminant) {
   EXPECT_TRUE(differs([](JobSpec& j) { j.budget.max_k = 4; }));
   EXPECT_TRUE(differs([](JobSpec& j) { j.budget.conflict_budget = 100; }));
   EXPECT_TRUE(differs([](JobSpec& j) { j.budget.race_k_induction = false; }));
-  EXPECT_TRUE(differs([](JobSpec& j) { j.budget.portfolio = 2; }));
   EXPECT_TRUE(differs([](JobSpec& j) { j.budget.sequential_provers = true; }));
   EXPECT_TRUE(differs([](JobSpec& j) { j.budget.plaisted_greenbaum = true; }));
   EXPECT_NE(VerdictCache::key_of(base, "other-fp"), k0);
@@ -316,6 +316,30 @@ TEST_F(VerdictCacheRunTest, WarmRunIsByteIdenticalWithZeroBuilds) {
   ASSERT_TRUE(error.empty()) << error;
   EXPECT_EQ(g_builds.load(), 0u);
   for (const JobResult& j : half.jobs) EXPECT_TRUE(j.from_cache) << j.name;
+}
+
+TEST_F(VerdictCacheRunTest, WarmRunReportsItsRealWallTime) {
+  // A warm run solves nothing, but it still re-derives and replays every
+  // cached FALSIFIED row before the (empty) campaign of pending jobs; its
+  // wall_seconds must cover that work.
+  const CampaignSpec spec = cached_spec();
+  ShardRunOptions options;
+  options.cache_dir = dir_;
+  std::string error;
+  run_sharded(spec, options, &error);
+  ASSERT_TRUE(error.empty()) << error;
+
+  const Stopwatch clock;
+  const CampaignReport warm = run_sharded(spec, options, &error);
+  const double elapsed = clock.seconds();
+  ASSERT_TRUE(error.empty()) << error;
+  unsigned checked = 0;
+  for (const JobResult& j : warm.jobs) {
+    EXPECT_TRUE(j.from_cache) << j.name;
+    checked += j.witness_checked ? 1 : 0;
+  }
+  EXPECT_EQ(checked, 2u);
+  EXPECT_GE(warm.wall_seconds, 0.5 * elapsed);
 }
 
 TEST_F(VerdictCacheRunTest, WallCappedJobsAreSolvedFreshEveryRun) {

@@ -105,9 +105,6 @@ void usage() {
       "  --bound N        BMC bound sweep limit (default 10)\n"
       "  --max-k N        k-induction depth limit (default 10)\n"
       "  --no-race        disable the k-induction prover (BMC only)\n"
-      "  --portfolio N    race N differently-configured CDCL instances per\n"
-      "                   prover inside each job (default 1; verdicts stay\n"
-      "                   deterministic — see src/engine/campaign.hpp)\n"
       "  --encoding E     bit-blasting encoding: auto | tseitin | pg\n"
       "                   (default auto = the workload family's default:\n"
       "                   Tseitin for QED, Plaisted-Greenbaum for corpus)\n"
@@ -121,12 +118,6 @@ void usage() {
       "  --memory-mb N    per-job SAT-arena memory ceiling in MiB (default none;\n"
       "                   deterministic — an over-budget job degrades to an\n"
       "                   UNKNOWN row diagnosed 'resource: memory')\n"
-      "  --share-clauses on|off|N\n"
-      "                   learnt-clause sharing between portfolio entrants and\n"
-      "                   across jobs (cone-digest vault); N = LBD export cap\n"
-      "                   (on = 8, default off). Verdicts and stable JSON are\n"
-      "                   sharing-invariant; auto-disabled under --conflicts\n"
-      "                   and --memory-mb (see docs/SOLVER.md)\n"
       "  --seed S         RNG seed recorded in the report (default 1)\n"
       "  --shard I/N      run only the deterministic shard I of N (0-based);\n"
       "                   the JSON report then carries shard metadata for merge\n"
@@ -270,7 +261,6 @@ struct CommonOptions {
   unsigned threads = 0;
   unsigned bound = 10;
   unsigned max_k = 10;
-  unsigned portfolio = 1;
   bool race = true;
   bool stable_json = false;
   bool print_witness = false;
@@ -278,7 +268,6 @@ struct CommonOptions {
   std::uint64_t seed = 1;
   double time_cap = 0.0;
   unsigned memory_mb = 0;
-  unsigned share_clauses = 0;
   bool witness_check = true;
   std::string witness_dir;
   std::string json_path;
@@ -296,8 +285,6 @@ struct CommonOptions {
     b.conflict_budget = conflicts;
     b.max_seconds = time_cap;
     b.memory_limit_mb = memory_mb;
-    b.share_clauses = share_clauses;
-    b.portfolio = portfolio;
     b.plaisted_greenbaum = plaisted_greenbaum;
     b.backend = backend;
     return b;
@@ -322,8 +309,6 @@ bool parse_common_flag(int& i, int argc, char** argv, CommonOptions* o) {
     o->max_k = parse_unsigned_arg("--max-k", next("--max-k"), 0);
   else if (!std::strcmp(argv[i], "--no-race"))
     o->race = false;
-  else if (!std::strcmp(argv[i], "--portfolio"))
-    o->portfolio = parse_unsigned_arg("--portfolio", next("--portfolio"), 1, 16);
   else if (!std::strcmp(argv[i], "--encoding")) {
     const char* value = next("--encoding");
     if (!std::strcmp(value, "auto"))
@@ -356,15 +341,6 @@ bool parse_common_flag(int& i, int argc, char** argv, CommonOptions* o) {
     o->time_cap = parse_seconds_arg("--time-cap", next("--time-cap"));
   else if (!std::strcmp(argv[i], "--memory-mb"))
     o->memory_mb = parse_unsigned_arg("--memory-mb", next("--memory-mb"), 1);
-  else if (!std::strcmp(argv[i], "--share-clauses")) {
-    const char* v = next("--share-clauses");
-    if (!std::strcmp(v, "off"))
-      o->share_clauses = 0;
-    else if (!std::strcmp(v, "on"))
-      o->share_clauses = 8;
-    else
-      o->share_clauses = parse_unsigned_arg("--share-clauses", v, 1);
-  }
   else if (!std::strcmp(argv[i], "--seed"))
     o->seed = parse_u64_arg("--seed", next("--seed"));
   else if (!std::strcmp(argv[i], "--shard")) {
@@ -823,8 +799,7 @@ int main(int argc, char** argv) {
   // SIGTERM/SIGINT and exits 128+signal after flushing its journals.
   std::signal(SIGTERM, handle_terminate_signal);
   std::signal(SIGINT, handle_terminate_signal);
-  // Arm SEPE_FAULT (plus the legacy SEPE_RUN_KILL_TOKEN/HANG_TOKEN
-  // aliases) before any work happens; see docs/ROBUSTNESS.md.
+  // Arm SEPE_FAULT before any work happens; see docs/ROBUSTNESS.md.
   fault::init_from_environment();
 
   if (argc > 1 && !std::strcmp(argv[1], "merge")) return run_merge(argc, argv);
