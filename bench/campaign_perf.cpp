@@ -18,11 +18,14 @@
 //          avoided" metric) measure intra-campaign cone sharing; all
 //          still deterministic at 1 thread with sequential provers.
 //   warm — same cone cache, same verdict-cache directory. Every job is
-//          served from the verdict journal, so the warm totals (solver
-//          conflicts, blasted clauses, jobs solved) drop to zero — the
-//          headline saving the cache exists for. The bench hard-fails if
-//          any warm verdict field differs from its cold twin: the cache
-//          must never change answers, only skip work.
+//          served from the verdict journal (FALSIFIED rows replayed from
+//          their journaled stimuli by the default witness check, as in a
+//          user's warm run), so the warm totals (solver conflicts,
+//          blasted clauses, jobs solved) drop to zero — the headline
+//          saving the cache exists for. The bench hard-fails if any warm
+//          verdict field differs from its cold twin, or if the warm run
+//          solved anything: the cache must never change answers, only
+//          skip work.
 //
 // Usage: campaign_perf [--json FILE] [--rows N] [--bound N] [--max-k N]
 // The default grid must stay in sync with bench/baseline.json and the CI
@@ -224,9 +227,6 @@ int main(int argc, char** argv) {
   engine::ShardRunOptions options;
   options.pool.threads = 1;
   options.pool.cone_cache = std::make_shared<smt::ConeCache>();
-  // This bench times solver work; the witness post-pass would re-derive
-  // every cached FALSIFIED row on the warm run and skew the comparison.
-  options.pool.witness.check = false;
   options.cache_dir = cache_dir.string();
   options.fingerprint = "bench=campaign_perf;xlen=4;modes=both";
 
@@ -255,6 +255,11 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(w.cnf_clauses),
                static_cast<unsigned long long>(tally(cold).conflicts),
                static_cast<unsigned long long>(tally(cold).cnf_clauses));
+  if (w.jobs_from_cache != warm.jobs.size() || w.conflicts != 0 || w.cnf_clauses != 0) {
+    std::fprintf(stderr, "campaign_perf: the warm run solved jobs it should have "
+                         "served from the verdict cache\n");
+    return 1;
+  }
 
   const std::string json = perf_json(cold, warm, rows, bound, max_k);
   if (json_path == "-") {

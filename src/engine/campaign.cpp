@@ -327,7 +327,7 @@ CampaignReport run_campaign(const CampaignSpec& spec, const CampaignOptions& opt
       report.jobs[i].spec_index = i;
       // Witness post-pass before the completion hook, so checkpoint
       // journals and verdict caches only ever record checked rows.
-      witness_post_pass(spec.jobs[i], options.witness, cone_cache, &report.jobs[i]);
+      witness_post_pass(spec.jobs[i], options.witness, &report.jobs[i]);
       if (options.on_job_done) options.on_job_done(i, report.jobs[i]);
     }
   };

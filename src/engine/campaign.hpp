@@ -195,11 +195,15 @@ struct JobResult {
   /// always <= trace_length. Deterministic for a fixed spec.
   bool witness_checked = false;
   unsigned trace_length_shrunk = 0;
-  /// Falsified, solved in-process: the index-ordered trace the witness
-  /// post-pass replays (set alongside `witness`; cleared by the
-  /// post-pass once checked). Never serialized — cached or deserialized
-  /// rows re-derive their trace instead.
+  /// Falsified: the index-ordered trace of the counterexample. run_job
+  /// sets the raw trace (alongside `witness`); the witness post-pass
+  /// replaces it with the checked, shrunk one. The verdict journal
+  /// records whichever is here. Never serialized in reports.
   std::shared_ptr<const WitnessTrace> trace;
+  /// Falsified, served from a verdict cache: the journaled stimulus
+  /// (engine/witness.hpp render_stimulus), which the witness post-pass
+  /// parses against the rebuilt model and replays. Empty otherwise.
+  std::string stimulus;
   /// Robustness observables (timing report only): the job's SAT engines
   /// tripped the JobBudget::memory_limit_mb ceiling / absorbed transient
   /// backend failures by retrying (docs/ROBUSTNESS.md).

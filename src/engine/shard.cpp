@@ -230,8 +230,8 @@ std::optional<CampaignReport> CampaignReport::merge(
 CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& options,
                            std::string* error) {
   // The report's wall time covers the whole call: checkpoint and cache
-  // loads and the re-derivation of cached FALSIFIED rows all happen
-  // before run_campaign, which times only the jobs still pending.
+  // loads and the replay of cached FALSIFIED rows all happen before
+  // run_campaign, which times only the jobs still pending.
   const Stopwatch clock;
   if (error) error->clear();
   CampaignReport empty;
@@ -320,14 +320,15 @@ CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& opti
   // Verdict-cache hits fill in after the checkpoint: a hit restores the
   // stable verdict fields with solver counters zeroed and from_cache
   // set, and — like a checkpoint-resumed job — does not fire the user's
-  // on_job_done hook: the job was not solved by this run.
+  // on_job_done hook: the job was not solved by this run. An unservable
+  // entry (a FALSIFIED one without a stimulus) counts as a miss.
   if (cache) {
     for (std::size_t i = 0; i < plan.spec.jobs.size(); ++i) {
       if (done[i]) continue;
       const JobSpec& job = plan.spec.jobs[i];
       if (!VerdictCache::cacheable(job)) continue;
-      const auto hit = cache->lookup(VerdictCache::key_of(job, options.fingerprint));
-      if (!hit) continue;
+      auto hit = cache->lookup(VerdictCache::key_of(job, options.fingerprint));
+      if (!hit || !hit->servable()) continue;
       JobResult r;
       r.name = job.name;
       r.spec_index = plan.spec_indices[i];
@@ -336,28 +337,26 @@ CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& opti
       r.trace_length = hit->trace_length;
       r.bad_label = hit->bad_label;
       r.proved_k = hit->proved_k;
-      r.note = hit->note;
+      r.note = std::move(hit->note);
+      r.stimulus = std::move(hit->stimulus);
       r.from_cache = true;
       results[i] = std::move(r);
       done[i] = true;
     }
     // Cached FALSIFIED rows are re-validated like freshly solved ones:
     // the journal line's self-check proves integrity, not truth. The
-    // post-pass re-derives the trace (canonical default-config sweep),
-    // replays and shrinks it, so a warm run reports witness_checked /
-    // trace_length_shrunk byte-identically to a cold one — and a
-    // poisoned cache entry demotes to a diagnosed UNKNOWN instead of
-    // shipping. from_cache stays set either way. Checkpoint-resumed
-    // rows round-trip their recorded check and are not re-run.
+    // post-pass replays the journaled stimulus on the simulator (and
+    // shrinks it if the cold run journaled it raw), so a warm run reports
+    // witness_checked / trace_length_shrunk byte-identically to a cold
+    // one without starting a solver — and a poisoned cache entry demotes
+    // to a diagnosed UNKNOWN instead of shipping. from_cache stays set
+    // either way. Checkpoint-resumed rows round-trip their recorded check
+    // and are not re-run.
     if (options.pool.witness.check) {
-      const std::shared_ptr<smt::ConeCache> cones =
-          options.pool.cone_cache ? options.pool.cone_cache
-                                  : std::make_shared<smt::ConeCache>();
       for (std::size_t i = 0; i < plan.spec.jobs.size(); ++i)
         if (done[i] && results[i].from_cache && !results[i].witness_checked &&
             results[i].verdict == Verdict::Falsified)
-          witness_post_pass(plan.spec.jobs[i], options.pool.witness, cones,
-                            &results[i]);
+          witness_post_pass(plan.spec.jobs[i], options.pool.witness, &results[i]);
     }
   }
 
@@ -391,6 +390,8 @@ CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& opti
       // Persist freshly solved verdicts (VerdictCache serializes its own
       // journal; no need for the checkpoint mutex). Jobs served from the
       // cache never reach this hook — run_campaign only ran the misses.
+      // A FALSIFIED row journals its trace: shrunk when the post-pass
+      // checked it, else run_job's raw one.
       if (cache && !interrupted_unknown && VerdictCache::cacheable(plan.spec.jobs[i])) {
         VerdictCache::Entry entry;
         entry.verdict = patched.verdict;
@@ -398,6 +399,8 @@ CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& opti
         entry.bad_label = patched.bad_label;
         entry.proved_k = patched.proved_k;
         entry.note = patched.note;
+        if (patched.verdict == Verdict::Falsified && patched.trace)
+          entry.stimulus = render_stimulus(*patched.trace);
         cache->append(VerdictCache::key_of(plan.spec.jobs[i], options.fingerprint),
                       entry);
       }

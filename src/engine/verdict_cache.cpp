@@ -25,8 +25,10 @@ namespace {
 /// memory-capped Unknown must never be replayed as an uncapped verdict
 /// (or vice versa). v3: the learnt-clause sharing width joined the key.
 /// v4: the portfolio and sharing widths left it again, together with
-/// the mechanisms themselves.
-constexpr int kFormatVersion = 4;
+/// the mechanisms themselves. v5: FALSIFIED lines carry the
+/// counterexample stimulus, so a warm check replays it instead of
+/// re-solving the job.
+constexpr int kFormatVersion = 5;
 
 std::uint64_t fnv1a(const char* data, std::size_t n,
                     std::uint64_t h = 1469598103934665603ull) {
@@ -199,6 +201,9 @@ std::string VerdictCache::format_line(const std::string& key, const Entry& e) {
   json_escape(os, e.bad_label);
   os << ",\"note\":";
   json_escape(os, e.note);
+  // Last, so the reader can take it verbatim: the cache never interprets
+  // the stimulus (witness.hpp owns its grammar).
+  if (!e.stimulus.empty()) os << ",\"stimulus\":" << e.stimulus;
   const std::string payload = os.str();
   const std::string check = hex16(fnv1a(payload.data(), payload.size()));
   return payload + ",\"check\":\"" + check + "\"}";
@@ -234,9 +239,15 @@ std::optional<std::pair<std::string, VerdictCache::Entry>> VerdictCache::parse_l
   e.trace_length = static_cast<unsigned>(n);
   if (!sc.u64_field("proved_k", &n)) return std::nullopt;
   e.proved_k = static_cast<unsigned>(n);
-  if (!sc.string_field("bad_label", &e.bad_label) ||
-      !sc.string_field("note", &e.note) || sc.pos != payload.size())
+  if (!sc.string_field("bad_label", &e.bad_label) || !sc.string_field("note", &e.note))
     return std::nullopt;
+  // Only a FALSIFIED line may carry a stimulus, and it runs to the end.
+  if (e.verdict == Verdict::Falsified && sc.expect(",\"stimulus\":")) {
+    if (sc.pos == payload.size()) return std::nullopt;
+    e.stimulus = payload.substr(sc.pos);
+  } else if (sc.pos != payload.size()) {
+    return std::nullopt;
+  }
   return std::make_pair(std::move(key), std::move(e));
 }
 
@@ -299,7 +310,13 @@ std::optional<VerdictCache::Entry> VerdictCache::lookup(const std::string& key) 
 void VerdictCache::append(const std::string& key, const Entry& e) {
   const std::string line = format_line(key, e) + "\n";
   const std::lock_guard<std::mutex> lock(mu_);
-  if (!map_.emplace(key, e).second) return;  // already journaled
+  const auto [it, fresh] = map_.try_emplace(key, e);
+  if (!fresh) {
+    // Already journaled — unless run_sharded re-solved an unservable
+    // entry; the new line supersedes it (later lines win on load).
+    if (it->second.servable() || !e.servable()) return;
+    it->second = e;
+  }
   ++stats_.appends;
   // Fault point "cache.append" (docs/ROBUSTNESS.md): torn truncates the
   // entry mid-line — the self-check digest catches it on the next load,

@@ -24,7 +24,11 @@
 //     nondeterministic answer into a deterministic-looking report;
 //   * journal lines whose self-check digest does not match (truncation,
 //     hand-editing, torn concurrent appends): diagnosed on stderr and
-//     treated as a miss — never a wrong verdict.
+//     treated as a miss — never a wrong verdict;
+//   * FALSIFIED entries without a stimulus (Entry::servable): they load
+//     and lookup returns them, but run_sharded re-solves the job instead
+//     of serving a counterexample its check could not replay, and the
+//     re-solved entry supersedes them.
 //
 // Journal format (docs/FORMATS.md): DIR/verdicts.jsonl, one JSON object
 // per line, appended with O_APPEND so concurrent campaigns (dispatcher
@@ -32,9 +36,13 @@
 // trailing "check" field — the FNV-1a digest of everything before it —
 // making every entry independently verifiable.
 //
-// What a hit restores: the stable verdict-bearing fields only (verdict,
-// trace_length, bad_label, proved_k, note). Witness text is never
-// serialized anywhere (FORMATS.md), and timing fields are scheduling-
+// What a hit restores: the stable verdict-bearing fields (verdict,
+// trace_length, bad_label, proved_k, note) and, on a FALSIFIED row, the
+// counterexample stimulus (JobResult::stimulus): the post-pass's shrunk
+// trace when the witness check ran, else run_job's raw trace, with a
+// marker saying which. The cache never interprets the stimulus; the
+// witness post-pass parses it against the rebuilt model and replays it,
+// so a warm check needs no solver. Timing fields are scheduling-
 // dependent, so a warm run's *stable* JSON is byte-identical to the cold
 // run's while its timing form shows zero solver counters and
 // from_cache=true.
@@ -60,6 +68,14 @@ class VerdictCache {
     std::string bad_label;
     unsigned proved_k = 0;
     std::string note;
+    /// FALSIFIED only: the counterexample in render_stimulus form
+    /// (engine/witness.hpp), journaled verbatim.
+    std::string stimulus;
+
+    /// False for a FALSIFIED entry without a stimulus.
+    bool servable() const {
+      return verdict != Verdict::Falsified || !stimulus.empty();
+    }
   };
 
   struct Stats {
@@ -96,9 +112,10 @@ class VerdictCache {
   std::optional<Entry> lookup(const std::string& key);
 
   /// Record a fresh verdict: append to the journal (single O_APPEND
-  /// write, whole line) and to the in-memory map. Append failures are
-  /// diagnosed once on stderr and otherwise ignored — a read-only cache
-  /// directory costs persistence, never the run.
+  /// write, whole line) and to the in-memory map. A key is journaled
+  /// once, unless a servable entry supersedes an unservable one. Append
+  /// failures are diagnosed once on stderr and otherwise ignored — a
+  /// read-only cache directory costs persistence, never the run.
   void append(const std::string& key, const Entry& e);
 
   Stats stats() const;

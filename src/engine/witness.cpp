@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <sstream>
 
 #include "engine/report_io.hpp"
@@ -143,6 +144,55 @@ unsigned effective_length(const WitnessTrace& trace) {
   return last;
 }
 
+/// One step row, {"step":t,"in":[…]} plus ,"st":[…] when the trace
+/// records a state row for step t — the grammar artifacts and the verdict
+/// journal share.
+void render_step_row(std::ostream& os, const WitnessTrace& trace, unsigned t) {
+  const auto values = [&](const std::vector<BitVec>& row) {
+    for (std::size_t i = 0; i < row.size(); ++i)
+      os << (i ? ",\"" : "\"") << row[i].to_hex() << "\"";
+  };
+  os << "{\"step\":" << t << ",\"in\":[";
+  values(trace.inputs[t]);
+  os << "]";
+  if (t < trace.states.size()) {
+    os << ",\"st\":[";
+    values(trace.states[t]);
+    os << "]";
+  }
+  os << "}";
+}
+
+/// Inverse of render_step_row at sc.pos: exactly `inputs` input values
+/// and, when `states` is set, a state row of exactly that many values,
+/// each parsed against `model`'s declared width. Appends to *trace.
+bool parse_step_row(Scanner& sc, unsigned t, const ts::TransitionSystem& model,
+                    std::size_t inputs, std::optional<std::size_t> states,
+                    WitnessTrace* trace) {
+  const auto values = [&](const std::vector<smt::TermRef>& vars, std::size_t n,
+                          std::vector<BitVec>* row) {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::string hex;
+      BitVec v;
+      if ((i && !sc.expect(",")) || !unescape(sc.s, &sc.pos, &hex) ||
+          !parse_hex_value(hex, model.mgr().width(vars[i]), &v))
+        return false;
+      row->push_back(v);
+    }
+    return sc.expect("]");
+  };
+  if (!sc.expect(("{\"step\":" + std::to_string(t) + ",\"in\":[").c_str()))
+    return false;
+  trace->inputs.emplace_back();
+  if (!values(model.inputs(), inputs, &trace->inputs.back())) return false;
+  if (states) {
+    if (!sc.expect(",\"st\":[")) return false;
+    trace->states.emplace_back();
+    if (!values(model.states(), *states, &trace->states.back())) return false;
+  }
+  return sc.expect("}");
+}
+
 }  // namespace
 
 WitnessTrace extract_trace(const ts::TransitionSystem& ts, const bmc::Witness& w) {
@@ -265,7 +315,53 @@ unsigned shrink_trace(const ts::TransitionSystem& ts, WitnessTrace* trace) {
       if (!still_falsifies()) v = saved;
     }
   }
+  trace->shrunk = true;
   return effective_length(*trace);
+}
+
+std::string render_stimulus(const WitnessTrace& trace) {
+  std::ostringstream os;
+  os << "{\"form\":\"" << (trace.shrunk ? "shrunk" : "raw") << "\"";
+  os << ",\"bad\":" << trace.bad_index;
+  os << ",\"steps\":[";
+  for (unsigned t = 0; t < trace.inputs.size(); ++t) {
+    if (t) os << ",";
+    render_step_row(os, trace, t);
+  }
+  os << "]}";
+  return os.str();
+}
+
+bool parse_stimulus(const ts::TransitionSystem& ts, const std::string& text,
+                    WitnessTrace* out, std::string* error) {
+  const auto fail = [&](std::string what) {
+    if (error) *error = std::move(what);
+    return false;
+  };
+  Scanner sc{text};
+  WitnessTrace trace;
+  std::string form;
+  std::uint64_t bad = 0;
+  if (!sc.expect("{\"form\":") || !unescape(text, &sc.pos, &form) ||
+      (form != "shrunk" && form != "raw"))
+    return fail("malformed stimulus marker");
+  trace.shrunk = form == "shrunk";
+  if (!sc.u64_field("bad", &bad) || !sc.expect(",\"steps\":["))
+    return fail("malformed stimulus header");
+  trace.bad_index = static_cast<std::size_t>(bad);
+  // A shrunk trace records the step-0 state row only, a raw one every row.
+  for (unsigned t = 0; t == 0 || !sc.expect("]"); ++t) {
+    const std::optional<std::size_t> states =
+        t == 0 || !trace.shrunk ? std::optional(ts.states().size()) : std::nullopt;
+    if ((t && !sc.expect(",")) ||
+        !parse_step_row(sc, t, ts, ts.inputs().size(), states, &trace))
+      return fail("malformed stimulus step " + std::to_string(t));
+  }
+  if (!sc.expect("}") || !sc.done()) return fail("trailing bytes after the stimulus");
+  trace.length = static_cast<unsigned>(trace.inputs.size() - 1);
+  *out = std::move(trace);
+  if (error) error->clear();
+  return true;
 }
 
 std::string render_witness_artifact(const ts::TransitionSystem& ts,
@@ -295,17 +391,8 @@ std::string render_witness_artifact(const ts::TransitionSystem& ts,
   json_escape(os, to_btor2(ts));
   os << "}\n";
   for (unsigned t = 0; t < trace.inputs.size(); ++t) {
-    os << "{\"step\":" << t << ",\"in\":[";
-    for (std::size_t i = 0; i < trace.inputs[t].size(); ++i)
-      os << (i ? ",\"" : "\"") << trace.inputs[t][i].to_hex() << "\"";
-    os << "]";
-    if (t < trace.states.size()) {
-      os << ",\"st\":[";
-      for (std::size_t i = 0; i < trace.states[t].size(); ++i)
-        os << (i ? ",\"" : "\"") << trace.states[t][i].to_hex() << "\"";
-      os << "]";
-    }
-    os << "}\n";
+    render_step_row(os, trace, t);
+    os << "\n";
   }
   const std::string payload = os.str();
   return payload + "{\"check\":\"" + witness_self_check(payload) + "\"}\n";
@@ -403,39 +490,11 @@ bool check_witness_text(const std::string& text, WitnessHeader* header,
   trace.bad_index = h.bad_index;
   trace.bad_label = h.bad_label;
   for (unsigned t = 0; t <= h.length; ++t) {
-    const std::string& line = lines[2 + t];
-    Scanner sc{line};
-    const auto bad_step = [&] {
+    Scanner sc{lines[2 + t]};
+    const std::optional<std::size_t> states =
+        t == 0 && state_count > 0 ? std::optional(state_count) : std::nullopt;
+    if (!parse_step_row(sc, t, model, input_count, states, &trace) || !sc.done())
       return fail("malformed step line " + std::to_string(t));
-    };
-    if (!sc.expect(("{\"step\":" + std::to_string(t) + ",\"in\":[").c_str()))
-      return bad_step();
-    std::vector<BitVec> in_row;
-    for (std::uint64_t i = 0; i < input_count; ++i) {
-      std::string hex;
-      BitVec v;
-      if ((i && !sc.expect(",")) || !unescape(line, &sc.pos, &hex) ||
-          !parse_hex_value(hex, mgr.width(model.inputs()[i]), &v))
-        return bad_step();
-      in_row.push_back(v);
-    }
-    if (!sc.expect("]")) return bad_step();
-    trace.inputs.push_back(std::move(in_row));
-    if (t == 0 && state_count > 0) {
-      if (!sc.expect(",\"st\":[")) return bad_step();
-      std::vector<BitVec> st_row;
-      for (std::uint64_t i = 0; i < state_count; ++i) {
-        std::string hex;
-        BitVec v;
-        if ((i && !sc.expect(",")) || !unescape(line, &sc.pos, &hex) ||
-            !parse_hex_value(hex, mgr.width(model.states()[i]), &v))
-          return bad_step();
-        st_row.push_back(v);
-      }
-      if (!sc.expect("]")) return bad_step();
-      trace.states.push_back(std::move(st_row));
-    }
-    if (!sc.expect("}") || !sc.done()) return bad_step();
   }
 
   // 6. Replay with the simulator only, then recompute the shrunk length
@@ -467,7 +526,6 @@ std::string witness_artifact_filename(const std::string& job_name) {
 }
 
 void witness_post_pass(const JobSpec& job, const WitnessOptions& options,
-                       const std::shared_ptr<smt::ConeCache>& cone_cache,
                        JobResult* result) {
   if (!options.check || result->verdict != Verdict::Falsified) return;
   const auto demote = [&](const std::string& detail) {
@@ -480,6 +538,7 @@ void witness_post_pass(const JobSpec& job, const WitnessOptions& options,
     result->witness_checked = false;
     result->trace_length_shrunk = 0;
     result->trace.reset();
+    result->stimulus.clear();
     std::fprintf(stderr, "sepe: witness: job '%s': %s\n", result->name.c_str(),
                  detail.c_str());
   };
@@ -490,27 +549,21 @@ void witness_post_pass(const JobSpec& job, const WitnessOptions& options,
   if (!job.build(ts, &build_error))
     return demote("model rebuild failed: " + build_error);
 
+  // The trace comes from the row: run_job's when the job was solved here,
+  // the journaled stimulus when it was served from a verdict cache. A
+  // cached FALSIFIED row is hearsay until that stimulus replays, so a
+  // row with neither, or with a stimulus that does not parse against the
+  // rebuilt model, is demoted rather than re-solved.
   WitnessTrace trace;
   if (result->trace) {
     trace = *result->trace;
+  } else if (!result->stimulus.empty()) {
+    std::string why;
+    if (!parse_stimulus(ts, result->stimulus, &trace, &why))
+      return demote("journaled stimulus: " + why);
+    trace.bad_label = result->bad_label;  // replay checks it against the model
   } else {
-    // Cached or deserialized rows carry no trace: re-derive one with the
-    // canonical default-config native sweep, bounded at the claimed
-    // length. Gracefully — a cached FALSIFIED row is hearsay until it
-    // reproduces, so any disagreement demotes instead of asserting.
-    bmc::Bmc checker(ts, sat::SolverConfig{},
-                     job.budget.plaisted_greenbaum.value_or(false), cone_cache);
-    bmc::BmcOptions bo;
-    bo.max_bound = result->trace_length;
-    const std::optional<bmc::Witness> found = checker.check(bo);
-    if (!found)
-      return demote("no counterexample within the claimed bound " +
-                    std::to_string(result->trace_length));
-    if (found->length != result->trace_length)
-      return demote("re-derived counterexample has length " +
-                    std::to_string(found->length) + ", row claims " +
-                    std::to_string(result->trace_length));
-    trace = extract_trace(ts, *found);
+    return demote("no counterexample trace to replay");
   }
 
   if (trace.length != result->trace_length)
@@ -524,9 +577,10 @@ void witness_post_pass(const JobSpec& job, const WitnessOptions& options,
   const WitnessReplay replay = replay_trace(ts, trace);
   if (!replay.ok) return demote(replay.error);
 
-  result->trace_length_shrunk = shrink_trace(ts, &trace);
+  if (!trace.shrunk) shrink_trace(ts, &trace);
+  result->trace_length_shrunk = effective_length(trace);
   result->witness_checked = true;
-  result->trace.reset();
+  result->stimulus.clear();
 
   if (!options.artifact_dir.empty()) {
     const std::string path =
@@ -542,6 +596,9 @@ void witness_post_pass(const JobSpec& job, const WitnessOptions& options,
                    "unaffected\n",
                    path.c_str());
   }
+  // Kept for the verdict journal (shard.cpp), which records it so a warm
+  // run replays this exact stimulus instead of re-solving the job.
+  result->trace = std::make_shared<const WitnessTrace>(std::move(trace));
 }
 
 }  // namespace sepe::engine

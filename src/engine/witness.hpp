@@ -25,8 +25,11 @@
 // witness_post_pass wires the three into run_campaign / run_sharded as an
 // opt-out post-pass: a FALSIFIED job whose trace does not replay is
 // hard-failed to a diagnosed UNKNOWN ("witness: replay mismatch") rather
-// than reported on faith. Replay is deterministic, so none of this
-// touches the verdict-cache key. Formats: docs/FORMATS.md.
+// than reported on faith. The verdict journal stores each FALSIFIED
+// row's stimulus in the artifact's step-row grammar (render_stimulus /
+// parse_stimulus), so checking a cached row replays the journal and
+// runs no solver. Replay is deterministic, so none of this touches the
+// verdict-cache key. Formats: docs/FORMATS.md.
 #pragma once
 
 #include <memory>
@@ -52,6 +55,9 @@ struct WitnessTrace {
   std::string bad_label;
   std::vector<std::vector<BitVec>> inputs;
   std::vector<std::vector<BitVec>> states;
+  /// Set by shrink_trace. A shrunk trace is replayed as is: shrinking is
+  /// greedy, so shrinking it again could move its stimulus.
+  bool shrunk = false;
 };
 
 /// Convert a solver witness into the index-ordered form, reading the
@@ -78,10 +84,25 @@ WitnessReplay replay_trace(const ts::TransitionSystem& ts, const WitnessTrace& t
 /// green): drop state rows beyond row 0, then zero whole stimulus steps
 /// (latest first), then individual values (earliest first), keeping each
 /// reduction only while the replay still falsifies. Fixed order, no
-/// randomness — byte-deterministic for a fixed trace. Returns the
-/// effective stimulus length: the last step with any non-zero input
-/// (0 when the violation needs no stimulus at all), always <= length.
+/// randomness — byte-deterministic for a fixed trace. Marks the trace
+/// shrunk and returns the effective stimulus length: the last step with
+/// any non-zero input (0 when the violation needs no stimulus at all),
+/// always <= length.
 unsigned shrink_trace(const ts::TransitionSystem& ts, WitnessTrace* trace);
+
+/// The verdict-journal form of a trace (docs/FORMATS.md): one JSON object
+/// holding the shrunk/raw marker, the bad index and the stimulus as the
+/// artifact's step rows — the step-0 state row only for a shrunk trace,
+/// every state row for a raw one.
+std::string render_stimulus(const WitnessTrace& trace);
+
+/// Inverse of render_stimulus, strict, against `ts`'s declared widths:
+/// every input row and every state row must cover the whole model. The
+/// length is the step count minus one; the bad label is left empty (the
+/// journal line carries it). False with a diagnostic in *error on any
+/// deviation.
+bool parse_stimulus(const ts::TransitionSystem& ts, const std::string& text,
+                    WitnessTrace* out, std::string* error);
 
 /// Render the standalone artifact for a checked + shrunk trace:
 /// header line, embedded BTOR2 model line, one line per stimulus step,
@@ -126,18 +147,19 @@ std::string witness_self_check(const std::string& payload);
 
 /// The campaign post-pass for one job result. No-op unless
 /// options.check is set and the verdict is FALSIFIED. Rebuilds the
-/// model, obtains the trace (JobResult::trace when the job was solved
-/// in-process; otherwise — cached or deserialized rows — a graceful
-/// re-derivation with the canonical default-config native sweep bounded
-/// at the claimed length), replays it, shrinks it, stamps
-/// witness_checked / trace_length_shrunk, and, when options.artifact_dir
-/// is set, writes the artifact (fault point "witness.write"; a failed
-/// write degrades to a diagnostic, never a changed verdict). Any
-/// disagreement — rebuild failure, missing or divergent trace, replay
-/// failure — demotes the row to a diagnosed UNKNOWN with the note
-/// "witness: replay mismatch". Deterministic for a fixed spec.
+/// model and takes the trace from the row: JobResult::trace when the job
+/// was solved in-process, the journaled JobResult::stimulus (parsed
+/// against the rebuilt model) when it was served from a verdict cache.
+/// Replays it, shrinks it unless it is already shrunk, stamps
+/// witness_checked / trace_length_shrunk, keeps the shrunk trace on
+/// JobResult::trace (for the verdict journal) and, when
+/// options.artifact_dir is set, writes the artifact (fault point
+/// "witness.write"; a failed write degrades to a diagnostic, never a
+/// changed verdict). No SAT solver runs. Any disagreement — rebuild
+/// failure, no trace, a stimulus that does not parse, a divergent or
+/// non-replaying trace — demotes the row to a diagnosed UNKNOWN with the
+/// note "witness: replay mismatch". Deterministic for a fixed spec.
 void witness_post_pass(const JobSpec& job, const WitnessOptions& options,
-                       const std::shared_ptr<smt::ConeCache>& cone_cache,
                        JobResult* result);
 
 }  // namespace sepe::engine

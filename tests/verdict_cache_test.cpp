@@ -1,9 +1,10 @@
 // Tests for the persistent verdict cache: journal lines round-trip and
 // self-validate (truncation or hand-editing is detected and degrades to
-// a miss, never a wrong verdict), keys separate every budget/provenance
-// knob while unifying resolved encodings, wall-capped jobs are refused,
-// and a warm run_sharded serves every cacheable job from the journal
-// with byte-identical stable JSON and zero model builds.
+// a miss, never a wrong verdict), FALSIFIED lines carry their stimulus,
+// keys separate every budget/provenance knob while unifying resolved
+// encodings, wall-capped jobs are refused, and a warm run_sharded serves
+// every cacheable job from the journal with byte-identical stable JSON,
+// replaying cached counterexamples without starting a solver.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,8 @@
 #include "engine/report_io.hpp"
 #include "engine/shard.hpp"
 #include "engine/verdict_cache.hpp"
+#include "engine/witness.hpp"
+#include "util/fault.hpp"
 #include "util/stopwatch.hpp"
 
 namespace sepe::engine {
@@ -28,7 +31,25 @@ VerdictCache::Entry falsified_entry() {
   e.verdict = Verdict::Falsified;
   e.trace_length = 6;
   e.bad_label = "qed-inconsistent/EDSEP-V (SEPE-SQED)";
+  // The cache journals the stimulus verbatim; its grammar is the witness
+  // layer's (render_stimulus), a shrunk 7-step stimulus here.
+  e.stimulus = "{\"form\":\"shrunk\",\"bad\":0,\"steps\":[";
+  for (unsigned t = 0; t <= e.trace_length; ++t)
+    e.stimulus += (t ? ",{\"step\":" : "{\"step\":") + std::to_string(t) +
+                  ",\"in\":[\"0x1\",\"0xa\"]" + (t ? "}" : ",\"st\":[\"0x0\"]}");
+  e.stimulus += "]}";
   return e;
+}
+
+/// The counter system the tests below build: `cnt` increments while
+/// input `inc` is set, and the bad fires at cnt == target.
+void build_counter(ts::TransitionSystem& ts, unsigned width, std::uint64_t target) {
+  smt::TermManager& mgr = ts.mgr();
+  const TermRef cnt = ts.add_state("cnt", width);
+  const TermRef inc = ts.add_input("inc", 1);
+  ts.set_init(cnt, mgr.mk_const(width, 0));
+  ts.set_next(cnt, mgr.mk_ite(inc, mgr.mk_add(cnt, mgr.mk_const(width, 1)), cnt));
+  ts.add_bad(mgr.mk_eq(cnt, mgr.mk_const(width, target)), "cnt-target");
 }
 
 TEST(VerdictCacheFormat, LineRoundTripsIncludingEscapes) {
@@ -57,6 +78,7 @@ TEST(VerdictCacheFormat, DetectsTruncationAndTampering) {
   const std::string line = VerdictCache::format_line("0123456789abcdef",
                                                      falsified_entry());
   ASSERT_TRUE(VerdictCache::parse_line(line).has_value());
+  ASSERT_NE(line.find(",\"stimulus\":{\"form\":"), std::string::npos);
 
   // Truncation at every byte boundary must be rejected, never misread.
   for (std::size_t keep = 0; keep < line.size(); ++keep)
@@ -77,6 +99,65 @@ TEST(VerdictCacheFormat, DetectsTruncationAndTampering) {
 
   EXPECT_FALSE(VerdictCache::parse_line("").has_value());
   EXPECT_FALSE(VerdictCache::parse_line(line + "x").has_value());
+}
+
+TEST(VerdictCacheFormat, ShrunkAndRawStimuliRoundTrip) {
+  smt::TermManager mgr;
+  ts::TransitionSystem ts(mgr);
+  build_counter(ts, 8, 5);
+  bmc::Bmc checker(ts);
+  bmc::BmcOptions bo;
+  bo.max_bound = 8;
+  const std::optional<bmc::Witness> found = checker.check(bo);
+  ASSERT_TRUE(found.has_value());
+  const WitnessTrace raw = extract_trace(ts, *found);
+  WitnessTrace shrunk = raw;
+  shrink_trace(ts, &shrunk);
+
+  const WitnessTrace* const traces[] = {&raw, &shrunk};
+  for (const WitnessTrace* trace : traces) {
+    VerdictCache::Entry e;
+    e.verdict = Verdict::Falsified;
+    e.trace_length = trace->length;
+    e.bad_label = trace->bad_label;
+    e.stimulus = render_stimulus(*trace);
+    const std::string line = VerdictCache::format_line("00ff00ff00ff00ff", e);
+    EXPECT_NE(line.find(trace->shrunk ? "\"form\":\"shrunk\"" : "\"form\":\"raw\""),
+              std::string::npos);
+    const auto parsed = VerdictCache::parse_line(line);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->second.stimulus, e.stimulus);
+    EXPECT_TRUE(parsed->second.servable());
+    // The stimulus comes back against the model's widths, marker and all.
+    WitnessTrace back;
+    std::string why;
+    ASSERT_TRUE(parse_stimulus(ts, parsed->second.stimulus, &back, &why)) << why;
+    EXPECT_EQ(back.shrunk, trace->shrunk);
+    EXPECT_EQ(back.length, trace->length);
+    EXPECT_EQ(back.bad_index, trace->bad_index);
+    EXPECT_EQ(back.inputs, trace->inputs);
+    EXPECT_EQ(back.states, trace->states);
+  }
+}
+
+TEST(VerdictCacheFormat, OnlyFalsifiedLinesCarryAStimulus) {
+  // A digest-valid FALSIFIED line without a stimulus loads but is not
+  // servable: run_sharded re-solves its job (see
+  // FalsifiedLineWithoutStimulusIsAMissAndReSolved).
+  VerdictCache::Entry bare = falsified_entry();
+  bare.stimulus.clear();
+  const std::string bare_line = VerdictCache::format_line("0123456789abcdef", bare);
+  EXPECT_EQ(bare_line.find("stimulus"), std::string::npos);
+  const auto parsed = VerdictCache::parse_line(bare_line);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_FALSE(parsed->second.servable());
+
+  // Any other verdict with a stimulus is corrupt.
+  VerdictCache::Entry proved = falsified_entry();
+  proved.verdict = Verdict::Proved;
+  EXPECT_FALSE(
+      VerdictCache::parse_line(VerdictCache::format_line("0123456789abcdef", proved))
+          .has_value());
 }
 
 JobSpec sample_job() {
@@ -210,12 +291,7 @@ JobSpec counter_job(const std::string& name, unsigned width, std::uint64_t targe
   job.budget = budget;
   job.build = [width, target](ts::TransitionSystem& ts, std::string*) {
     g_builds.fetch_add(1);
-    smt::TermManager& mgr = ts.mgr();
-    const TermRef cnt = ts.add_state("cnt", width);
-    const TermRef inc = ts.add_input("inc", 1);
-    ts.set_init(cnt, mgr.mk_const(width, 0));
-    ts.set_next(cnt, mgr.mk_ite(inc, mgr.mk_add(cnt, mgr.mk_const(width, 1)), cnt));
-    ts.add_bad(mgr.mk_eq(cnt, mgr.mk_const(width, target)), "cnt-target");
+    build_counter(ts, width, target);
     return true;
   };
   return job;
@@ -289,8 +365,8 @@ TEST_F(VerdictCacheRunTest, WarmRunIsByteIdenticalWithZeroBuilds) {
 
   // Warm, with the post-pass on (the default): a cached FALSIFIED row is
   // hearsay until it reproduces, so exactly the two falsified rows are
-  // rebuilt and re-derived (engine/witness.hpp). They stay from_cache,
-  // and the stable JSON is still byte-identical.
+  // rebuilt and their journaled stimuli replayed (engine/witness.hpp).
+  // They stay from_cache, and the stable JSON is still byte-identical.
   g_builds.store(0);
   options.pool.on_job_done = nullptr;
   options.pool.witness.check = true;
@@ -319,9 +395,10 @@ TEST_F(VerdictCacheRunTest, WarmRunIsByteIdenticalWithZeroBuilds) {
 }
 
 TEST_F(VerdictCacheRunTest, WarmRunReportsItsRealWallTime) {
-  // A warm run solves nothing, but it still re-derives and replays every
-  // cached FALSIFIED row before the (empty) campaign of pending jobs; its
-  // wall_seconds must cover that work.
+  // A warm run solves nothing, but it still rebuilds the model of every
+  // cached FALSIFIED row and replays its journaled stimulus before the
+  // (empty) campaign of pending jobs; its wall_seconds must cover that
+  // work.
   const CampaignSpec spec = cached_spec();
   ShardRunOptions options;
   options.cache_dir = dir_;
@@ -340,6 +417,120 @@ TEST_F(VerdictCacheRunTest, WarmRunReportsItsRealWallTime) {
   }
   EXPECT_EQ(checked, 2u);
   EXPECT_GE(warm.wall_seconds, 0.5 * elapsed);
+}
+
+TEST_F(VerdictCacheRunTest, WarmRunStartsNoSolver) {
+  // Under this plan every SAT solve fails as out of memory, so a warm run
+  // that started a solver would demote its FALSIFIED rows. It replays
+  // their journaled stimuli on the simulator instead.
+  const CampaignSpec spec = cached_spec();
+  ShardRunOptions options;
+  options.cache_dir = dir_;
+  std::string error;
+  const CampaignReport cold = run_sharded(spec, options, &error);
+  ASSERT_TRUE(error.empty()) << error;
+
+  ASSERT_TRUE(fault::configure("point=solver.alloc:oom"));
+  const CampaignReport warm = run_sharded(spec, options, &error);
+  fault::configure("");
+  ASSERT_TRUE(error.empty()) << error;
+  unsigned checked = 0;
+  for (const JobResult& j : warm.jobs) {
+    EXPECT_TRUE(j.from_cache) << j.name;
+    EXPECT_EQ(j.witness_checked, j.verdict == Verdict::Falsified) << j.name;
+    checked += j.witness_checked ? 1 : 0;
+  }
+  EXPECT_EQ(checked, 2u);
+  EXPECT_EQ(warm.to_json(/*include_timing=*/false),
+            cold.to_json(/*include_timing=*/false));
+}
+
+TEST_F(VerdictCacheRunTest, FalsifiedLineWithoutStimulusIsAMissAndReSolved) {
+  const CampaignSpec spec = cached_spec();
+  ShardRunOptions options;
+  options.cache_dir = dir_;
+  std::string error;
+  const CampaignReport cold = run_sharded(spec, options, &error);
+  ASSERT_TRUE(error.empty()) << error;
+
+  // Re-seal every line without its stimulus: still digest-valid, but a
+  // FALSIFIED one now has nothing a check could replay.
+  const std::string path = VerdictCache::journal_path(dir_);
+  const std::string text = *read_text_file(path);
+  std::string stripped;
+  for (std::size_t at = 0; at < text.size();) {
+    const std::size_t nl = text.find('\n', at);
+    auto parsed = VerdictCache::parse_line(text.substr(at, nl - at));
+    at = nl + 1;
+    ASSERT_TRUE(parsed.has_value());
+    parsed->second.stimulus.clear();
+    stripped += VerdictCache::format_line(parsed->first, parsed->second) + "\n";
+  }
+  ASSERT_TRUE(write_text_file_atomic(path, stripped));
+
+  // Those jobs are re-solved and checked, not demoted...
+  g_builds.store(0);
+  const CampaignReport resolved = run_sharded(spec, options, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  EXPECT_GT(g_builds.load(), 0u);
+  for (const JobResult& j : resolved.jobs) {
+    EXPECT_EQ(j.from_cache, j.verdict != Verdict::Falsified) << j.name;
+    EXPECT_EQ(j.witness_checked, j.verdict == Verdict::Falsified) << j.name;
+  }
+  EXPECT_EQ(resolved.to_json(/*include_timing=*/false),
+            cold.to_json(/*include_timing=*/false));
+
+  // ...and their fresh lines supersede the bare ones.
+  const CampaignReport warm = run_sharded(spec, options, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  for (const JobResult& j : warm.jobs) EXPECT_TRUE(j.from_cache) << j.name;
+  EXPECT_EQ(warm.to_json(/*include_timing=*/false),
+            cold.to_json(/*include_timing=*/false));
+}
+
+TEST_F(VerdictCacheRunTest, UncheckedJournalGivesTheArtifactsOfACheckedColdRun) {
+  // A journal written with the check off holds run_job's raw traces; a
+  // checked warm run shrinks them into the artifacts a checked cold run
+  // writes, byte for byte.
+  const CampaignSpec spec = cached_spec();
+  std::string error;
+  ShardRunOptions unchecked;
+  unchecked.cache_dir = dir_;
+  unchecked.pool.witness.check = false;
+  run_sharded(spec, unchecked, &error);
+  ASSERT_TRUE(error.empty()) << error;
+
+  const std::string warm_dir = dir_ + "/warm-artifacts";
+  const std::string cold_dir = dir_ + "/cold-artifacts";
+  std::filesystem::create_directories(warm_dir);
+  std::filesystem::create_directories(cold_dir);
+  ShardRunOptions warm_options;
+  warm_options.cache_dir = dir_;
+  warm_options.pool.witness.artifact_dir = warm_dir;
+  const CampaignReport warm = run_sharded(spec, warm_options, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  ShardRunOptions cold_options;
+  cold_options.pool.witness.artifact_dir = cold_dir;
+  const CampaignReport cold = run_sharded(spec, cold_options, &error);
+  ASSERT_TRUE(error.empty()) << error;
+
+  ASSERT_EQ(warm.jobs.size(), cold.jobs.size());
+  unsigned artifacts = 0;
+  for (std::size_t i = 0; i < warm.jobs.size(); ++i) {
+    EXPECT_TRUE(warm.jobs[i].from_cache) << warm.jobs[i].name;
+    EXPECT_EQ(warm.jobs[i].witness_checked, cold.jobs[i].witness_checked);
+    EXPECT_EQ(warm.jobs[i].trace_length_shrunk, cold.jobs[i].trace_length_shrunk);
+    if (cold.jobs[i].verdict != Verdict::Falsified) continue;
+    const std::string file = witness_artifact_filename(cold.jobs[i].name);
+    const auto wa = read_text_file(warm_dir + "/" + file);
+    const auto ca = read_text_file(cold_dir + "/" + file);
+    ASSERT_TRUE(wa.has_value() && ca.has_value()) << cold.jobs[i].name;
+    EXPECT_EQ(*wa, *ca) << cold.jobs[i].name;
+    ++artifacts;
+  }
+  EXPECT_EQ(artifacts, 2u);
+  EXPECT_EQ(warm.to_json(/*include_timing=*/false),
+            cold.to_json(/*include_timing=*/false));
 }
 
 TEST_F(VerdictCacheRunTest, WallCappedJobsAreSolvedFreshEveryRun) {

@@ -1,10 +1,10 @@
 // Tests for the witness pipeline (engine/witness.hpp): independent
 // simulator replay of FALSIFIED traces, deterministic delta-debug
-// shrinking, standalone self-checked artifacts, the campaign/shard
-// post-pass (including demotion of rows that do not replay and
-// re-derivation of cached rows), and the tamper battery — a corrupted
-// artifact or a poisoned verdict cache must fail loudly, never pass
-// silently.
+// shrinking, standalone self-checked artifacts, the journaled stimulus
+// form, the campaign/shard post-pass (including demotion of rows that do
+// not replay and the replay of cached rows from their journaled
+// stimulus), and the tamper battery — a corrupted artifact or a poisoned
+// verdict cache must fail loudly, never pass silently.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -269,6 +269,43 @@ TEST(WitnessTamperTest, EveryCorruptionIsRejectedWithADiagnostic) {
   EXPECT_NE(why.find("version"), std::string::npos);
 }
 
+// --- the journaled stimulus ---
+
+// The round trip itself is pinned by verdict_cache_test (through the
+// journal line); here, the parse is strict against the model's shape.
+TEST(WitnessStimulusTest, ParseRejectsEveryShapeError) {
+  smt::TermManager mgr;
+  ts::TransitionSystem ts(mgr);
+  WitnessTrace shrunk = counter_trace(mgr, ts);
+  shrink_trace(ts, &shrunk);
+  const std::string text = render_stimulus(shrunk);
+  EXPECT_EQ(text.find("{\"form\":\"shrunk\",\"bad\":0,\"steps\":["
+                      "{\"step\":0,\"in\":[\"0x1\"],\"st\":[\"0x00\"]},"
+                      "{\"step\":1,\"in\":[\"0x1\"]}"),
+            0u);
+  const auto rejected = [&](const std::string& bad) {
+    WitnessTrace out;
+    std::string why;
+    return !parse_stimulus(ts, bad, &out, &why) && !why.empty();
+  };
+  const auto edit = [&](const std::string& from, const std::string& to) {
+    std::string s = text;
+    const std::size_t at = s.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? s : s.replace(at, from.size(), to);
+  };
+  const std::string one = "\"in\":[\"0x1\"]";
+  EXPECT_TRUE(rejected(edit(one, "\"in\":[\"0x2\"]")));         // wider than 1 bit
+  EXPECT_TRUE(rejected(edit(one, "\"in\":[\"0x1\",\"0x0\"]")));  // extra value
+  EXPECT_TRUE(rejected(edit("\"st\":[\"0x00\"]", "\"st\":[\"0x0\"]")));  // 4-bit state
+  EXPECT_TRUE(rejected(edit(",\"st\":[\"0x00\"]", "")));  // no step-0 state row
+  EXPECT_TRUE(rejected(edit("\"shrunk\"", "\"raw\"")));   // raw needs every state row
+  EXPECT_TRUE(rejected(edit("\"step\":1", "\"step\":2")));  // steps out of order
+  EXPECT_TRUE(rejected(text + " "));
+  EXPECT_TRUE(rejected(text.substr(0, text.size() - 1)));
+  EXPECT_TRUE(rejected("{\"form\":\"shrunk\",\"bad\":0,\"steps\":[]}"));
+}
+
 // --- the campaign post-pass ---
 
 TEST(WitnessPostPassTest, StampsChecksAndWritesArtifact) {
@@ -281,11 +318,14 @@ TEST(WitnessPostPassTest, StampsChecksAndWritesArtifact) {
   TempDir dir;
   WitnessOptions options;
   options.artifact_dir = dir.path;
-  witness_post_pass(job, options, nullptr, &result);
+  witness_post_pass(job, options, &result);
   EXPECT_EQ(result.verdict, Verdict::Falsified);
   EXPECT_TRUE(result.witness_checked);
   EXPECT_EQ(result.trace_length_shrunk, 4u);
-  EXPECT_TRUE(result.trace == nullptr);  // released once checked
+  // The shrunk trace stays on the row for the verdict journal.
+  ASSERT_TRUE(result.trace != nullptr);
+  EXPECT_TRUE(result.trace->shrunk);
+  EXPECT_EQ(result.trace->states.size(), 1u);
 
   const auto text =
       read_text_file(dir.path + "/" + witness_artifact_filename("cnt5"));
@@ -302,14 +342,14 @@ TEST(WitnessPostPassTest, OptOutAndNonFalsifiedRowsAreUntouched) {
   JobResult result = run_job(job);
   WitnessOptions off;
   off.check = false;
-  witness_post_pass(job, off, nullptr, &result);
+  witness_post_pass(job, off, &result);
   EXPECT_FALSE(result.witness_checked);
   EXPECT_EQ(result.verdict, Verdict::Falsified);
 
   const JobSpec clean = counter_job("clean-40", 8, 40, counter_budget());
   JobResult cr = run_job(clean);
   ASSERT_EQ(cr.verdict, Verdict::BoundClean);
-  witness_post_pass(clean, WitnessOptions{}, nullptr, &cr);
+  witness_post_pass(clean, WitnessOptions{}, &cr);
   EXPECT_EQ(cr.verdict, Verdict::BoundClean);
   EXPECT_FALSE(cr.witness_checked);
 }
@@ -317,12 +357,11 @@ TEST(WitnessPostPassTest, OptOutAndNonFalsifiedRowsAreUntouched) {
 TEST(WitnessPostPassTest, RowThatCannotReplayIsDemotedToDiagnosedUnknown) {
   const JobSpec job = counter_job("cnt5", 8, 5, counter_budget());
 
-  // A trace-less row claiming a wrong bound: the graceful re-derivation
-  // finds the real length-5 counterexample and refuses the claim.
+  // A row claiming a wrong bound: its own length-5 trace refuses the
+  // claim.
   JobResult wrong_bound = run_job(job);
-  wrong_bound.trace.reset();
   wrong_bound.trace_length = 3;
-  witness_post_pass(job, WitnessOptions{}, nullptr, &wrong_bound);
+  witness_post_pass(job, WitnessOptions{}, &wrong_bound);
   EXPECT_EQ(wrong_bound.verdict, Verdict::Unknown);
   EXPECT_EQ(wrong_bound.note, "witness: replay mismatch");
   EXPECT_FALSE(wrong_bound.witness_checked);
@@ -331,21 +370,81 @@ TEST(WitnessPostPassTest, RowThatCannotReplayIsDemotedToDiagnosedUnknown) {
   // A row whose bad label disagrees with the trace it carries.
   JobResult wrong_label = run_job(job);
   wrong_label.bad_label = "some-other-property";
-  witness_post_pass(job, WitnessOptions{}, nullptr, &wrong_label);
+  witness_post_pass(job, WitnessOptions{}, &wrong_label);
   EXPECT_EQ(wrong_label.verdict, Verdict::Unknown);
   EXPECT_EQ(wrong_label.note, "witness: replay mismatch");
 }
 
-TEST(WitnessPostPassTest, CachedRowWithoutTraceIsRederivedAndChecked) {
+/// What a verdict-cache hit looks like: the journaled verdict fields and
+/// stimulus, no in-memory trace.
+JobResult cached_row(const JobResult& cold, std::string stimulus) {
+  JobResult row;
+  row.name = cold.name;
+  row.verdict = cold.verdict;
+  row.trace_length = cold.trace_length;
+  row.bad_label = cold.bad_label;
+  row.stimulus = std::move(stimulus);
+  row.from_cache = true;
+  return row;
+}
+
+TEST(WitnessPostPassTest, CachedRowReplaysItsJournaledTraceWithoutReshrinking) {
   const JobSpec job = counter_job("cnt5", 8, 5, counter_budget());
-  JobResult result = run_job(job);
-  result.trace.reset();  // what a verdict-cache hit looks like
-  result.from_cache = true;
-  witness_post_pass(job, WitnessOptions{}, nullptr, &result);
-  EXPECT_EQ(result.verdict, Verdict::Falsified);
-  EXPECT_TRUE(result.witness_checked);
-  EXPECT_TRUE(result.from_cache);
-  EXPECT_EQ(result.trace_length_shrunk, 4u);
+  JobResult cold = run_job(job);
+  const WitnessTrace raw = *cold.trace;
+  witness_post_pass(job, WitnessOptions{}, &cold);
+  ASSERT_TRUE(cold.witness_checked);
+  const std::string shrunk = render_stimulus(*cold.trace);
+
+  // A journaled shrunk trace is replayed, not shrunk again: the row
+  // keeps its bytes and the cold run's shrunk length.
+  JobResult warm = cached_row(cold, shrunk);
+  witness_post_pass(job, WitnessOptions{}, &warm);
+  EXPECT_EQ(warm.verdict, Verdict::Falsified);
+  EXPECT_TRUE(warm.witness_checked);
+  EXPECT_TRUE(warm.from_cache);
+  EXPECT_EQ(warm.trace_length_shrunk, 4u);
+  ASSERT_TRUE(warm.trace != nullptr);
+  EXPECT_EQ(render_stimulus(*warm.trace), shrunk);
+  EXPECT_TRUE(warm.stimulus.empty());
+
+  // Proof that "shrunk" is trusted as a marker, not re-established: a
+  // replaying trace marked shrunk whose don't-care last step is still
+  // set keeps that step (a re-shrink would clear it to length 4).
+  WitnessTrace loose = raw;
+  loose.states.resize(1);
+  loose.inputs[5][0] = BitVec(1, 1);
+  loose.shrunk = true;
+  JobResult marked = cached_row(cold, render_stimulus(loose));
+  witness_post_pass(job, WitnessOptions{}, &marked);
+  EXPECT_TRUE(marked.witness_checked);
+  EXPECT_EQ(marked.trace_length_shrunk, 5u);
+  EXPECT_EQ(render_stimulus(*marked.trace), render_stimulus(loose));
+
+  // A journaled raw trace (written with the check off) is shrunk here,
+  // landing on the cold run's shrunk trace.
+  JobResult from_raw = cached_row(cold, render_stimulus(raw));
+  witness_post_pass(job, WitnessOptions{}, &from_raw);
+  EXPECT_TRUE(from_raw.witness_checked);
+  EXPECT_EQ(from_raw.trace_length_shrunk, 4u);
+  EXPECT_EQ(render_stimulus(*from_raw.trace), shrunk);
+}
+
+TEST(WitnessPostPassTest, TracelessFalsifiedRowIsDemoted) {
+  // Nothing re-solves a FALSIFIED row that carries no trace: with nothing
+  // to replay it is hearsay, and the check demotes it.
+  const JobSpec job = counter_job("cnt5", 8, 5, counter_budget());
+  JobResult row = cached_row(run_job(job), "");
+  witness_post_pass(job, WitnessOptions{}, &row);
+  EXPECT_EQ(row.verdict, Verdict::Unknown);
+  EXPECT_EQ(row.note, "witness: replay mismatch");
+  EXPECT_FALSE(row.witness_checked);
+
+  // So is one whose journaled stimulus does not parse against the model.
+  JobResult garbled = cached_row(run_job(job), "{\"form\":\"shrunk\",\"bad\":0}");
+  witness_post_pass(job, WitnessOptions{}, &garbled);
+  EXPECT_EQ(garbled.verdict, Verdict::Unknown);
+  EXPECT_EQ(garbled.note, "witness: replay mismatch");
 }
 
 TEST(WitnessPostPassTest, ArtifactWriteFaultDegradesToDiagnosticOnly) {
@@ -355,7 +454,7 @@ TEST(WitnessPostPassTest, ArtifactWriteFaultDegradesToDiagnosticOnly) {
   WitnessOptions options;
   options.artifact_dir = dir.path;
   ASSERT_TRUE(fault::configure("point=witness.write:enospc"));
-  witness_post_pass(job, options, nullptr, &result);
+  witness_post_pass(job, options, &result);
   fault::configure("");
   // The write failed, the checked verdict did not.
   EXPECT_EQ(result.verdict, Verdict::Falsified);
@@ -365,7 +464,7 @@ TEST(WitnessPostPassTest, ArtifactWriteFaultDegradesToDiagnosticOnly) {
   // A torn write must not leave a half-artifact behind either (the write
   // is atomic: temp file + rename).
   ASSERT_TRUE(fault::configure("point=witness.write:torn"));
-  witness_post_pass(job, options, nullptr, &result);
+  witness_post_pass(job, options, &result);
   fault::configure("");
   const std::string path = dir.path + "/" + witness_artifact_filename("cnt5");
   if (std::filesystem::exists(path)) {
@@ -461,7 +560,7 @@ TEST(WitnessCampaignTest, WarmCacheRunRechecksAndMatchesColdArtifacts) {
     EXPECT_TRUE(warm.jobs[i].from_cache) << warm.jobs[i].name;
     EXPECT_EQ(cold.jobs[i].verdict, warm.jobs[i].verdict);
     // Cached FALSIFIED rows are hearsay until they reproduce: the warm
-    // run re-derives and re-checks them, landing on identical fields...
+    // run replays their journaled traces, landing on identical fields...
     EXPECT_EQ(cold.jobs[i].witness_checked, warm.jobs[i].witness_checked);
     EXPECT_EQ(cold.jobs[i].trace_length_shrunk, warm.jobs[i].trace_length_shrunk);
     if (cold.jobs[i].verdict != Verdict::Falsified) continue;
@@ -476,39 +575,68 @@ TEST(WitnessCampaignTest, WarmCacheRunRechecksAndMatchesColdArtifacts) {
 }
 
 TEST(WitnessCampaignTest, PoisonedVerdictCacheIsDemotedNotTrusted) {
-  // Forge a cache entry claiming the unreachable counter is FALSIFIED at
-  // depth 5. The entry is well-formed (valid line digest) — only the
-  // replay can expose the lie.
+  // Two journal lines that lie behind valid line digests, so only the
+  // replay can expose them: a forged FALSIFIED claim for the unreachable
+  // counter, with a stimulus of the right shape that never fires the
+  // bad, and an honest line re-sealed after one stimulus value flipped.
   CampaignSpec spec;
   spec.jobs.push_back(counter_job("clean-40", 8, 40, counter_budget()));
+  spec.jobs.push_back(counter_job("cnt-5", 8, 5, counter_budget()));
   TempDir cache_dir;
-  {
-    std::string error;
-    const auto cache = VerdictCache::open(cache_dir.path, &error);
-    ASSERT_TRUE(cache != nullptr) << error;
-    VerdictCache::Entry lie;
-    lie.verdict = Verdict::Falsified;
-    lie.trace_length = 5;
-    lie.bad_label = "cnt-target";
-    cache->append(VerdictCache::key_of(spec.jobs[0], ""), lie);
-  }
-
   ShardRunOptions options;
   options.cache_dir = cache_dir.path;
   std::string error;
+  const CampaignReport cold = run_sharded(spec, options, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  ASSERT_EQ(cold.jobs[1].verdict, Verdict::Falsified);
+
+  WitnessTrace zeros;
+  zeros.length = 5;
+  zeros.inputs.assign(6, {BitVec(1, 0)});
+  zeros.states = {{BitVec(8, 0)}};
+  zeros.shrunk = true;
+  VerdictCache::Entry lie;
+  lie.verdict = Verdict::Falsified;
+  lie.trace_length = 5;
+  lie.bad_label = "cnt-target";
+  lie.stimulus = render_stimulus(zeros);
+
+  const std::string journal = VerdictCache::journal_path(cache_dir.path);
+  const auto text = read_text_file(journal);
+  ASSERT_TRUE(text.has_value());
+  std::string forged;
+  for (std::size_t at = 0; at < text->size();) {
+    const std::size_t nl = text->find('\n', at);
+    const auto parsed = VerdictCache::parse_line(text->substr(at, nl - at));
+    at = nl + 1;
+    ASSERT_TRUE(parsed.has_value());
+    VerdictCache::Entry entry = parsed->second;
+    if (parsed->first == VerdictCache::key_of(spec.jobs[0], "")) {
+      entry = lie;
+    } else {
+      const std::size_t one = entry.stimulus.find("\"in\":[\"0x1\"]");
+      ASSERT_NE(one, std::string::npos);
+      entry.stimulus[one + 9] = '0';  // the first increment 0x1 -> 0x0
+    }
+    forged += VerdictCache::format_line(parsed->first, entry) + "\n";
+  }
+  ASSERT_TRUE(write_text_file_atomic(journal, forged));
+
   const CampaignReport report = run_sharded(spec, options, &error);
   ASSERT_TRUE(error.empty()) << error;
-  ASSERT_EQ(report.jobs.size(), 1u);
-  EXPECT_TRUE(report.jobs[0].from_cache);
-  EXPECT_EQ(report.jobs[0].verdict, Verdict::Unknown);
-  EXPECT_EQ(report.jobs[0].note, "witness: replay mismatch");
+  ASSERT_EQ(report.jobs.size(), 2u);
+  for (const JobResult& r : report.jobs) {
+    EXPECT_TRUE(r.from_cache) << r.name;
+    EXPECT_EQ(r.verdict, Verdict::Unknown) << r.name;
+    EXPECT_EQ(r.note, "witness: replay mismatch") << r.name;
+  }
 
   // Opting out (--no-witness-check) is exactly the exposure the default
-  // closes: the forged verdict sails through.
+  // closes: the forged verdicts sail through.
   options.pool.witness.check = false;
   const CampaignReport trusting = run_sharded(spec, options, &error);
   ASSERT_TRUE(error.empty()) << error;
-  EXPECT_EQ(trusting.jobs[0].verdict, Verdict::Falsified);
+  for (const JobResult& r : trusting.jobs) EXPECT_EQ(r.verdict, Verdict::Falsified);
 }
 
 // --- the pinned Table-1 grid and the BTOR2 corpus ---
