@@ -1,12 +1,12 @@
 // campaign_perf — deterministic counter guard for the prover stack.
 //
 // Runs the Table-1 single-instruction campaign (8 instruction classes ×
-// both QED modes, the CI smoke grid) with sequential provers: BMC first,
-// then k-induction, no cancellation, default solver config. Every
-// counter in the report — SAT conflicts / propagations / decisions, CNF
-// variable / clause counts, cone-cache traffic — is then a deterministic
-// function of the code, so consecutive runs (and CI runs on different
-// machines) produce identical numbers and the counters form a comparable
+// both QED modes, the CI smoke grid) on the user path: one BMC +
+// k-induction loop per job, default solver config, 1 worker thread.
+// Every counter in the report — SAT conflicts / propagations /
+// decisions, CNF variable / clause counts, cone-cache traffic — is a
+// deterministic function of the code, so consecutive runs (and CI runs
+// on different machines) produce identical numbers and the counters form a comparable
 // trajectory across commits. Wall time is reported too but is
 // machine-dependent and excluded from comparisons; the wall-clock
 // yardstick is perfbench (perfbench/NOTES.md).
@@ -15,8 +15,8 @@
 //
 //   cold — fresh cone cache + empty verdict-cache directory. The cone
 //          counters (lookups / hits / clauses replayed, the "blast
-//          avoided" metric) measure intra-campaign cone sharing; all
-//          still deterministic at 1 thread with sequential provers.
+//          avoided" metric) measure intra-campaign cone sharing;
+//          deterministic at 1 thread.
 //   warm — same cone cache, same verdict-cache directory. Every job is
 //          served from the verdict journal (FALSIFIED rows replayed from
 //          their journaled stimuli by the default witness check, as in a
@@ -215,7 +215,6 @@ int main(int argc, char** argv) {
   matrix.extra_opcodes = {isa::Opcode::ADD, isa::Opcode::ADDI};
   matrix.budget.max_bound = bound;
   matrix.budget.max_k = max_k;
-  matrix.budget.sequential_provers = true;
 
   const engine::CampaignSpec spec = engine::expand(matrix, 1);
 

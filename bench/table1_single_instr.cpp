@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   for (const proc::Mutation& bug : bugs) {
     engine::JobBudget budget;
     budget.max_bound = bound;
-    budget.race_k_induction = false;  // Table 1 is a pure BMC experiment
+    budget.max_k = 0;  // Table 1 is a pure BMC experiment
     sepe_spec.jobs.push_back(engine::make_qed_job(bug.name + "/EDSEP-V",
                                                   qed::QedMode::EdsepV, job_config(bug),
                                                   bug, &pinned->table, budget));
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
                            ? sepe.jobs[i].trace_length + 2
                            : bound;
     budget.max_seconds = sqed_cap;
-    budget.race_k_induction = false;
+    budget.max_k = 0;
     sqed_spec.jobs.push_back(engine::make_qed_job(bugs[i].name + "/EDDI-V",
                                                   qed::QedMode::EddiV,
                                                   job_config(bugs[i]), bugs[i], nullptr,

@@ -131,8 +131,7 @@ int main(int argc, char** argv) {
                 qed::qed_mode_name(eddi ? qed::QedMode::EddiV : qed::QedMode::EdsepV));
     switch (r.verdict) {
       case engine::Verdict::Falsified:
-        std::printf("VIOLATION at bound %u (%.2fs, %s won the race)\n%s\n",
-                    r.trace_length, r.seconds, engine::prover_name(r.winner),
+        std::printf("VIOLATION at bound %u (%.2fs)\n%s\n", r.trace_length, r.seconds,
                     r.witness.c_str());
         break;
       case engine::Verdict::Proved:

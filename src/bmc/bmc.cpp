@@ -99,7 +99,6 @@ std::optional<Witness> Bmc::check(const BmcOptions& options) {
   // must not leave its (smaller) budgets armed for an uncapped one.
   solver_.set_conflict_budget(0);
   solver_.set_time_budget(0.0);
-  solver_.set_stop_flag(options.stop);
 
   // Bounds below the frontier were proven violation-free by earlier
   // calls; assertions are monotone, so those verdicts stay valid and the
@@ -108,7 +107,7 @@ std::optional<Witness> Bmc::check(const BmcOptions& options) {
       frontier_ > options.max_bound ? options.max_bound + 1 : frontier_;
 
   for (unsigned bound = frontier_; bound <= options.max_bound; ++bound) {
-    if (options.stop && options.stop->load(std::memory_order_relaxed)) {
+    if (solver_.stop_requested()) {
       stats_.cancelled = true;
       break;
     }

@@ -7,7 +7,6 @@
 // length Figure 4 compares between SQED and SEPE-SQED.
 #pragma once
 
-#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,11 +35,6 @@ struct BmcOptions {
   /// Overall wall-clock cap in seconds (0 = none). When hit, check()
   /// returns nullopt with hit_resource_limit set in the stats.
   double max_seconds = 0.0;
-  /// Cooperative cancellation: when non-null and set true (from any
-  /// thread), check() aborts mid-sweep — the flag is threaded into the
-  /// CDCL loop, so even a single hard bound is interrupted. A cancelled
-  /// check() returns nullopt with stats().cancelled set.
-  const std::atomic<bool>* stop = nullptr;
 };
 
 struct BmcStats {
@@ -51,6 +45,8 @@ struct BmcStats {
   unsigned bounds_checked = 0;
   double seconds = 0.0;
   bool hit_resource_limit = false;
+  /// The process-global stop (fault::request_global_stop) interrupted
+  /// the sweep, between bounds or inside the CDCL loop.
   bool cancelled = false;
   // Lifetime-cumulative solver counters (deterministic proxies) and the
   // CNF size of the unrolled encoding so far.
@@ -82,8 +78,8 @@ struct BmcStats {
 /// proven (assertions are monotone — unrolling only ever adds
 /// constraints, and the bad condition is a retractable assumption), so a
 /// repeated or deepened call resumes from the highest clean bound instead
-/// of re-solving from 0. k-induction's base case leans on this: one new
-/// solve per k instead of k re-solves, with learned clauses carried
+/// of re-solving from 0. k-induction's loop (kind.hpp) leans on this:
+/// it deepens the sweep one bound per k, with learned clauses carried
 /// across bounds by the incremental core.
 class Bmc {
  public:

@@ -1,10 +1,13 @@
 #include "bmc/kind.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
 #include "smt/subst.hpp"
+#include "util/fault.hpp"
 #include "util/stopwatch.hpp"
 
 namespace sepe::bmc {
@@ -101,88 +104,133 @@ KInductionResult prove_by_k_induction(const ts::TransitionSystem& ts,
 
   Bmc base(ts, options.solver_config, options.plaisted_greenbaum,
            options.cone_cache, options.backend);
-  InductiveWindow window(ts, options.solver_config, options.plaisted_greenbaum,
-                         options.cone_cache, options.backend);
+  std::optional<InductiveWindow> window;  // built by the first step
 
-  const auto remaining = [&]() {
-    return options.max_seconds > 0 ? options.max_seconds - clock.seconds() : 0.0;
-  };
   const auto out_of_time = [&]() {
     return options.max_seconds > 0 && clock.seconds() >= options.max_seconds;
   };
-
-  const auto stopped = [&]() {
-    return options.stop && options.stop->load(std::memory_order_relaxed);
+  // The wall cap left for the next solver call; a spent cap stays
+  // positive, because 0 means none.
+  const auto remaining = [&]() {
+    if (options.max_seconds <= 0) return 0.0;
+    return std::max(options.max_seconds - clock.seconds(), 1e-9);
   };
-  const auto tally_conflicts = [&]() {
-    const sat::Backend& wsat = window.solver().sat_solver();
+  const auto tally = [&]() {
     const BmcStats& bs = base.stats();
-    result.solver_conflicts = bs.solver_conflicts + wsat.num_conflicts();
-    result.solver_propagations = bs.solver_propagations + wsat.num_propagations();
-    result.solver_decisions = bs.solver_decisions + wsat.num_decisions();
-    result.cnf_vars = bs.cnf_vars + static_cast<std::uint64_t>(wsat.num_vars());
-    result.cnf_clauses = bs.cnf_clauses + wsat.num_clauses();
-    const smt::BitBlaster::ConeStats& wc = window.solver().cone_stats();
-    result.cone_lookups = bs.cone_lookups + wc.lookups;
-    result.cone_hits = bs.cone_hits + wc.hits;
-    result.cone_clauses_replayed = bs.cone_clauses_replayed + wc.clauses_replayed;
-    result.eliminated_vars = bs.eliminated_vars + wsat.num_eliminated_vars();
-    result.subsumed_clauses = bs.subsumed_clauses + wsat.num_subsumed_clauses();
-    result.vivified_clauses = bs.vivified_clauses + wsat.num_vivified_clauses();
-    result.hit_memory_limit = bs.hit_memory_limit || wsat.out_of_memory();
-    result.sat_retries = bs.sat_retries + wsat.num_retries();
+    result.bmc_bounds_checked = bs.bounds_checked;
+    result.solver_conflicts = bs.solver_conflicts;
+    result.solver_propagations = bs.solver_propagations;
+    result.solver_decisions = bs.solver_decisions;
+    result.cnf_vars = bs.cnf_vars;
+    result.cnf_clauses = bs.cnf_clauses;
+    result.cone_lookups = bs.cone_lookups;
+    result.cone_hits = bs.cone_hits;
+    result.cone_clauses_replayed = bs.cone_clauses_replayed;
+    result.eliminated_vars = bs.eliminated_vars;
+    result.subsumed_clauses = bs.subsumed_clauses;
+    result.vivified_clauses = bs.vivified_clauses;
+    result.hit_memory_limit = bs.hit_memory_limit;
+    result.sat_retries = bs.sat_retries;
+    if (window) {
+      const sat::Backend& wsat = window->solver().sat_solver();
+      result.solver_conflicts += wsat.num_conflicts();
+      result.solver_propagations += wsat.num_propagations();
+      result.solver_decisions += wsat.num_decisions();
+      result.cnf_vars += static_cast<std::uint64_t>(wsat.num_vars());
+      result.cnf_clauses += wsat.num_clauses();
+      const smt::BitBlaster::ConeStats& wc = window->solver().cone_stats();
+      result.cone_lookups += wc.lookups;
+      result.cone_hits += wc.hits;
+      result.cone_clauses_replayed += wc.clauses_replayed;
+      result.eliminated_vars += wsat.num_eliminated_vars();
+      result.subsumed_clauses += wsat.num_subsumed_clauses();
+      result.vivified_clauses += wsat.num_vivified_clauses();
+      result.hit_memory_limit = result.hit_memory_limit || wsat.out_of_memory();
+      result.sat_retries += wsat.num_retries();
+    }
+    // BMC stats describe its last call, the one that ended the loop.
+    result.hit_resource_limit = result.hit_resource_limit || bs.hit_resource_limit;
+    result.cancelled = result.cancelled || bs.cancelled;
+    result.seconds = clock.seconds();
   };
 
-  for (unsigned k = 1; k <= options.max_k; ++k) {
-    // --- base: any violation within k steps from init? ---
+  // BMC up to `bound` (frontier-incremental: only new bounds are solved).
+  const auto sweep_to = [&](unsigned bound) {
     BmcOptions bo;
-    bo.max_bound = k;
+    bo.max_bound = bound;
     bo.conflict_budget_per_bound = options.conflict_budget;
     bo.max_seconds = remaining();
-    bo.stop = options.stop;
-    const auto w = base.check(bo);
-    if (w) {
-      result.status = KInductionStatus::Falsified;
-      result.k = k;
-      result.witness = w;
-      result.seconds = clock.seconds();
-      tally_conflicts();
-      return result;
-    }
-    if (base.stats().cancelled || stopped()) break;
-    if (base.stats().hit_resource_limit || out_of_time()) break;
+    return base.check(bo);
+  };
+  const auto sweep_cut_short = [&]() {
+    return base.stats().hit_resource_limit || base.stats().cancelled;
+  };
+  const auto falsified = [&](Witness w) {
+    result.status = KInductionStatus::Falsified;
+    result.k = w.length;
+    result.witness = std::move(w);
+    tally();
+    return result;
+  };
 
-    // --- inductive step: k good steps, bad at step k. Unsat => proved. ---
-    const TermRef bad_k = window.extend_to(k);
+  // Inductive step at k: k good steps, bad at step k. Unsat => k-inductive.
+  const auto step = [&](unsigned k) {
+    if (out_of_time()) return Result::Unknown;
+    if (!window)
+      window.emplace(ts, options.solver_config, options.plaisted_greenbaum,
+                     options.cone_cache, options.backend);
+    const TermRef bad_k = window->extend_to(k);
     std::vector<TermRef> assumptions;
     for (unsigned t = 0; t < k; ++t)
-      assumptions.push_back(window.mgr().mk_not(window.extend_to(t)));
+      assumptions.push_back(window->mgr().mk_not(window->extend_to(t)));
     if (options.simple_path) {
       for (unsigned i = 0; i <= k; ++i)
         for (unsigned j = i + 1; j <= k; ++j)
-          assumptions.push_back(window.states_differ(i, j));
+          assumptions.push_back(window->states_differ(i, j));
     }
     assumptions.push_back(bad_k);
+    window->solver().set_conflict_budget(options.conflict_budget);
+    window->solver().set_time_budget(remaining());
+    return window->solver().check(assumptions);
+  };
 
-    window.solver().set_conflict_budget(options.conflict_budget);
-    window.solver().set_time_budget(remaining());
-    window.solver().set_stop_flag(options.stop);
-    const Result r = window.solver().check(assumptions);
-    if (r == Result::Unsat) {
-      result.status = KInductionStatus::Proved;
-      result.k = k;
-      result.seconds = clock.seconds();
-      tally_conflicts();
-      return result;
+  bool stepping = options.max_k > 0;  // cleared when the proof is forfeited
+  for (unsigned k = 0; k <= options.max_bound || (stepping && k <= options.max_k); ++k) {
+    if (k <= options.max_bound) {
+      if (std::optional<Witness> w = sweep_to(k)) return falsified(std::move(*w));
+      if (sweep_cut_short()) break;
     }
-    if (r == Result::Unknown || out_of_time()) break;
-    result.k = k;  // Sat: not yet inductive, deepen
+    if (!stepping || k == 0 || k > options.max_k) continue;
+    const Result r = step(k);
+    if (r == Result::Sat) continue;  // not yet inductive, deepen
+    if (r == Result::Unknown) {
+      if (fault::global_stop_requested()) {
+        result.cancelled = true;
+        break;
+      }
+      // A spent budget forfeits only the proof; BMC sweeps on.
+      result.hit_resource_limit = true;
+      stepping = false;
+      continue;
+    }
+    // k-inductive. The base case needs bounds 0..k-1 clean, which past
+    // the falsification horizon means extending the sweep. An extension
+    // cut short forfeits the proof, and with it the loop (k > max_bound).
+    if (base.frontier() < k) {
+      if (std::optional<Witness> w = sweep_to(k - 1)) return falsified(std::move(*w));
+      if (sweep_cut_short()) {
+        stepping = false;
+        continue;
+      }
+    }
+    result.status = KInductionStatus::Proved;
+    result.k = k;
+    tally();
+    return result;
   }
 
-  result.cancelled = stopped();
-  result.hit_resource_limit = !result.cancelled && out_of_time();
-  result.seconds = clock.seconds();
-  tally_conflicts();
+  tally();
+  result.bound_clean = !result.cancelled && base.frontier() > options.max_bound;
   return result;
 }
 

@@ -33,31 +33,16 @@ const char* prover_name(Prover p) {
 
 namespace {
 
-/// Outcome of one prover inside the race.
-struct BmcSide {
-  std::optional<bmc::Witness> found;
-  bmc::BmcStats stats;
-  std::string witness_text;
-  std::string bad_label;
-  std::string build_error;  // non-empty: the model never built
-  /// Index-ordered trace for the witness post-pass, extracted while the
-  /// job-local TransitionSystem is still alive (the bmc::Witness itself
-  /// is keyed on that system's TermManager and dies with it).
-  std::shared_ptr<const WitnessTrace> trace;
-};
-
-struct KindSide {
-  bool ran = false;
-  bmc::KInductionResult result;
-  std::string witness_text;
-  std::string bad_label;
-  std::string build_error;
-  std::shared_ptr<const WitnessTrace> trace;
-};
-
-constexpr int kClaimNone = -1;
-constexpr int kClaimBmc = 0;
-constexpr int kClaimKind = 1;
+/// Record a falsified job's witness: the rendered table, the bad label,
+/// and the index-ordered trace for the witness post-pass, extracted while
+/// the job-local TransitionSystem is still alive (the bmc::Witness itself
+/// is keyed on that system's TermManager and dies with it).
+void record_witness(const ts::TransitionSystem& ts, const bmc::Witness& w,
+                    JobResult* r) {
+  r->witness = bmc::witness_to_string(ts, w);
+  r->bad_label = w.bad_label;
+  r->trace = std::make_shared<const WitnessTrace>(extract_trace(ts, w));
+}
 
 /// Re-derive the canonical witness of a falsified job with the native
 /// default-config BMC sweep. A witness found through another backend is
@@ -67,11 +52,10 @@ constexpr int kClaimKind = 1;
 /// backends. Costs one sweep, paid only on falsified jobs.
 /// The replay deliberately runs without the job's budgets: the bound is
 /// known SAT, and a claimed violation whose witness cannot be read back
-/// is worse than a slightly-overspent cap (same rationale as the old
-/// model-extension budget lift).
+/// is worse than a slightly-overspent cap.
 void canonical_witness(const JobSpec& job, unsigned length,
                        const std::shared_ptr<smt::ConeCache>& cone_cache,
-                       BmcSide* out) {
+                       JobResult* r) {
   smt::TermManager mgr;
   ts::TransitionSystem ts(mgr);
   std::string build_error;
@@ -84,34 +68,12 @@ void canonical_witness(const JobSpec& job, unsigned length,
                    job.budget.plaisted_greenbaum.value_or(false), cone_cache);
   bmc::BmcOptions bo;
   bo.max_bound = length;
-  out->found = checker.check(bo);
-  assert(out->found && out->found->length == length &&
+  const std::optional<bmc::Witness> found = checker.check(bo);
+  assert(found && found->length == length &&
          "canonical replay must reproduce the claimed violation");
   // Unbudgeted replay of a known-SAT bound cannot fail; still, never
   // dereference an empty optional in Release if that invariant breaks.
-  if (!out->found) return;
-  out->witness_text = bmc::witness_to_string(ts, *out->found);
-  out->bad_label = out->found->bad_label;
-  out->trace = std::make_shared<const WitnessTrace>(extract_trace(ts, *out->found));
-}
-
-/// Add one prover stack's work counters to the job's (BmcStats and
-/// KInductionResult spell them alike).
-template <class Stats>
-void add_counters(const Stats& s, JobResult* r) {
-  r->conflicts += s.solver_conflicts;
-  r->propagations += s.solver_propagations;
-  r->decisions += s.solver_decisions;
-  r->cnf_vars += s.cnf_vars;
-  r->cnf_clauses += s.cnf_clauses;
-  r->cone_lookups += s.cone_lookups;
-  r->cone_hits += s.cone_hits;
-  r->cone_clauses_replayed += s.cone_clauses_replayed;
-  r->eliminated_vars += s.eliminated_vars;
-  r->subsumed_clauses += s.subsumed_clauses;
-  r->vivified_clauses += s.vivified_clauses;
-  r->hit_memory_limit = r->hit_memory_limit || s.hit_memory_limit;
-  r->sat_retries += s.sat_retries;
+  if (found) record_witness(ts, *found, r);
 }
 
 }  // namespace
@@ -124,169 +86,71 @@ JobResult run_job(const JobSpec& job,
   r.name = job.name;
   r.provenance = job.provenance;
 
-  const bool with_kind = job.budget.race_k_induction && job.budget.max_k > 0;
+  smt::TermManager mgr;
+  ts::TransitionSystem ts(mgr);
+  std::string build_error;
+  if (!job.build(ts, &build_error)) {
+    // Build failures (e.g. a corpus file that does not parse) are
+    // deterministic: report the diagnostic as an Unknown row instead of
+    // aborting the campaign.
+    r.note = build_error;
+    r.seconds = clock.seconds();
+    return r;
+  }
+
+  bmc::KInductionOptions ko;
+  ko.max_bound = job.budget.max_bound;
+  ko.max_k = job.budget.max_k;
+  ko.conflict_budget = job.budget.conflict_budget;
+  ko.max_seconds = job.budget.max_seconds;
+  ko.solver_config.memory_limit_mb = job.budget.memory_limit_mb;
   // Workload families resolve their encoding default at expansion; a
   // spec-level nullopt means plain Tseitin.
-  const bool plaisted_greenbaum = job.budget.plaisted_greenbaum.value_or(false);
-  // A native witness is canonical as found; another engine's trace is
-  // re-derived after the race (canonical_witness).
-  const bool native = job.budget.backend == sat::BackendKind::Native;
-  sat::SolverConfig config;
-  config.memory_limit_mb = job.budget.memory_limit_mb;
+  ko.plaisted_greenbaum = job.budget.plaisted_greenbaum.value_or(false);
+  ko.cone_cache = cone_cache;
+  ko.backend = job.budget.backend;
+  const bmc::KInductionResult kr = bmc::prove_by_k_induction(ts, ko);
 
-  BmcSide bside;
-  KindSide kside;
+  r.conflicts = kr.solver_conflicts;
+  r.propagations = kr.solver_propagations;
+  r.decisions = kr.solver_decisions;
+  r.cnf_vars = kr.cnf_vars;
+  r.cnf_clauses = kr.cnf_clauses;
+  r.cone_lookups = kr.cone_lookups;
+  r.cone_hits = kr.cone_hits;
+  r.cone_clauses_replayed = kr.cone_clauses_replayed;
+  r.eliminated_vars = kr.eliminated_vars;
+  r.subsumed_clauses = kr.subsumed_clauses;
+  r.vivified_clauses = kr.vivified_clauses;
+  r.hit_memory_limit = kr.hit_memory_limit;
+  r.sat_retries = kr.sat_retries;
+  r.bmc_bounds_checked = kr.bmc_bounds_checked;
 
-  // The race state: the first prover with a *definite* verdict
-  // (counterexample or proof) claims the job and raises the stop flag the
-  // loser's CDCL loops poll. Indefinite outcomes (clean sweep, exhausted
-  // max_k, budget) never cancel anyone — that is what keeps verdicts
-  // deterministic across thread counts.
-  std::atomic<bool> stop{false};
-  std::atomic<int> claim{kClaimNone};
-  const auto try_claim = [&](int who) {
-    int expected = kClaimNone;
-    if (claim.compare_exchange_strong(expected, who)) {
-      stop.store(true, std::memory_order_release);
-      return true;
-    }
-    return false;
-  };
-
-  const auto bmc_prover = [&](const std::atomic<bool>* stop_flag) {
-    smt::TermManager mgr;
-    ts::TransitionSystem ts(mgr);
-    // Build failures (e.g. a corpus file that does not parse) are
-    // deterministic: both provers fail identically, so recording the
-    // diagnostic and returning leaves the race with no claimant and the
-    // job reports Unknown with the note attached.
-    if (!job.build(ts, &bside.build_error)) return;
-    bmc::Bmc checker(ts, config, plaisted_greenbaum, cone_cache, job.budget.backend);
-    bmc::BmcOptions bo;
-    bo.max_bound = job.budget.max_bound;
-    bo.conflict_budget_per_bound = job.budget.conflict_budget;
-    bo.max_seconds = job.budget.max_seconds;
-    bo.stop = stop_flag;
-    bside.found = checker.check(bo);
-    bside.stats = checker.stats();
-    if (!bside.found || (stop_flag && !try_claim(kClaimBmc)) || !native) return;
-    bside.witness_text = bmc::witness_to_string(ts, *bside.found);
-    bside.bad_label = bside.found->bad_label;
-    bside.trace = std::make_shared<const WitnessTrace>(extract_trace(ts, *bside.found));
-  };
-
-  const auto kind_prover = [&](const std::atomic<bool>* stop_flag) {
-    kside.ran = true;
-    smt::TermManager mgr;
-    ts::TransitionSystem ts(mgr);
-    if (!job.build(ts, &kside.build_error)) return;
-    bmc::KInductionOptions ko;
-    ko.max_k = job.budget.max_k;
-    ko.conflict_budget = job.budget.conflict_budget;
-    ko.max_seconds = job.budget.max_seconds;
-    ko.stop = stop_flag;
-    ko.solver_config = config;
-    ko.plaisted_greenbaum = plaisted_greenbaum;
-    ko.cone_cache = cone_cache;
-    ko.backend = job.budget.backend;
-    kside.result = bmc::prove_by_k_induction(ts, ko);
-    if (kside.result.status == bmc::KInductionStatus::Unknown ||
-        (stop_flag && !try_claim(kClaimKind)) || !kside.result.witness || !native)
-      return;
-    kside.witness_text = bmc::witness_to_string(ts, *kside.result.witness);
-    kside.bad_label = kside.result.witness->bad_label;
-    kside.trace =
-        std::make_shared<const WitnessTrace>(extract_trace(ts, *kside.result.witness));
-  };
-
-  if (job.budget.sequential_provers) {
-    // Deterministic perf mode: both provers run to completion on the
-    // calling thread, nothing is cancelled, and the claim arbitration is
-    // by fixed order (BMC's counterexample first, else k-induction's
-    // verdict) — which yields exactly the verdict fields the race
-    // produces, with fully reproducible work counters on top.
-    bmc_prover(nullptr);
-    if (bside.found) {
-      claim.store(kClaimBmc);
-    } else if (with_kind && bside.build_error.empty()) {
-      kind_prover(nullptr);
-      if (kside.result.status != bmc::KInductionStatus::Unknown) claim.store(kClaimKind);
-    }
-  } else {
-    std::thread kind_thread;
-    if (with_kind) kind_thread = std::thread([&] { kind_prover(&stop); });
-    bmc_prover(&stop);
-    if (kind_thread.joinable()) kind_thread.join();
-  }
-
-  const int who = claim.load(std::memory_order_acquire);
-  // A race reports the winner's counters (the loser's depend on when it
-  // was cancelled); sequential mode and a race nobody won report the
-  // deterministic totals of both provers.
-  if (job.budget.sequential_provers || who == kClaimNone) {
-    add_counters(bside.stats, &r);
-    if (kside.ran) add_counters(kside.result, &r);
-  } else if (who == kClaimBmc) {
-    add_counters(bside.stats, &r);
-  } else {
-    add_counters(kside.result, &r);
-  }
-
-  r.bmc_bounds_checked = bside.stats.bounds_checked;
-  if (!bside.build_error.empty()) {
-    // The model never built (deterministically — both provers see the
-    // same source), so there is nothing a prover could have decided.
-    // Report the diagnostic instead of aborting the campaign.
-    r.verdict = Verdict::Unknown;
-    r.note = bside.build_error;
-  } else if (who == kClaimBmc) {
+  if (kr.status == bmc::KInductionStatus::Falsified) {
     r.verdict = Verdict::Falsified;
     r.winner = Prover::Bmc;
-    r.trace_length = bside.found->length;
-    if (!native) canonical_witness(job, r.trace_length, cone_cache, &bside);
-    r.bad_label = bside.bad_label;
-    r.witness = bside.witness_text;
-    r.trace = bside.trace;
-    r.loser_cancelled = kside.ran && kside.result.cancelled;
-  } else if (who == kClaimKind) {
+    r.trace_length = kr.witness->length;
+    // A native witness is canonical as found; another engine's trace is
+    // re-derived on the native stack.
+    if (job.budget.backend == sat::BackendKind::Native)
+      record_witness(ts, *kr.witness, &r);
+    else
+      canonical_witness(job, r.trace_length, cone_cache, &r);
+  } else if (kr.status == bmc::KInductionStatus::Proved) {
+    r.verdict = Verdict::Proved;
     r.winner = Prover::KInduction;
-    r.loser_cancelled = bside.stats.cancelled;
-    if (kside.result.status == bmc::KInductionStatus::Falsified) {
-      r.verdict = Verdict::Falsified;
-      r.trace_length = kside.result.witness ? kside.result.witness->length : 0;
-      if (!native && kside.result.witness) {
-        BmcSide canon;
-        canonical_witness(job, r.trace_length, cone_cache, &canon);
-        kside.witness_text = canon.witness_text;
-        kside.bad_label = canon.bad_label;
-        kside.trace = canon.trace;
-      }
-      r.bad_label = kside.bad_label;
-      r.witness = kside.witness_text;
-      r.trace = kside.trace;
-    } else {
-      r.verdict = Verdict::Proved;
-      r.proved_k = kside.result.k;
-    }
+    r.proved_k = kr.k;
+  } else if (kr.bound_clean) {
+    // A clean sweep to the bound is a definite bounded result even when
+    // a step ran out of budget: that only forfeits the upgrade to PROVED.
+    r.verdict = Verdict::BoundClean;
+    r.hit_resource_limit = kr.hit_resource_limit;
   } else {
-    // No definite verdict from either prover. A completed BMC sweep is
-    // itself a definite bounded result (BoundClean) even when the
-    // induction side ran out of budget — only BMC's own budgets can
-    // demote the verdict to Unknown. This keeps verdicts deterministic
-    // under (deterministic) conflict budgets: a budget-truncated
-    // k-induction run never changes the verdict, it only loses the
-    // chance to upgrade it to Proved.
-    if (bside.stats.hit_resource_limit || bside.stats.cancelled) {
-      r.verdict = Verdict::Unknown;
-      r.hit_resource_limit = true;
-      // A memory-ceiling trip is deterministic for a fixed spec and
-      // budget, so the diagnosis belongs in the stable form: the Unknown
-      // row explains itself (docs/ROBUSTNESS.md).
-      if (r.hit_memory_limit) r.note = "resource: memory";
-    } else {
-      r.verdict = Verdict::BoundClean;
-      r.hit_resource_limit = kside.ran && kside.result.hit_resource_limit;
-    }
+    r.hit_resource_limit = true;
+    // A memory-ceiling trip is deterministic for a fixed spec and
+    // budget, so the diagnosis belongs in the stable form: the Unknown
+    // row explains itself (docs/ROBUSTNESS.md).
+    if (r.hit_memory_limit) r.note = "resource: memory";
   }
   r.seconds = clock.seconds();
   return r;
@@ -368,10 +232,10 @@ std::string CampaignReport::to_table() const {
     // have no QED mode.
     const std::string& mode =
         j.provenance.mode.empty() ? j.provenance.family : j.provenance.mode;
-    std::snprintf(line, sizeof line, "%-34s %-8s %-12s %-6s %-12s %10llu %8.2fs%s\n",
+    std::snprintf(line, sizeof line, "%-34s %-8s %-12s %-6s %-12s %10llu %8.2fs\n",
                   j.name.c_str(), mode.c_str(), verdict_name(j.verdict), lenk,
                   prover_name(j.winner), static_cast<unsigned long long>(j.conflicts),
-                  j.seconds, j.loser_cancelled ? "  [loser cancelled]" : "");
+                  j.seconds);
     os << line;
   }
   std::snprintf(line, sizeof line,
@@ -441,14 +305,14 @@ std::string CampaignReport::to_json(bool include_timing) const {
       os << ", \"error\": ";
       json_escape(os, j.note);
     }
-    // Winner, conflicts and timings depend on race scheduling; keeping
-    // them out makes the no-timing report byte-stable across runs and
-    // thread counts for a fixed spec.
+    // Counters depend on the encoding, the backend and the cache (a hit
+    // zeroes them), timings on the host; keeping them out makes the
+    // no-timing report byte-stable across runs, thread counts, backends
+    // and warm or cold caches for a fixed spec.
     if (include_timing) {
       os << ", \"winner\": \"" << prover_name(j.winner) << "\"";
       os << ", \"conflicts\": " << j.conflicts;
       os << ", \"bmc_bounds_checked\": " << j.bmc_bounds_checked;
-      os << ", \"loser_cancelled\": " << (j.loser_cancelled ? "true" : "false");
       os << ", \"hit_resource_limit\": " << (j.hit_resource_limit ? "true" : "false");
       // Cache traffic is workload-dependent scheduling detail (a verdict-
       // cache hit zeroes the solver counters entirely), so like the other

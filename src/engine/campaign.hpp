@@ -15,17 +15,17 @@
 //   * a work-queue thread pool fans jobs out, one isolated TermManager /
 //     solver stack per job (nothing below the engine is shared, so no
 //     locking in the hot path);
-//   * each job races BMC against k-induction: the first definite verdict
-//     (counterexample or proof) wins and cancels the loser through the
-//     cooperative stop flag threaded down into the CDCL loop;
+//   * each job runs one prover loop on its worker thread
+//     (bmc::prove_by_k_induction): BMC bound k, then the inductive step
+//     at k, for k = 0, 1, … — BMC up to the falsification horizon
+//     (JobBudget::max_bound), steps up to the proof horizon (max_k);
 //   * results aggregate into a CampaignReport that is deterministic for a
-//     fixed spec — verdicts, trace lengths and proof depths are identical
-//     whatever the thread count, because only *definite* verdicts cancel
-//     the other prover (a clean bound sweep never suppresses a proof, and
-//     both provers enumerate counterexamples shortest-first). Caveat: the
-//     guarantee needs deterministic budgets — conflict budgets qualify,
-//     wall-clock caps (JobBudget::max_seconds) do not, since a cap that
-//     fires earlier under core contention can demote a verdict to Unknown.
+//     fixed spec — verdicts, trace lengths, proof depths and the SAT work
+//     counters are identical whatever the thread count, because nothing
+//     in a job's search depends on scheduling. Caveat: the guarantee needs
+//     deterministic budgets — conflict budgets qualify, wall-clock caps
+//     (JobBudget::max_seconds) do not, since a cap that fires earlier
+//     under core contention can demote a verdict to Unknown.
 #pragma once
 
 #include <atomic>
@@ -45,16 +45,17 @@ struct WitnessTrace;  // engine/witness.hpp
 
 /// Final answer for one job.
 enum class Verdict {
-  Falsified,   // counterexample found (by either prover)
+  Falsified,   // BMC found a counterexample
   Proved,      // k-induction closed: no violation at any depth
-  BoundClean,  // BMC exhausted its bound cleanly; no proof within the
-               // induction side's depth/budget limits
+  BoundClean,  // BMC swept 0..max_bound cleanly; no proof within max_k
+               // (or a step's budget)
   Unknown,     // a resource budget cut the BMC sweep itself short, or
                // the model itself failed to build (JobResult::note)
 };
 const char* verdict_name(Verdict v);
 
-/// Which prover delivered the verdict.
+/// Which prover delivered the verdict: BMC for FALSIFIED rows,
+/// k-induction for PROVED rows, none otherwise.
 enum class Prover { None, Bmc, KInduction };
 const char* prover_name(Prover p);
 
@@ -85,24 +86,18 @@ struct JobProvenance {
 
 /// Search budgets for one job.
 struct JobBudget {
-  unsigned max_bound = 10;      // BMC bound sweep limit
-  unsigned max_k = 10;          // k-induction depth limit (0 = BMC only)
+  unsigned max_bound = 10;  // falsification horizon: BMC bounds 0..max_bound
+  unsigned max_k = 10;      // proof horizon: inductive steps 1..max_k (0 = BMC only)
   std::uint64_t conflict_budget = 0;  // per-solver-call cap (0 = none)
   double max_seconds = 0.0;           // per-job wall cap (0 = none)
-  bool race_k_induction = true;       // false = BMC only, no second prover
-  /// Run the provers sequentially on the calling thread with no
-  /// cancellation. Slower, but every counter in the JobResult — not just
-  /// the verdict fields — is then deterministic: both provers always run
-  /// to completion. Used by bench/campaign_perf for the perf trajectory.
-  bool sequential_provers = false;
-  /// Bit-blasting encoding for both provers. nullopt = the workload
+  /// Bit-blasting encoding for both solvers. nullopt = the workload
   /// family's default, resolved at expansion: QED keeps full Tseitin
   /// (Plaisted–Greenbaum measured ~7% MORE conflicts there, PR 3),
   /// the BTOR2 corpus family turns PG on (measured ~11% FEWER conflicts
   /// on the committed mini-corpus). Verdict-bearing report fields are
   /// encoding-independent either way.
   std::optional<bool> plaisted_greenbaum;
-  /// SAT engine behind both provers (sat/backend.hpp). Part of the
+  /// SAT engine behind both solvers (sat/backend.hpp). Part of the
   /// verdict-cache key and the checkpoint spec digest: a campaign solved
   /// by a different engine is a different campaign. Witnesses are always
   /// re-derived with the native default-config replay, so stable JSON is
@@ -145,9 +140,10 @@ struct ShardSpec {
   unsigned count = 1;  // total shards of the spec
 };
 
-/// Per-job outcome. All verdict-bearing fields (verdict, trace_length,
-/// proved_k, bad_label, note) are deterministic for a fixed spec; timing
-/// and conflict counts are not and are excluded from stable reports.
+/// Per-job outcome. Everything but the timings and the cone-cache
+/// traffic is deterministic for a fixed spec; only the verdict-bearing
+/// fields (verdict, trace_length, proved_k, bad_label, note) travel in
+/// stable reports.
 struct JobResult {
   std::string name;
   std::size_t spec_index = 0;  // position in the full (unsharded) spec
@@ -162,25 +158,22 @@ struct JobResult {
   /// its line number). Deterministic, so it travels in stable reports.
   std::string note;
   unsigned bmc_bounds_checked = 0;
-  bool loser_cancelled = false;  // a losing prover observed the stop flag
   bool hit_resource_limit = false;
-  /// Race mode: the winning prover's counters (scheduling-dependent).
-  /// Sequential mode (JobBudget::sequential_provers): totals across both
-  /// provers, fully deterministic — the perf-report proxy metrics.
+  /// Work counters: totals across the job's BMC and inductive-step
+  /// solvers — the perf-report proxy metrics.
   std::uint64_t conflicts = 0;
   std::uint64_t propagations = 0;
   std::uint64_t decisions = 0;
   std::uint64_t cnf_vars = 0;
   std::uint64_t cnf_clauses = 0;
   /// Cone-cache traffic of this job's solver stacks (campaign cache;
-  /// zero when the job ran uncached). Same determinism caveats as the
-  /// other counters: race mode reports the winner's stacks, sequential
-  /// mode the deterministic totals.
+  /// zero when the job ran uncached). Which job of a campaign records a
+  /// shared cone first, and which replays it, depends on scheduling.
   std::uint64_t cone_lookups = 0;
   std::uint64_t cone_hits = 0;
   std::uint64_t cone_clauses_replayed = 0;
-  /// Inprocessing counters of this job's SAT engines (same determinism
-  /// caveats; zero with inprocessing off or a counter-less backend).
+  /// Inprocessing counters of this job's SAT engines (zero with
+  /// inprocessing off or a counter-less backend).
   std::uint64_t eliminated_vars = 0;
   std::uint64_t subsumed_clauses = 0;
   std::uint64_t vivified_clauses = 0;
@@ -286,10 +279,10 @@ struct CampaignReport {
                                              std::string* error);
 };
 
-/// Run one job on the calling thread (racing its provers internally).
-/// `cone_cache` (may be null) is shared by every solver stack the job
-/// spins up — both provers and the canonical witness replay hit the
-/// same store.
+/// Run one job on the calling thread: build its model once and run the
+/// prover loop on it. `cone_cache` (may be null) is shared by every
+/// solver stack the job spins up — BMC, the inductive step and the
+/// canonical witness replay hit the same store.
 JobResult run_job(const JobSpec& job,
                   const std::shared_ptr<smt::ConeCache>& cone_cache = nullptr);
 

@@ -354,7 +354,7 @@ bool parse_job(const JsonValue& obj, std::size_t position, JobResult* out,
     out->proved_k = static_cast<unsigned>(n);
   }
 
-  // Timing/race fields — present in the full report form only.
+  // Timing and counter fields — present in the full report form only.
   if (const std::string* winner = get_string(obj, "winner")) {
     if (!prover_from_name(*winner, &out->winner))
       return fail_field(error, "job '" + out->name + "' has an unknown winner");
@@ -398,7 +398,6 @@ bool parse_job(const JsonValue& obj, std::size_t position, JobResult* out,
   }
   get_bool(obj, "hit_memory_limit", &out->hit_memory_limit);
   get_bool(obj, "from_cache", &out->from_cache);
-  get_bool(obj, "loser_cancelled", &out->loser_cancelled);
   get_bool(obj, "hit_resource_limit", &out->hit_resource_limit);
   // Witness pipeline: round-trips through checkpoint journals (timing
   // form), so resumed rows keep their recorded check instead of

@@ -72,8 +72,6 @@ std::string spec_digest_of(const CampaignSpec& spec, const std::string& fingerpr
     static_assert(sizeof seconds_bits == sizeof job.budget.max_seconds);
     std::memcpy(&seconds_bits, &job.budget.max_seconds, sizeof seconds_bits);
     mix_u64(seconds_bits);
-    mix_byte(job.budget.race_k_induction ? 1 : 0);
-    mix_byte(job.budget.sequential_provers ? 1 : 0);
     mix_byte(job.budget.plaisted_greenbaum
                  ? (*job.budget.plaisted_greenbaum ? 2 : 1)
                  : 0);

@@ -27,8 +27,10 @@ namespace {
 /// v4: the portfolio and sharing widths left it again, together with
 /// the mechanisms themselves. v5: FALSIFIED lines carry the
 /// counterexample stimulus, so a warm check replays it instead of
-/// re-solving the job.
-constexpr int kFormatVersion = 5;
+/// re-solving the job. v6: the race and sequential-prover flags left the
+/// key, and --bound became the falsification horizon (k-induction no
+/// longer falsifies past it), so a v5 verdict may mean something else.
+constexpr int kFormatVersion = 6;
 
 std::uint64_t fnv1a(const char* data, std::size_t n,
                     std::uint64_t h = 1469598103934665603ull) {
@@ -177,8 +179,6 @@ std::string VerdictCache::key_of(const JobSpec& job, const std::string& fingerpr
   mix_u64(job.budget.conflict_budget);
   // max_seconds deliberately not mixed: cacheable() refuses wall-capped
   // jobs outright, so every cached job has max_seconds == 0.
-  mix_byte(job.budget.race_k_induction ? 1 : 0);
-  mix_byte(job.budget.sequential_provers ? 1 : 0);
   mix_byte(job.budget.plaisted_greenbaum.value_or(false) ? 1 : 0);
   // A campaign solved by a different SAT engine is a different campaign:
   // mixing the backend makes stale entries *miss* (and re-solve) instead

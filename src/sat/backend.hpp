@@ -2,20 +2,19 @@
 //
 // Everything above the SAT layer (the bit-blaster, the SMT facade, BMC,
 // k-induction, the campaign engine) talks to an abstract sat::Backend:
-// add clauses, solve under assumptions, read a model, thread budgets and
-// the cooperative stop flag. Two engines implement it today — the native
+// add clauses, solve under assumptions, read a model, set budgets. Two
+// engines implement it today — the native
 // CDCL solver (sat::Solver, solver.hpp) and a subprocess DIMACS bridge
 // (sat::DimacsBackend, dimacs_backend.hpp) — and the seam is what a
 // future SMT-level backend would plug into.
 //
 // The contract a conforming backend must honor is documented in
 // docs/SOLVER.md ("The backend seam"): deterministic verdicts for
-// deterministic budgets, stop-flag polling inside solve(), and variable
+// deterministic budgets, global-stop polling inside solve(), and variable
 // indices issued densely by new_var() so cone-cache replay tapes stay
 // byte-exact.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -78,13 +77,13 @@ const char* backend_kind_name(BackendKind kind);
 std::optional<BackendKind> backend_kind_from_name(std::string_view name);
 
 /// Abstract incremental SAT engine (the IPASIR shape: add / assume /
-/// solve / value / failed, plus the budget and stop-flag threading the
-/// campaign engine relies on).
+/// solve / value / failed, plus the budgets the campaign engine relies
+/// on).
 ///
-/// Budgets and the stop flag live in the base class so every engine
-/// inherits identical threading semantics; solve() implementations must
-/// poll stop_requested() often enough that a raced solve aborts within
-/// microseconds (native) or one subprocess poll interval (DIMACS).
+/// Budgets live in the base class so every engine inherits identical
+/// semantics; solve() implementations must poll stop_requested() often
+/// enough that a SIGTERM aborts a solve within microseconds (native) or
+/// one subprocess poll interval (DIMACS).
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -134,20 +133,10 @@ class Backend {
   void set_time_budget(double seconds) { time_budget_seconds_ = seconds; }
   double time_budget() const { return time_budget_seconds_; }
 
-  /// Cooperative cancellation: when `stop` is non-null and becomes true
-  /// (typically set from another thread), solve() aborts with Unknown at
-  /// the next poll point. The flag must outlive the backend or be
-  /// cleared with set_stop_flag(nullptr).
-  void set_stop_flag(const std::atomic<bool>* stop) { stop_ = stop; }
-  const std::atomic<bool>* stop_flag() const { return stop_; }
-  /// True when either the per-race stop flag or the process-global
-  /// crash-only stop (SIGTERM/SIGINT, fault::Action::Stop) is raised, so
-  /// a termination request interrupts every running CDCL loop through the
-  /// same poll points the race cancellation already uses.
-  bool stop_requested() const {
-    return (stop_ != nullptr && stop_->load(std::memory_order_relaxed)) ||
-           fault::global_stop_requested();
-  }
+  /// True once the process-global crash-only stop (SIGTERM/SIGINT,
+  /// fault::Action::Stop) is raised; solve() polls it and aborts with
+  /// Unknown at the next poll point.
+  bool stop_requested() const { return fault::global_stop_requested(); }
 
   // --- statistics (deterministic proxies; engines that cannot observe a
   // --- counter report 0 rather than guessing) ---
@@ -172,7 +161,6 @@ class Backend {
  protected:
   std::uint64_t conflict_budget_ = 0;
   double time_budget_seconds_ = 0.0;
-  const std::atomic<bool>* stop_ = nullptr;
 };
 
 /// Build an engine of the given kind. `config` tunes the native CDCL

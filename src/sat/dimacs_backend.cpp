@@ -184,7 +184,7 @@ bool DimacsBackend::solve_attempt(const std::vector<Lit>& assumptions,
     _exit(127);
   }
 
-  // Parent: poll for completion so the stop flag and the time budget
+  // Parent: poll for completion so the global stop and the time budget
   // stay responsive (the conflict budget cannot be metered from outside
   // the subprocess and is documented as best-effort). Every path out of
   // this loop reaps the child — no zombies.

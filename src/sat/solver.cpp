@@ -1020,9 +1020,8 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
 
   std::vector<Lit> learnt;
   for (;;) {
-    // Cooperative cancellation: one relaxed atomic load per
-    // propagate/decide cycle, so a raced solve aborts within a few
-    // microseconds of the winner raising the flag.
+    // Crash-only stop: one relaxed atomic load per propagate/decide
+    // cycle, so a SIGTERM aborts the solve within a few microseconds.
     if (stop_requested()) {
       backtrack(0);
       return SolveResult::Unknown;

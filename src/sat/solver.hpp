@@ -14,7 +14,6 @@
 // vivification — see docs/SOLVER.md).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <optional>

@@ -74,9 +74,8 @@ class SmtSolver {
   void set_time_budget(double seconds) { sat_->set_time_budget(seconds); }
   double time_budget() const { return sat_->time_budget(); }
 
-  /// Cooperative cancellation (see sat::Backend::set_stop_flag): check()
-  /// aborts with Unknown soon after *stop becomes true.
-  void set_stop_flag(const std::atomic<bool>* stop) { sat_->set_stop_flag(stop); }
+  /// True once the process-global crash-only stop is raised (see
+  /// sat::Backend::stop_requested); check() then returns Unknown.
   bool stop_requested() const { return sat_->stop_requested(); }
 
   const sat::Backend& sat_solver() const { return *sat_; }

@@ -14,7 +14,6 @@
 #include <stdlib.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -25,6 +24,7 @@
 #include "proc/mutations.hpp"
 #include "sat/dimacs_backend.hpp"
 #include "sat/solver.hpp"
+#include "util/fault.hpp"
 
 namespace sepe {
 namespace {
@@ -113,7 +113,13 @@ TEST(BackendFactory, BuildsTheRequestedKind) {
   EXPECT_EQ(dimacs->kind(), BackendKind::Dimacs);
 }
 
-TEST(BackendDimacs, ReportsTheResolvedSolverInItsName) {
+/// The crash-only stop is process-global: every test leaves it cleared.
+class BackendDimacs : public ::testing::Test {
+ protected:
+  void TearDown() override { fault::clear_global_stop(); }
+};
+
+TEST_F(BackendDimacs, ReportsTheResolvedSolverInItsName) {
   REQUIRE_EXTERNAL_SOLVER();
   const sat::DimacsBackend backend;
   EXPECT_TRUE(backend.available());
@@ -121,15 +127,14 @@ TEST(BackendDimacs, ReportsTheResolvedSolverInItsName) {
   EXPECT_NE(backend.name(), "dimacs:unavailable");
 }
 
-TEST(BackendDimacs, PresetStopFlagAbortsWithUnknown) {
+TEST_F(BackendDimacs, PresetStopFlagAbortsWithUnknown) {
   REQUIRE_EXTERNAL_SOLVER();
   sat::DimacsBackend backend;
   const int x = backend.new_var();
   backend.add_clause(Lit(x, false));
-  std::atomic<bool> stop{true};
-  backend.set_stop_flag(&stop);
+  fault::request_global_stop();
   EXPECT_EQ(backend.solve(), SolveResult::Unknown);
-  stop.store(false);
+  fault::clear_global_stop();
   EXPECT_EQ(backend.solve(), SolveResult::Sat);
 }
 

@@ -1,10 +1,9 @@
 // Tests for the parallel verification-campaign engine: verdict parity
-// between multi-threaded and sequential runs, deterministic reports,
-// the BMC/k-induction race, and cooperative cancellation (the losing
-// prover observes the stop flag and exits without finishing its sweep).
+// between multi-threaded and single-threaded runs, deterministic reports
+// and counters, the two horizons of the per-job prover loop (--bound
+// falsifies, --max-k proves), budgets that forfeit only the proof, and
+// the crash-only global stop interrupting every solver layer.
 #include <gtest/gtest.h>
-
-#include <atomic>
 
 #include "engine/campaign.hpp"
 #include "engine/pinned_table.hpp"
@@ -12,6 +11,7 @@
 #include "proc/mutations.hpp"
 #include "sat/solver.hpp"
 #include "smt/smt_solver.hpp"
+#include "util/fault.hpp"
 
 namespace sepe::engine {
 namespace {
@@ -57,6 +57,55 @@ JobSpec frozen_job(const std::string& name, unsigned width, const JobBudget& bud
   return job;
 }
 
+/// Job over a 2-bit counter that saturates at 3 (0 -> 1 -> 2 -> 3 -> 3),
+/// bad = (c == 2). The inductive step first closes at k = 3 (no state
+/// steps into 0), but the base case for that proof reaches bound 2,
+/// where the bad fires.
+JobSpec saturating_job(const std::string& name, const JobBudget& budget) {
+  JobSpec job;
+  job.name = name;
+  job.budget = budget;
+  job.build = [](ts::TransitionSystem& ts, std::string*) {
+    smt::TermManager& mgr = ts.mgr();
+    const TermRef c = ts.add_state("c", 2);
+    const TermRef three = mgr.mk_const(2, 3);
+    ts.set_init(c, mgr.mk_const(2, 0));
+    ts.set_next(c, mgr.mk_ite(mgr.mk_eq(c, three), three,
+                              mgr.mk_add(c, mgr.mk_const(2, 1))));
+    ts.add_bad(mgr.mk_eq(c, mgr.mk_const(2, 2)), "c-two");
+    return true;
+  };
+  return job;
+}
+
+/// Job whose bad condition is never true but costs SAT search to refute:
+/// (a*b)*c != a*(b*c) over 8-bit registers stepping a += 1, b += 3,
+/// c += 5. With `concrete_init` every BMC bound folds to constants and
+/// solves without a conflict, so only the inductive step (from a
+/// symbolic state) searches; without it BMC bound 0 already searches.
+JobSpec associativity_job(const std::string& name, bool concrete_init,
+                          const JobBudget& budget) {
+  JobSpec job;
+  job.name = name;
+  job.budget = budget;
+  job.build = [concrete_init](ts::TransitionSystem& ts, std::string*) {
+    smt::TermManager& mgr = ts.mgr();
+    constexpr unsigned kWidth = 8;
+    TermRef regs[3];
+    for (unsigned i = 0; i < 3; ++i) {
+      regs[i] = ts.add_state(std::string(1, static_cast<char>('a' + i)), kWidth);
+      if (concrete_init) ts.set_init(regs[i], mgr.mk_const(kWidth, 3 + 2 * i));
+      ts.set_next(regs[i], mgr.mk_add(regs[i], mgr.mk_const(kWidth, 1 + 2 * i)));
+    }
+    const auto [a, b, c] = regs;
+    const TermRef lhs = mgr.mk_mul(mgr.mk_mul(a, b), c);
+    const TermRef rhs = mgr.mk_mul(a, mgr.mk_mul(b, c));
+    ts.add_bad(mgr.mk_ne(lhs, rhs), "associativity");
+    return true;
+  };
+  return job;
+}
+
 TEST(EngineJob, FalsifiesReachableCounter) {
   JobBudget budget;
   budget.max_bound = 10;
@@ -92,30 +141,81 @@ TEST(EngineJob, BoundCleanWhenUnreachableWithinBound) {
 TEST(EngineJob, RaceDisabledNeverProves) {
   JobBudget budget;
   budget.max_bound = 3;
-  budget.max_k = 4;
-  budget.race_k_induction = false;
+  budget.max_k = 0;  // BMC only
   const JobResult r = run_job(frozen_job("frozen", 8, budget));
   EXPECT_EQ(r.verdict, Verdict::BoundClean);
   EXPECT_EQ(r.winner, Prover::None);
 }
 
-// The acceptance check for the cancellation hook: the frozen register is
-// proved by k-induction almost immediately, while the BMC side faces a
-// sweep five orders of magnitude deeper than it can finish first. The
-// losing BMC prover must observe the stop flag raised by the winner and
-// exit mid-sweep instead of checking all 200000 bounds.
-TEST(EngineJob, LosingBmcSweepIsCancelledPromptly) {
+// The frozen register is 1-inductive, while the falsification horizon is
+// five orders of magnitude deeper than anyone could sweep. The loop must
+// stop at the proof depth: bounds 0 and 1, then the closing step at 1.
+TEST(EngineJob, ProofStopsTheSweepAtItsDepth) {
   JobBudget budget;
   budget.max_bound = 200000;
   budget.max_k = 4;
   const JobResult r = run_job(frozen_job("frozen-deep", 24, budget));
   EXPECT_EQ(r.verdict, Verdict::Proved);
   EXPECT_EQ(r.winner, Prover::KInduction);
-  EXPECT_TRUE(r.loser_cancelled);
-  EXPECT_LT(r.bmc_bounds_checked, 200000u);
+  EXPECT_EQ(r.proved_k, 1u);
+  EXPECT_EQ(r.bmc_bounds_checked, 2u);
 }
 
-TEST(EngineCancellation, PresetStopFlagCancelsBmcBeforeAnyBound) {
+// --bound is the falsification horizon, --max-k the proof horizon: a
+// proof horizon deeper than the bound never falsifies past the bound.
+TEST(EngineJob, MaxKPastTheBoundDoesNotFalsifyPastIt) {
+  JobBudget budget;
+  budget.max_bound = 3;
+  budget.max_k = 8;
+  const JobResult r = run_job(counter_job("cnt5", 8, 5, budget));
+  EXPECT_EQ(r.verdict, Verdict::BoundClean);
+  EXPECT_EQ(r.winner, Prover::None);
+  EXPECT_EQ(r.bmc_bounds_checked, 4u);  // bounds 0..3
+}
+
+// A step that closes past the bound still needs its base case: bounds
+// 0..k-1 clean. Extending BMC to get there finds the violation at 2, so
+// the job is FALSIFIED, never PROVED.
+TEST(EngineJob, ProofPastTheBoundExtendsTheBaseCase) {
+  JobBudget budget;
+  budget.max_bound = 1;
+  budget.max_k = 3;
+  const JobResult r = run_job(saturating_job("saturating", budget));
+  EXPECT_EQ(r.verdict, Verdict::Falsified);
+  EXPECT_EQ(r.winner, Prover::Bmc);
+  EXPECT_EQ(r.trace_length, 2u);
+  EXPECT_EQ(r.bad_label, "c-two");
+  EXPECT_NE(r.witness.find("counterexample of length 2"), std::string::npos);
+}
+
+// A budget that trips in an inductive step forfeits only the proof: BMC
+// still sweeps to the bound, and the row is BOUND_CLEAN. The same budget
+// tripping in a BMC bound leaves nothing definite: UNKNOWN.
+TEST(EngineJob, StepBudgetForfeitsOnlyTheProof) {
+  JobBudget budget;
+  budget.max_bound = 4;
+  budget.max_k = 2;
+  budget.conflict_budget = 1;
+  const JobResult step_tripped =
+      run_job(associativity_job("concrete-init", /*concrete_init=*/true, budget));
+  EXPECT_EQ(step_tripped.verdict, Verdict::BoundClean);
+  EXPECT_TRUE(step_tripped.hit_resource_limit);
+  EXPECT_EQ(step_tripped.bmc_bounds_checked, 5u);  // bounds 0..4
+
+  const JobResult bmc_tripped =
+      run_job(associativity_job("symbolic-init", /*concrete_init=*/false, budget));
+  EXPECT_EQ(bmc_tripped.verdict, Verdict::Unknown);
+  EXPECT_TRUE(bmc_tripped.hit_resource_limit);
+  EXPECT_TRUE(bmc_tripped.note.empty());  // a conflict budget, not memory
+}
+
+/// The crash-only stop is process-global: every test leaves it cleared.
+class EngineCancellation : public ::testing::Test {
+ protected:
+  void TearDown() override { fault::clear_global_stop(); }
+};
+
+TEST_F(EngineCancellation, PresetStopFlagCancelsBmcBeforeAnyBound) {
   smt::TermManager mgr;
   ts::TransitionSystem ts(mgr);
   const TermRef cnt = ts.add_state("cnt", 8);
@@ -123,18 +223,17 @@ TEST(EngineCancellation, PresetStopFlagCancelsBmcBeforeAnyBound) {
   ts.set_next(cnt, mgr.mk_add(cnt, mgr.mk_const(8, 1)));
   ts.add_bad(mgr.mk_eq(cnt, mgr.mk_const(8, 3)), "cnt-3");
 
-  std::atomic<bool> stop{true};
+  fault::request_global_stop();
   bmc::Bmc checker(ts);
   bmc::BmcOptions bo;
   bo.max_bound = 10;
-  bo.stop = &stop;
   EXPECT_FALSE(checker.check(bo).has_value());
   EXPECT_TRUE(checker.stats().cancelled);
   EXPECT_FALSE(checker.stats().hit_resource_limit);
   EXPECT_EQ(checker.stats().bounds_checked, 0u);
 }
 
-TEST(EngineCancellation, PresetStopFlagCancelsKInduction) {
+TEST_F(EngineCancellation, PresetStopFlagCancelsKInduction) {
   smt::TermManager mgr;
   ts::TransitionSystem ts(mgr);
   const TermRef x = ts.add_state("x", 8);
@@ -142,44 +241,42 @@ TEST(EngineCancellation, PresetStopFlagCancelsKInduction) {
   ts.set_next(x, x);
   ts.add_bad(mgr.mk_eq(x, mgr.mk_const(8, 1)), "x-one");
 
-  std::atomic<bool> stop{true};
+  fault::request_global_stop();
   bmc::KInductionOptions ko;
+  ko.max_bound = 5;
   ko.max_k = 5;
-  ko.stop = &stop;
   const bmc::KInductionResult r = bmc::prove_by_k_induction(ts, ko);
   EXPECT_EQ(r.status, bmc::KInductionStatus::Unknown);
   EXPECT_TRUE(r.cancelled);
+  EXPECT_FALSE(r.bound_clean);
+  EXPECT_EQ(r.bmc_bounds_checked, 0u);
 }
 
-// Regression for a race in the prover duel: the losing prover can get a
-// Sat result and *then* see the stop flag raised by the winner while it
-// reads back the witness. Model extension inside value() (triggered by
-// blasting a term the last solve never covered) must ignore the stop
-// flag instead of tearing the model mid-read.
-TEST(EngineCancellation, WitnessExtractionSurvivesLateStopFlag) {
+// A SIGTERM can land after a Sat result, while the witness is read back.
+// Model extension inside value() (triggered by blasting a term the last
+// solve never covered) must ignore the stop instead of tearing the model
+// mid-read.
+TEST_F(EngineCancellation, WitnessExtractionSurvivesLateStopFlag) {
   smt::TermManager mgr;
   smt::SmtSolver solver(mgr);
-  std::atomic<bool> stop{false};
-  solver.set_stop_flag(&stop);
   const smt::TermRef x = mgr.mk_var("x", 8);
   solver.assert_formula(mgr.mk_eq(x, mgr.mk_const(8, 42)));
   ASSERT_EQ(solver.check(), smt::Result::Sat);
-  // The other prover claims the job now...
-  stop.store(true);
+  // The stop arrives now...
+  fault::request_global_stop();
   // ...and reading a not-yet-blasted term still extends the model.
   const smt::TermRef doubled = mgr.mk_add(x, x);
   EXPECT_EQ(solver.value(doubled), BitVec(8, 84));
   EXPECT_EQ(solver.value(x), BitVec(8, 42));
 }
 
-TEST(EngineCancellation, PresetStopFlagAbortsSatSolve) {
+TEST_F(EngineCancellation, PresetStopFlagAbortsSatSolve) {
   sat::Solver solver;
   const int a = solver.new_var(), b = solver.new_var();
   solver.add_clause(sat::Lit(a, false), sat::Lit(b, false));
-  std::atomic<bool> stop{true};
-  solver.set_stop_flag(&stop);
+  fault::request_global_stop();
   EXPECT_EQ(solver.solve(), sat::SolveResult::Unknown);
-  stop.store(false);
+  fault::clear_global_stop();
   EXPECT_EQ(solver.solve(), sat::SolveResult::Sat);
 }
 
@@ -276,37 +373,59 @@ TEST(EngineMatrix, ExpandsMutationsTimesModes) {
   for (const JobSpec& job : spec.jobs) EXPECT_TRUE(static_cast<bool>(job.build));
 }
 
-// --- sequential deterministic perf mode (bench/campaign_perf) ---
+// --- deterministic counters (bench/campaign_perf) ---
 
-TEST(EngineSequential, VerdictsMatchRaceAndCountersAreDeterministic) {
-  CampaignSpec spec = mixed_spec();
+/// Every JobResult field but the wall time and the cone-cache traffic,
+/// for a fixed spec. Which job of a campaign blasts a shared cone first,
+/// and which replays it, depends on scheduling; the replay is exact, so
+/// the SAT counters do not.
+void expect_same_counters(const JobResult& a, const JobResult& b) {
+  EXPECT_EQ(a.verdict, b.verdict) << a.name;
+  EXPECT_EQ(a.winner, b.winner) << a.name;
+  EXPECT_EQ(a.trace_length, b.trace_length) << a.name;
+  EXPECT_EQ(a.proved_k, b.proved_k) << a.name;
+  EXPECT_EQ(a.bad_label, b.bad_label) << a.name;
+  EXPECT_EQ(a.bmc_bounds_checked, b.bmc_bounds_checked) << a.name;
+  EXPECT_EQ(a.hit_resource_limit, b.hit_resource_limit) << a.name;
+  EXPECT_EQ(a.conflicts, b.conflicts) << a.name;
+  EXPECT_EQ(a.propagations, b.propagations) << a.name;
+  EXPECT_EQ(a.decisions, b.decisions) << a.name;
+  EXPECT_EQ(a.cnf_vars, b.cnf_vars) << a.name;
+  EXPECT_EQ(a.cnf_clauses, b.cnf_clauses) << a.name;
+  EXPECT_EQ(a.eliminated_vars, b.eliminated_vars) << a.name;
+  EXPECT_EQ(a.subsumed_clauses, b.subsumed_clauses) << a.name;
+  EXPECT_EQ(a.vivified_clauses, b.vivified_clauses) << a.name;
+  EXPECT_EQ(a.sat_retries, b.sat_retries) << a.name;
+  EXPECT_EQ(a.hit_memory_limit, b.hit_memory_limit) << a.name;
+  EXPECT_EQ(a.witness_checked, b.witness_checked) << a.name;
+  EXPECT_EQ(a.trace_length_shrunk, b.trace_length_shrunk) << a.name;
+}
+
+TEST(EngineDeterminism, CountersMatchAcrossRunsAndThreadCounts) {
+  const CampaignSpec spec = mixed_spec();
   CampaignOptions one;
   one.threads = 1;
-  const CampaignReport raced = run_campaign(spec, one);
-  for (JobSpec& job : spec.jobs) job.budget.sequential_provers = true;
-  const CampaignReport seq_a = run_campaign(spec, one);
-  const CampaignReport seq_b = run_campaign(spec, one);
-  ASSERT_EQ(raced.jobs.size(), seq_a.jobs.size());
-  for (std::size_t i = 0; i < raced.jobs.size(); ++i) {
-    // Same verdict fields as the race...
-    EXPECT_EQ(seq_a.jobs[i].verdict, raced.jobs[i].verdict) << raced.jobs[i].name;
-    EXPECT_EQ(seq_a.jobs[i].trace_length, raced.jobs[i].trace_length);
-    EXPECT_EQ(seq_a.jobs[i].proved_k, raced.jobs[i].proved_k);
-    EXPECT_EQ(seq_a.jobs[i].bad_label, raced.jobs[i].bad_label);
-    // ...and fully reproducible work counters between runs.
-    EXPECT_EQ(seq_a.jobs[i].conflicts, seq_b.jobs[i].conflicts) << raced.jobs[i].name;
-    EXPECT_EQ(seq_a.jobs[i].propagations, seq_b.jobs[i].propagations);
-    EXPECT_EQ(seq_a.jobs[i].decisions, seq_b.jobs[i].decisions);
-    EXPECT_EQ(seq_a.jobs[i].cnf_vars, seq_b.jobs[i].cnf_vars);
-    EXPECT_EQ(seq_a.jobs[i].cnf_clauses, seq_b.jobs[i].cnf_clauses);
-    EXPECT_GT(seq_a.jobs[i].cnf_vars, 0u);
-    EXPECT_FALSE(seq_a.jobs[i].loser_cancelled);
+  CampaignOptions four;
+  four.threads = 4;
+  const CampaignReport a = run_campaign(spec, one);
+  const CampaignReport b = run_campaign(spec, one);
+  const CampaignReport c = run_campaign(spec, four);
+  ASSERT_EQ(a.jobs.size(), spec.jobs.size());
+  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
+    expect_same_counters(a.jobs[i], b.jobs[i]);
+    expect_same_counters(a.jobs[i], c.jobs[i]);
+    // On one thread the jobs run in spec order, so even the cone-cache
+    // traffic repeats.
+    EXPECT_EQ(a.jobs[i].cone_lookups, b.jobs[i].cone_lookups) << a.jobs[i].name;
+    EXPECT_EQ(a.jobs[i].cone_hits, b.jobs[i].cone_hits) << a.jobs[i].name;
+    EXPECT_EQ(a.jobs[i].cone_clauses_replayed, b.jobs[i].cone_clauses_replayed)
+        << a.jobs[i].name;
+    EXPECT_GT(a.jobs[i].cnf_vars, 0u);
   }
   // Tiny jobs can fold to zero problem clauses, but not a whole campaign.
   std::uint64_t total_clauses = 0;
-  for (const JobResult& j : seq_a.jobs) total_clauses += j.cnf_clauses;
+  for (const JobResult& j : a.jobs) total_clauses += j.cnf_clauses;
   EXPECT_GT(total_clauses, 0u);
-  EXPECT_EQ(raced.to_json(false), seq_a.to_json(false));
 }
 
 // --- Plaisted–Greenbaum vs full Tseitin across the pinned QED table ---

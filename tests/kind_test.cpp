@@ -35,7 +35,10 @@ TEST(KInduction, FalsifiesWithAWitness) {
   ts.set_next(cnt, mgr.mk_add(cnt, mgr.mk_const(8, 1)));
   ts.add_bad(mgr.mk_eq(cnt, mgr.mk_const(8, 3)), "cnt-3");
 
+  // The standalone call has an explicit falsification horizon: BMC
+  // sweeps bounds 0..max_bound (default 0).
   KInductionOptions o;
+  o.max_bound = 6;
   o.max_k = 6;
   const KInductionResult r = prove_by_k_induction(ts, o);
   ASSERT_EQ(r.status, KInductionStatus::Falsified);

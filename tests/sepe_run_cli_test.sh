@@ -53,6 +53,7 @@ expect_usage_error shard_malformed   -- --shard 4of4
 expect_usage_error shard_range       -- --shard 4/4
 expect_usage_error retired_portfolio -- --portfolio 2
 expect_usage_error retired_sharing   -- --share-clauses on
+expect_usage_error retired_race      -- --no-race
 expect_usage_error unknown_flag      -- --frobnicate
 expect_usage_error merge_no_inputs   -- merge
 expect_usage_error corpus_no_dir     -- corpus

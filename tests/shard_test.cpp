@@ -319,9 +319,10 @@ TEST(ReportIo, TimingReportRoundTrips) {
 }
 
 // Backward compatibility: timing reports written while learnt-clause
-// sharing existed carry three counters this binary no longer knows.
-// Such shard reports (an old checkpoint, an older worker in the fleet)
-// must still parse and merge, with the retired keys ignored.
+// sharing existed carry three counters this binary no longer knows, and
+// those written while the provers raced carry loser_cancelled. Such
+// shard reports (an old checkpoint, an older worker in the fleet) must
+// still parse and merge, with the retired keys ignored.
 TEST(ReportIo, RetiredSharingCountersAreIgnored) {
   const auto shard_json = [](unsigned index, const std::string& name) {
     return "{\"seed\": 7, \"shard\": {\"index\": " + std::to_string(index) +
@@ -331,7 +332,7 @@ TEST(ReportIo, RetiredSharingCountersAreIgnored) {
            ", \"mode\": \"EDDI-V\", \"verdict\": \"PROVED\", \"proved_k\": 1, "
            "\"winner\": \"k-induction\", \"conflicts\": 12, "
            "\"clauses_exported\": 31, \"clauses_imported\": 17, "
-           "\"vault_hits\": 5}]}";
+           "\"vault_hits\": 5, \"loser_cancelled\": true}]}";
   };
   std::vector<CampaignReport> shards(2);
   std::string error;
@@ -346,6 +347,7 @@ TEST(ReportIo, RetiredSharingCountersAreIgnored) {
   const std::string emitted = merged->to_json(/*include_timing=*/true);
   for (const char* retired : {"clauses_exported", "clauses_imported", "vault_hits"})
     EXPECT_EQ(emitted.find(retired), std::string::npos) << emitted;
+  EXPECT_EQ(emitted.find("loser_cancelled"), std::string::npos) << emitted;
 }
 
 // Forward compatibility: a report written by a *newer* binary may carry

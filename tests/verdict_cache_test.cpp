@@ -191,8 +191,6 @@ TEST(VerdictCacheFormat, KeySeparatesEveryVerdictDeterminant) {
   EXPECT_TRUE(differs([](JobSpec& j) { j.budget.max_bound = 9; }));
   EXPECT_TRUE(differs([](JobSpec& j) { j.budget.max_k = 4; }));
   EXPECT_TRUE(differs([](JobSpec& j) { j.budget.conflict_budget = 100; }));
-  EXPECT_TRUE(differs([](JobSpec& j) { j.budget.race_k_induction = false; }));
-  EXPECT_TRUE(differs([](JobSpec& j) { j.budget.sequential_provers = true; }));
   EXPECT_TRUE(differs([](JobSpec& j) { j.budget.plaisted_greenbaum = true; }));
   EXPECT_NE(VerdictCache::key_of(base, "other-fp"), k0);
 

@@ -9,8 +9,8 @@
 //     job per bad property — malformed files become per-job parse-error
 //     rows, not campaign aborts.
 //
-// Either way the jobs fan out over a worker pool (each job racing BMC
-// against k-induction), and per-job stats plus an optional JSON report
+// Either way the jobs fan out over a worker pool (each job running one
+// BMC + k-induction loop), and per-job stats plus an optional JSON report
 // come back. Verdicts are deterministic for a fixed spec whatever
 // --threads says, as long as budgets are deterministic: --conflicts
 // qualifies, --time-cap does not (a wall cap can fire earlier under
@@ -102,9 +102,9 @@ void usage() {
       "\n"
       "common options (both workload families):\n"
       "  --threads N      worker threads (default: hardware concurrency)\n"
-      "  --bound N        BMC bound sweep limit (default 10)\n"
-      "  --max-k N        k-induction depth limit (default 10)\n"
-      "  --no-race        disable the k-induction prover (BMC only)\n"
+      "  --bound N        falsification horizon: BMC bounds 0..N (default 10)\n"
+      "  --max-k N        proof horizon: k-induction steps 1..N (default 10;\n"
+      "                   0 = BMC only)\n"
       "  --encoding E     bit-blasting encoding: auto | tseitin | pg\n"
       "                   (default auto = the workload family's default:\n"
       "                   Tseitin for QED, Plaisted-Greenbaum for corpus)\n"
@@ -127,7 +127,7 @@ void usage() {
       "                   byte-identical warm or cold (see docs/FORMATS.md);\n"
       "                   wall-capped jobs (--time-cap) are never cached\n"
       "  --json FILE      write a JSON report ('-' = stdout)\n"
-      "  --stable-json    JSON omits timing/race fields (byte-deterministic)\n"
+      "  --stable-json    JSON omits timing and counter fields (byte-deterministic)\n"
       "  --witness        print the counterexample trace of falsified jobs\n"
       "  --witness-dir D  write one standalone witness artifact per falsified\n"
       "                   job into D (*.witness, see docs/FORMATS.md) — each\n"
@@ -261,7 +261,6 @@ struct CommonOptions {
   unsigned threads = 0;
   unsigned bound = 10;
   unsigned max_k = 10;
-  bool race = true;
   bool stable_json = false;
   bool print_witness = false;
   std::uint64_t conflicts = 0;
@@ -281,7 +280,6 @@ struct CommonOptions {
     engine::JobBudget b;
     b.max_bound = bound;
     b.max_k = max_k;
-    b.race_k_induction = race;
     b.conflict_budget = conflicts;
     b.max_seconds = time_cap;
     b.memory_limit_mb = memory_mb;
@@ -307,8 +305,6 @@ bool parse_common_flag(int& i, int argc, char** argv, CommonOptions* o) {
     o->bound = parse_unsigned_arg("--bound", next("--bound"), 0);
   else if (!std::strcmp(argv[i], "--max-k"))
     o->max_k = parse_unsigned_arg("--max-k", next("--max-k"), 0);
-  else if (!std::strcmp(argv[i], "--no-race"))
-    o->race = false;
   else if (!std::strcmp(argv[i], "--encoding")) {
     const char* value = next("--encoding");
     if (!std::strcmp(value, "auto"))
@@ -778,9 +774,8 @@ int run_corpus(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("corpus campaign: %zu jobs from '%s', bound=%u, max-k=%u%s\n",
-              spec->jobs.size(), directory.c_str(), common.bound, common.max_k,
-              common.race ? "" : ", race disabled");
+  std::printf("corpus campaign: %zu jobs from '%s', bound=%u, max-k=%u\n",
+              spec->jobs.size(), directory.c_str(), common.bound, common.max_k);
   if (common.shard)
     std::printf("shard %u/%u of the expanded job list\n", common.shard->index,
                 common.shard->count);
@@ -920,11 +915,10 @@ int main(int argc, char** argv) {
 
   const engine::CampaignSpec spec = engine::expand(matrix, common.seed);
   std::printf("campaign: %zu jobs (%zu instruction classes × %zu modes), "
-              "bound=%u, max-k=%u%s\n",
+              "bound=%u, max-k=%u\n",
               spec.jobs.size(),
               matrix.mutations.empty() ? 1 : matrix.mutations.size(),
-              matrix.modes.size(), common.bound, common.max_k,
-              common.race ? "" : ", race disabled");
+              matrix.modes.size(), common.bound, common.max_k);
   if (common.shard)
     std::printf("shard %u/%u of the expanded job list\n", common.shard->index,
                 common.shard->count);
