@@ -37,12 +37,14 @@ struct PinnedTable {
   }
 
   /// Synthesize one pinned equivalence via CEGIS on a fixed multiset.
+  /// Returns false, leaving the table unchanged, when CEGIS finds no
+  /// program (a budget ran out, or the SAT solver ran out of memory).
   ///
   /// `synth_xlen` must equal the DUV width the table will verify:
   /// solved attribute constants (sign masks, multiplier tricks) are in
   /// general only correct at the width they were synthesized for, so the
   /// program is re-proved at that width here.
-  void add(const std::string& key, synth::SynthSpec spec,
+  bool add(const std::string& key, synth::SynthSpec spec,
            const std::vector<std::string>& multiset, unsigned synth_xlen) {
     specs.push_back(std::move(spec));
     std::vector<const synth::Component*> comps;
@@ -58,9 +60,10 @@ struct PinnedTable {
       o.forbid_output_op = false;
       p = synth::cegis_multiset(specs.back(), comps, o);
     }
-    assert(p.has_value() && "pinned multiset failed to synthesize");
+    if (!p) return false;
     assert(synth::verify_program(*p, synth_xlen) && "pinned program failed re-proof");
     table.add(key, std::move(*p));
+    return true;
   }
 };
 
@@ -69,28 +72,44 @@ struct PinnedTable {
 /// uniform corruption of the original instruction diverges from the
 /// replay (even for the rows whose equivalent reuses the opcode, e.g.
 /// SRA == NOT(SRA(NOT(a), b))).
-inline std::unique_ptr<PinnedTable> make_pinned_table(unsigned duv_xlen) {
-  auto t = std::make_unique<PinnedTable>();
+///
+/// Returns nullptr when an equivalence fails to synthesize, and names its
+/// key in `*failed` when that is non-null.
+inline std::unique_ptr<PinnedTable> make_pinned_table(unsigned duv_xlen,
+                                                      std::string* failed = nullptr) {
   using isa::Opcode;
+  struct Row {
+    const char* key;
+    synth::SynthSpec spec;
+    std::vector<std::string> multiset;
+  };
   auto spec = [](Opcode op) { return synth::make_spec(op); };
-  const unsigned w = duv_xlen;
-  t->add("ADD", spec(Opcode::ADD), {"NOT", "SUB", "NOT"}, w);
-  t->add("SUB", spec(Opcode::SUB), {"NOT", "ADD", "NOT"}, w);     // Listing 1
-  t->add("XOR", spec(Opcode::XOR), {"OR", "AND", "SUB"}, w);
-  t->add("OR", spec(Opcode::OR), {"ADD", "AND", "SUB"}, w);       // a+b-(a&b)
-  t->add("AND", spec(Opcode::AND), {"ADD", "OR", "SUB"}, w);      // a+b-(a|b)
-  t->add("SLT", spec(Opcode::SLT), {"XORI", "XORI", "SLTU"}, w);  // sign-flip
-  t->add("SLTU", spec(Opcode::SLTU), {"XORI", "XORI", "SLT"}, w);
-  // complement conjugation
-  t->add("SRA", spec(Opcode::SRA), {"NOT", "SRA", "NOT"}, w);
-  t->add("MULH", spec(Opcode::MULH), {"MULHSU_C", "SIGNSEL", "SUB"}, w);
-  t->add("XORI", spec(Opcode::XORI), {"NOT", "XORI", "NOT"}, w);
-  t->add("SLLI", spec(Opcode::SLLI), {"XOR", "ADDI", "SLL"}, w);  // materialized shamt
-  t->add("SRAI", spec(Opcode::SRAI), {"NOT", "SRAI", "NOT"}, w);
-  // conjugated passthrough
-  t->add("ADDI", spec(Opcode::ADDI), {"NOT", "NOT", "ADDI"}, w);
-  t->add("LW_ADDR", synth::make_address_spec(Opcode::LW), {"NOT", "NOT", "ADDI"}, w);
-  t->add("SW_ADDR", synth::make_address_spec(Opcode::SW), {"NOT", "NOT", "ADDI"}, w);
+  Row rows[] = {
+      {"ADD", spec(Opcode::ADD), {"NOT", "SUB", "NOT"}},
+      {"SUB", spec(Opcode::SUB), {"NOT", "ADD", "NOT"}},     // Listing 1
+      {"XOR", spec(Opcode::XOR), {"OR", "AND", "SUB"}},
+      {"OR", spec(Opcode::OR), {"ADD", "AND", "SUB"}},       // a+b-(a&b)
+      {"AND", spec(Opcode::AND), {"ADD", "OR", "SUB"}},      // a+b-(a|b)
+      {"SLT", spec(Opcode::SLT), {"XORI", "XORI", "SLTU"}},  // sign-flip
+      {"SLTU", spec(Opcode::SLTU), {"XORI", "XORI", "SLT"}},
+      // complement conjugation
+      {"SRA", spec(Opcode::SRA), {"NOT", "SRA", "NOT"}},
+      {"MULH", spec(Opcode::MULH), {"MULHSU_C", "SIGNSEL", "SUB"}},
+      {"XORI", spec(Opcode::XORI), {"NOT", "XORI", "NOT"}},
+      {"SLLI", spec(Opcode::SLLI), {"XOR", "ADDI", "SLL"}},  // materialized shamt
+      {"SRAI", spec(Opcode::SRAI), {"NOT", "SRAI", "NOT"}},
+      // conjugated passthrough
+      {"ADDI", spec(Opcode::ADDI), {"NOT", "NOT", "ADDI"}},
+      {"LW_ADDR", synth::make_address_spec(Opcode::LW), {"NOT", "NOT", "ADDI"}},
+      {"SW_ADDR", synth::make_address_spec(Opcode::SW), {"NOT", "NOT", "ADDI"}},
+  };
+  auto t = std::make_unique<PinnedTable>();
+  for (Row& r : rows) {
+    if (!t->add(r.key, std::move(r.spec), r.multiset, duv_xlen)) {
+      if (failed) *failed = r.key;
+      return nullptr;
+    }
+  }
   return t;
 }
 

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <sstream>
 
+#include "smt/flat_eval.hpp"
+
 namespace sepe::synth {
 
 using smt::Result;
@@ -488,16 +490,20 @@ std::optional<SynthProgram> cegis_multiset(const SynthSpec& spec,
     if (stats) stats->solver_conflicts = encoder.conflicts();
     if (!candidate) return std::nullopt;
 
-    // Verify: search for an input where candidate and spec disagree.
+    // Verify: search for an input where candidate and spec disagree. A
+    // small input space is swept exhaustively; a disagreement, or a space
+    // over the cap, goes to SAT, which also supplies the counterexample.
     TermManager vmgr;
-    SmtSolver vsolver(vmgr);
     std::vector<TermRef> vins;
     for (unsigned i = 0; i < spec.inputs.size(); ++i)
       vins.push_back(vmgr.mk_var("vin" + std::to_string(i),
                                  input_class_width(spec.inputs[i], xlen)));
     const TermRef prog_out = candidate->to_term(vmgr, vins, xlen);
     const TermRef spec_out = spec.semantics(vmgr, vins, xlen);
-    vsolver.assert_formula(vmgr.mk_ne(prog_out, spec_out));
+    const TermRef miter = vmgr.mk_ne(prog_out, spec_out);
+    if (smt::sweep_proves_false(vmgr, miter, vins)) return candidate;
+    SmtSolver vsolver(vmgr);
+    vsolver.assert_formula(miter);
     vsolver.set_conflict_budget(options.verify_conflict_budget);
     const Result r = vsolver.check();
     if (r == Result::Unsat) return candidate;   // verified equivalent

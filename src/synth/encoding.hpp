@@ -23,6 +23,15 @@
 // cegis_multiset() runs the full CEGIS refinement loop (synthesize over
 // accumulated examples -> verify candidate -> add counterexample) for one
 // multiset of components, exactly the CEGIS(g, S) call of Algorithm 1.
+//
+// The verify step builds the miter program != spec once. When the spec's
+// inputs total at most smt::kSweepMaxInputBits bits (every Figure-3 case
+// at xlen 8), the exhaustive sweep of smt/flat_eval.hpp evaluates it at
+// every input point, and a miter false everywhere accepts the candidate.
+// A disagreement, or a larger input space, goes to the SAT verifier on the
+// same miter: UNSAT accepts, and a model is the next counterexample. So
+// counterexamples always come from SAT, and the sweep changes what a run
+// costs, never which candidates it visits.
 #pragma once
 
 #include <cstdint>
@@ -133,6 +142,8 @@ std::optional<SynthProgram> cegis_multiset(const SynthSpec& spec,
 /// Exhaustive-for-all-inputs equivalence check of an already-built
 /// program against its spec (used by tests and by the width-generic
 /// re-verification step before a program enters the equivalence table).
+/// Always a SAT query, never the sweep: it is the independent re-proof of
+/// what cegis_multiset accepted.
 bool verify_program(const SynthProgram& program, unsigned xlen,
                     std::uint64_t conflict_budget = 0);
 

@@ -197,7 +197,10 @@ class BitVec {
     while ((1u << log2) < width_) ++log2;
     return BitVec(width_, o.bits_ & ((1ULL << log2) - 1));
   }
-  std::int64_t min_signed() const { return -(std::int64_t(1) << (width_ - 1)); }
+  /// All ones from the sign bit up, so width 64 needs no -(1 << 63).
+  std::int64_t min_signed() const {
+    return static_cast<std::int64_t>(~std::uint64_t{0} << (width_ - 1));
+  }
 
   unsigned width_;
   std::uint64_t bits_;

@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "sim/iss.hpp"
+#include "smt/flat_eval.hpp"
 #include "synth/cegis.hpp"
 #include "util/rng.hpp"
 
@@ -157,6 +158,40 @@ TEST(CegisMultiset, RejectsInexpressibleSpecs) {
   const std::vector<const Component*> multiset = {by_name(lib, "ADD"),
                                                   by_name(lib, "ADD")};
   EXPECT_FALSE(cegis_multiset(spec, multiset, fast_cegis()).has_value());
+}
+
+TEST(CegisMultiset, SweptProgramHoldsOnlyAtItsWidth) {
+  // SLT == SLTU(XORI(a, m), XORI(b, m)) where m flips the sign bit, which
+  // is a different constant at each width. At xlen 4 the spec has 8 input
+  // bits, so CEGIS accepts the candidate by the exhaustive sweep; the SAT
+  // re-proof agrees at 4 and refutes it at 8.
+  static_assert(2 * 4 <= smt::kSweepMaxInputBits);
+  const auto lib = make_standard_library();
+  const SynthSpec spec = make_spec(Opcode::SLT);
+  const std::vector<const Component*> multiset = {
+      by_name(lib, "XORI"), by_name(lib, "XORI"), by_name(lib, "SLTU")};
+  CegisOptions o = fast_cegis();
+  o.xlen = 4;
+  const auto program = cegis_multiset(spec, multiset, o);
+  ASSERT_TRUE(program.has_value());
+  EXPECT_TRUE(verify_program(*program, 4));
+  EXPECT_FALSE(verify_program(*program, 8));
+}
+
+TEST(CegisMultiset, AcceptsAboveTheSweepCapBySat) {
+  // At xlen 12 SUB's two register inputs total 24 bits, over the sweep
+  // cap, so CEGIS accepts on the SAT verifier's UNSAT answer.
+  static_assert(2 * 12 > smt::kSweepMaxInputBits);
+  const auto lib = make_standard_library();
+  const SynthSpec spec = make_spec(Opcode::SUB);
+  const std::vector<const Component*> multiset = {
+      by_name(lib, "NOT"), by_name(lib, "ADD"), by_name(lib, "NOT")};
+  CegisOptions o = fast_cegis();
+  o.xlen = 12;
+  const auto program = cegis_multiset(spec, multiset, o);
+  ASSERT_TRUE(program.has_value());
+  EXPECT_TRUE(verify_program(*program, 12));
+  EXPECT_EQ(program->eval({BitVec(12, 5), BitVec(12, 7)}, 12), BitVec(12, 0xffe));
 }
 
 TEST(CegisMultiset, LoweredProgramRunsOnTheIss) {

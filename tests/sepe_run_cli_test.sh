@@ -334,6 +334,23 @@ else
   FAILURES=$((FAILURES + 1))
 fi
 
+# A QED run synthesizes the pinned equivalence table with the SAT solver
+# before any job. When that synthesis fails (here every solver runs out of
+# memory) the run exits 1 and names the equivalence and width, never a
+# crash.
+SEPE_FAULT="point=solver.alloc:oom" "$SEPE_RUN" --bugs table1 --rows 1 --bound 2 \
+  --max-k 0 --threads 1 >/dev/null 2>"$WORK/table-oom.stderr"
+status=$?
+if [ "$status" -eq 1 ] \
+    && grep -q "pinned equivalence for ADD failed to synthesize at xlen 4" \
+      "$WORK/table-oom.stderr"; then
+  echo "ok: a pinned table that fails to synthesize exits 1 with a diagnostic"
+else
+  echo "FAIL: pinned-table synthesis under OOM should exit 1 naming ADD at xlen 4, got $status"
+  cat "$WORK/table-oom.stderr"
+  FAILURES=$((FAILURES + 1))
+fi
+
 # --- BTOR2 corpus workload ---
 
 # A nonexistent corpus directory is an I/O failure (exit 1).

@@ -34,9 +34,10 @@
 //   sepe-run dispatch --workers 2 corpus tests/corpus --json -
 //   sepe-run merge --output merged.json shard0.json shard1.json ...
 //
-// Exit codes: 0 success; 1 I/O, merge-input, or dispatch failure;
-// 2 usage error; 3 campaign finished with UNKNOWN verdicts (including
-// parse-error rows). The full CLI contract lives in docs/CLI.md.
+// Exit codes: 0 success; 1 I/O, merge-input, dispatch or pinned-table
+// synthesis failure; 2 usage error; 3 campaign finished with UNKNOWN
+// verdicts (including parse-error rows). The full CLI contract lives in
+// docs/CLI.md.
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -189,10 +190,11 @@ void usage() {
       "loaded. Exit 0 when every file is valid, 1 when any is rejected (each\n"
       "rejection is diagnosed on stderr), 2 on usage errors.\n"
       "\n"
-      "exit codes: 0 success; 1 I/O, merge, or dispatch failure; 2 usage\n"
-      "error; 3 the campaign finished with UNKNOWN verdicts; 130/143 the\n"
-      "run was interrupted (SIGINT/SIGTERM) after flushing its checkpoint\n"
-      "journal and a partial report — resume with the same --checkpoint.\n"
+      "exit codes: 0 success; 1 I/O, merge, dispatch or pinned-table\n"
+      "synthesis failure; 2 usage error; 3 the campaign finished with\n"
+      "UNKNOWN verdicts; 130/143 the run was interrupted (SIGINT/SIGTERM)\n"
+      "after flushing its checkpoint journal and a partial report — resume\n"
+      "with the same --checkpoint.\n"
       "Fault injection (SEPE_FAULT) and the failure-mode matrix are\n"
       "documented in docs/ROBUSTNESS.md.\n");
 }
@@ -907,7 +909,14 @@ int main(int argc, char** argv) {
   if (needs_table) {
     std::printf("synthesizing the pinned equivalence table (xlen=%u)...\n", xlen);
     Stopwatch synth_clock;
-    pinned = engine::make_pinned_table(xlen);
+    std::string failed_key;
+    pinned = engine::make_pinned_table(xlen, &failed_key);
+    if (!pinned) {
+      std::fprintf(stderr, "sepe-run: the pinned equivalence for %s failed to "
+                           "synthesize at xlen %u\n",
+                   failed_key.c_str(), xlen);
+      return 1;
+    }
     std::printf("table ready: %zu instructions, %.2fs\n\n", pinned->table.size(),
                 synth_clock.seconds());
     matrix.equivalences = &pinned->table;
