@@ -182,16 +182,21 @@ CampaignReport run_campaign(const CampaignSpec& spec, const CampaignOptions& opt
     for (;;) {
       // Crash-only envelope: once SIGTERM/SIGINT raised the global stop,
       // claim no further jobs — in-flight ones wind down via the solver
-      // stop poll, finished ones are already journaled, and the caller
-      // flushes a resumable checkpoint (docs/ROBUSTNESS.md).
+      // stop poll, finished ones are already journaled (docs/ROBUSTNESS.md).
       if (fault::global_stop_requested()) return;
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= spec.jobs.size()) return;
-      report.jobs[i] = run_job(spec.jobs[i], cone_cache);
-      report.jobs[i].spec_index = i;
-      // Witness post-pass before the completion hook, so checkpoint
-      // journals and verdict caches only ever record checked rows.
-      witness_post_pass(spec.jobs[i], options.witness, &report.jobs[i]);
+      JobResult r = run_job(spec.jobs[i], cone_cache);
+      // A job that ends UNKNOWN under the global stop may be UNKNOWN only
+      // because it was interrupted. Its row stays unclaimed (no name, no
+      // post-pass, no hook), so nothing journals it and the resume
+      // re-solves it to the verdict an uninterrupted run reports.
+      if (r.verdict == Verdict::Unknown && fault::global_stop_requested()) return;
+      r.spec_index = i;
+      // Witness post-pass before the completion hook, so the verdict
+      // journal only ever records checked rows.
+      witness_post_pass(spec.jobs[i], options.witness, &r);
+      report.jobs[i] = std::move(r);
       if (options.on_job_done) options.on_job_done(i, report.jobs[i]);
     }
   };
@@ -257,10 +262,6 @@ std::string CampaignReport::to_json(bool include_timing) const {
        << ", \"total_jobs\": " << shard->total_jobs << "}";
   }
   if (include_timing) {
-    if (!spec_digest.empty()) {
-      os << ",\n  \"spec_digest\": ";
-      json_escape(os, spec_digest);
-    }
     os << ",\n  \"threads\": " << threads;
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.3f", wall_seconds);

@@ -65,8 +65,8 @@ inline constexpr const char* kBtor2Family = "btor2";
 
 /// Where a job came from: which workload family expanded it, from which
 /// source, and which of the source's properties it checks. Stamped into
-/// JobResult and the report columns, and folded into checkpoint spec
-/// digests so a resume under changed sources is refused.
+/// JobResult and the report columns, and folded into verdict-journal
+/// keys so a resume under changed sources misses and re-solves.
 struct JobProvenance {
   std::string family = kQedFamily;  // workload family tag
   /// Family-specific source id — e.g. the corpus-relative file path of
@@ -75,7 +75,7 @@ struct JobProvenance {
   std::string source;
   unsigned property = 0;  // bad-property index within the source
   /// Hash of the source's content (corpus file bytes), covered by the
-  /// checkpoint spec digest. Empty for in-process model builders.
+  /// verdict-journal key. Empty for in-process model builders.
   std::string content_digest;
   /// Legacy QED report column ("EDDI-V" / "EDSEP-V"). Non-QED families
   /// leave it empty and report workload/source/property instead; the
@@ -98,8 +98,8 @@ struct JobBudget {
   /// encoding-independent either way.
   std::optional<bool> plaisted_greenbaum;
   /// SAT engine behind both solvers (sat/backend.hpp). Part of the
-  /// verdict-cache key and the checkpoint spec digest: a campaign solved
-  /// by a different engine is a different campaign. Witnesses are always
+  /// verdict-cache key: a campaign solved by a different engine is a
+  /// different campaign. Witnesses are always
   /// re-derived with the native default-config replay, so stable JSON is
   /// backend-independent for definite verdicts.
   sat::BackendKind backend = sat::BackendKind::Native;
@@ -107,7 +107,7 @@ struct JobBudget {
   /// solvers outgrow it degrades to Verdict::Unknown with a
   /// "resource: memory" note — a diagnosed row, never a process abort.
   /// Deterministic (the arena is a pure function of the clause stream),
-  /// so it is part of the verdict-cache key and the spec digest.
+  /// so it is part of the verdict-cache key.
   unsigned memory_limit_mb = 0;
 };
 
@@ -226,7 +226,9 @@ struct CampaignOptions {
   WitnessOptions witness;
   /// Called after each job completes with its spec position and result.
   /// Invoked from worker threads without serialization — the callback
-  /// must synchronize itself. Used by the checkpointing shard runner.
+  /// must synchronize itself. Used by the journaling shard runner. A job
+  /// the global stop left UNKNOWN is not reported: its row stays
+  /// unclaimed (empty name).
   std::function<void(std::size_t, const JobResult&)> on_job_done;
   /// Cone store shared by every job of the campaign. When null,
   /// run_campaign creates a fresh one per call — pass one explicitly to
@@ -251,13 +253,6 @@ struct CampaignReport {
   unsigned threads = 0;
   double wall_seconds = 0.0;
   std::optional<ShardInfo> shard;
-  /// Digest of the spec's job names, budgets, and provenance (plus
-  /// caller-supplied campaign parameters), set by the checkpointing
-  /// shard runner and emitted only in the timing report form. Resume
-  /// refuses a checkpoint whose digest disagrees, so stale verdicts
-  /// recorded under different budgets — or a corpus file edited since
-  /// the journal was written — are never silently reused.
-  std::string spec_digest;
 
   unsigned count(Verdict v) const;
   /// Human-readable per-job stats table.

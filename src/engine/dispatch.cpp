@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
-#include <filesystem>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -81,7 +80,6 @@ struct Attempt {
   unsigned shard = 0;
   unsigned ordinal = 0;  // per-shard attempt number (1-based, for paths)
   long handle = -1;
-  std::string checkpoint_path;
   std::string report_path;
   bool stolen = false;
   std::uint64_t launch_seq = 0;  // global launch order, for stable polling
@@ -95,17 +93,11 @@ struct ShardState {
   unsigned failures = 0;    // failed attempts (reporting only)
   unsigned relaunches = 0;  // retries actually spent, measured against `retries`
   bool completed = false;
-  /// Attempt 1's checkpoint path held a file this dispatcher never
-  /// wrote — a journal from a previous run in a reused work dir. A
-  /// valid one is the cross-run resume feature; one the worker refuses
-  /// must be discarded before the retry, not re-seeded forever.
-  bool preexisting_journal = false;
   /// Earliest instant the next relaunch of this shard may start
   /// (exponential backoff with deterministic jitter; see
   /// DispatchOptions::retry_backoff_seconds). Default = due immediately.
   std::chrono::steady_clock::time_point not_before{};
-  CampaignReport report;                   // the winning attempt's report
-  std::vector<std::string> journal_paths;  // every attempt's checkpoint file
+  CampaignReport report;  // the winning attempt's report
 };
 
 /// splitmix64 folded to [0, 1): the backoff jitter source. Pure function
@@ -123,17 +115,6 @@ std::string shard_arg(unsigned index, unsigned count) {
   return std::to_string(index) + "/" + std::to_string(count);
 }
 
-/// Jobs recorded in a checkpoint journal file; nullopt when the file is
-/// absent or not a parseable report.
-std::optional<std::size_t> journal_job_count(const std::string& path) {
-  const auto text = read_text_file(path);
-  if (!text) return std::nullopt;
-  CampaignReport report;
-  std::string error;
-  if (!parse_report(*text, &report, &error)) return std::nullopt;
-  return report.jobs.size();
-}
-
 class Dispatcher {
  public:
   Dispatcher(const DispatchOptions& options, WorkerLauncher* launcher)
@@ -146,12 +127,11 @@ class Dispatcher {
 
   DispatchResult run() {
     while (completed_ < shard_count_ && result_.error.empty()) {
-      // Crash-only envelope: on SIGTERM/SIGINT stop scheduling, put the
-      // fleet down (below), and leave every attempt's journal behind for
-      // a resumed dispatch (docs/ROBUSTNESS.md).
+      // Crash-only envelope: on SIGTERM/SIGINT stop scheduling and put
+      // the fleet down (below); whatever journal the worker command
+      // names lets a re-run resume (docs/ROBUSTNESS.md).
       if (fault::global_stop_requested()) {
-        fail("interrupted — per-attempt journals in the work dir allow "
-             "a re-run to resume");
+        fail("interrupted — re-run the same dispatch to resume");
         break;
       }
       bool progress = fill_worker_slots();
@@ -265,25 +245,6 @@ class Dispatcher {
            " bound-clean, " + std::to_string(counts[3]) + " unknown";
   }
 
-  /// Seed a new attempt's checkpoint from the best journal any earlier
-  /// attempt of the shard left behind, so a retry (or a thief) resumes
-  /// instead of re-solving finished jobs. Returns the resumed job count.
-  std::size_t seed_checkpoint(unsigned shard, const std::string& attempt_path) {
-    const std::string* best = nullptr;
-    std::size_t best_jobs = 0;
-    for (const std::string& path : shards_[shard].journal_paths) {
-      const auto jobs = journal_job_count(path);
-      if (jobs && (!best || *jobs > best_jobs)) {
-        best = &path;
-        best_jobs = *jobs;
-      }
-    }
-    if (!best || best_jobs == 0) return 0;
-    const auto text = read_text_file(*best);
-    if (!text || !write_text_file_atomic(attempt_path, *text)) return 0;
-    return best_jobs;
-  }
-
   /// Launch the next attempt of `shard` on a free worker slot.
   bool launch_attempt(unsigned shard, bool stolen) {
     ShardState& state = shards_[shard];
@@ -293,23 +254,12 @@ class Dispatcher {
     attempt.stolen = stolen;
     attempt.launch_seq = launch_seq_++;
     attempt.launched_at = std::chrono::steady_clock::now();
-    const std::string stem = options_.work_dir + "/shard-" + std::to_string(shard) +
-                             ".a" + std::to_string(attempt.ordinal);
-    attempt.checkpoint_path = stem + ".ckpt.json";
-    attempt.report_path = stem + ".report.json";
-    const std::size_t resumed = seed_checkpoint(shard, attempt.checkpoint_path);
-    if (attempt.ordinal == 1 && resumed == 0) {
-      std::error_code exists_error;
-      state.preexisting_journal =
-          std::filesystem::exists(attempt.checkpoint_path, exists_error);
-    }
-    state.journal_paths.push_back(attempt.checkpoint_path);
+    attempt.report_path = options_.work_dir + "/shard-" + std::to_string(shard) +
+                          ".a" + std::to_string(attempt.ordinal) + ".report.json";
 
     std::vector<std::string> argv = options_.worker_command;
-    argv.insert(argv.end(),
-                {"--shard", shard_arg(shard, shard_count_), "--checkpoint",
-                 attempt.checkpoint_path, "--stable-json", "--json",
-                 attempt.report_path});
+    argv.insert(argv.end(), {"--shard", shard_arg(shard, shard_count_),
+                             "--stable-json", "--json", attempt.report_path});
     std::string launch_error;
     attempt.handle = launcher_->launch(argv, &launch_error);
     if (attempt.handle < 0) {
@@ -320,9 +270,7 @@ class Dispatcher {
     ++result_.launches;
     if (stolen) ++result_.steals;
     event((stolen ? "steal: shard " : "shard ") + shard_arg(shard, shard_count_) +
-          " -> attempt " + std::to_string(attempt.ordinal) +
-          (resumed ? " (resuming " + std::to_string(resumed) + " journaled jobs)"
-                   : ""));
+          " -> attempt " + std::to_string(attempt.ordinal));
     running_.push_back(std::move(attempt));
     return true;
   }
@@ -416,25 +364,12 @@ class Dispatcher {
           std::to_string(state.report.jobs.size()) + " jobs) — " + aggregate_line());
   }
 
-  void on_attempt_failed(const Attempt& attempt, const std::string& why,
-                         bool exited_cleanly = false) {
+  void on_attempt_failed(const Attempt& attempt, const std::string& why) {
     ++result_.failures;
     ShardState& state = shards_[attempt.shard];
     event("shard " + shard_arg(attempt.shard, shard_count_) + " attempt " +
           std::to_string(attempt.ordinal) + " " + why);
     if (state.completed) return;  // a sibling already delivered the shard
-    if (exited_cleanly && attempt.ordinal == 1 && state.preexisting_journal) {
-      // A worker that *exits* (rather than crashes) on its first
-      // attempt most likely refused the journal a reused work dir left
-      // at its checkpoint path (spec-digest rules). Re-seeding retries
-      // from that same stale file would burn the whole budget on
-      // identical refusals — discard it and let the retry start clean.
-      std::error_code remove_error;
-      std::filesystem::remove(attempt.checkpoint_path, remove_error);
-      state.preexisting_journal = false;
-      event("shard " + shard_arg(attempt.shard, shard_count_) +
-            ": discarded the pre-existing journal the worker refused");
-    }
     ++state.failures;
     // A sibling attempt (or an already-queued relaunch) is still in the
     // game: this failure costs nothing from the retry budget — losing a
@@ -519,8 +454,7 @@ class Dispatcher {
         fail("worker command '" + options_.worker_command[0] +
              "' cannot be executed (exit " + std::to_string(code) + ")");
       } else {
-        on_attempt_failed(attempt, "failed (exit " + std::to_string(code) + ")",
-                          /*exited_cleanly=*/true);
+        on_attempt_failed(attempt, "failed (exit " + std::to_string(code) + ")");
       }
     }
 

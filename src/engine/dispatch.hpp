@@ -10,17 +10,19 @@
 //
 //   * Workers are spawned through the WorkerLauncher interface — a
 //     pipe/exec seam whose only built-in implementation forks local
-//     `sepe-run --shard I/N --checkpoint ... --json ...` children. A
-//     remote launcher (ssh, a cluster API) is one subclass; the
-//     dispatcher never learns where a worker runs.
-//   * Failed or crashed attempts are retried a bounded number of times,
-//     each retry resuming from the dead attempt's checkpoint journal so
-//     finished jobs are never re-solved.
+//     `sepe-run --shard I/N --json ...` children. A remote launcher
+//     (ssh, a cluster API) is one subclass; the dispatcher never learns
+//     where a worker runs.
+//   * Failed or crashed attempts are retried a bounded number of times.
+//     The worker command carries one verdict journal shared by every
+//     attempt (sepe-run dispatch adds `--cache DIR`), so a retry serves
+//     the jobs the dead attempt finished instead of re-solving them. The
+//     dispatcher itself never reads or writes a journal.
 //   * Straggler shards are *stolen*: when a worker slot would otherwise
-//     idle, the longest-running shard is re-issued from a snapshot of
-//     the straggler's journal. The first definite completion wins; the
-//     losing attempt is terminated, and a duplicate completion that
-//     slips through the same poll window is discarded — per-shard
+//     idle, the longest-running shard is re-issued, and the thief
+//     resumes from the same live journal. The first definite completion
+//     wins; the losing attempt is terminated, and a duplicate completion
+//     that slips through the same poll window is discarded — per-shard
 //     reconciliation is exactly the existing merge contract (one report
 //     per shard index, disjoint job ids).
 //   * Completed shard reports fold into a live aggregate (event lines
@@ -92,19 +94,19 @@ class LocalProcessLauncher final : public WorkerLauncher {
 
 struct DispatchOptions {
   /// The shard-independent worker command: program + family arguments
-  /// (e.g. {"/path/sepe-run", "corpus", "dir", "--bound", "6"}). The
-  /// dispatcher appends per-attempt `--shard I/N --checkpoint F
+  /// (e.g. {"/path/sepe-run", "corpus", "dir", "--bound", "6", "--cache",
+  /// "journal"}). The dispatcher appends per-attempt `--shard I/N
   /// --stable-json --json R` — those flags are its to own, the command
   /// must not carry them.
   std::vector<std::string> worker_command;
-  /// Existing directory for per-attempt checkpoint journals and report
-  /// files. The dispatcher never deletes it (the CLI owns cleanup).
+  /// Existing directory for the per-attempt report files. The dispatcher
+  /// never deletes it (the CLI owns cleanup).
   std::string work_dir;
   unsigned workers = 2;  // concurrent worker processes
   unsigned shards = 0;   // shard count; 0 = same as workers
   /// Re-launches allowed per shard after failed attempts (crash,
-  /// non-zero exit, missing/invalid report). Each retry resumes from
-  /// the best checkpoint journal any previous attempt left behind.
+  /// non-zero exit, missing/invalid report). A retry resumes from the
+  /// verdict journal the worker command names, if any.
   unsigned retries = 1;
   /// Base delay before a failed shard's relaunch. The n-th relaunch of
   /// a shard waits base · 2^(n-1) · (1 + jitter) seconds, with jitter in
@@ -114,8 +116,8 @@ struct DispatchOptions {
   /// instead of stampeding, and every run of the same failure history
   /// waits the same schedule. 0 relaunches immediately (old behaviour).
   double retry_backoff_seconds = 0.05;
-  /// Re-issue straggler shards to idle workers (from a journal
-  /// snapshot) instead of letting slots idle. First completion wins.
+  /// Re-issue straggler shards to idle workers instead of letting slots
+  /// idle. First completion wins.
   bool steal = true;
   /// How long an attempt must have been running (and been seen alive at
   /// least once) before an idle worker may steal its shard — 0 steals

@@ -269,28 +269,11 @@ const std::string* get_string(const JsonValue& obj, const char* key) {
   return v && v->kind == JsonValue::Kind::String ? &v->text : nullptr;
 }
 
-bool get_bool(const JsonValue& obj, const char* key, bool* out) {
-  const JsonValue* v = obj.find(key);
-  if (!v || v->kind != JsonValue::Kind::Bool) return false;
-  *out = v->boolean;
-  return true;
-}
-
 bool verdict_from_name(const std::string& name, Verdict* out) {
   for (Verdict v : {Verdict::Falsified, Verdict::Proved, Verdict::BoundClean,
                     Verdict::Unknown}) {
     if (name == verdict_name(v)) {
       *out = v;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool prover_from_name(const std::string& name, Prover* out) {
-  for (Prover p : {Prover::None, Prover::Bmc, Prover::KInduction}) {
-    if (name == prover_name(p)) {
-      *out = p;
       return true;
     }
   }
@@ -354,60 +337,9 @@ bool parse_job(const JsonValue& obj, std::size_t position, JobResult* out,
     out->proved_k = static_cast<unsigned>(n);
   }
 
-  // Timing and counter fields — present in the full report form only.
-  if (const std::string* winner = get_string(obj, "winner")) {
-    if (!prover_from_name(*winner, &out->winner))
-      return fail_field(error, "job '" + out->name + "' has an unknown winner");
-  }
   if (const std::string* label = get_string(obj, "bad_label")) out->bad_label = *label;
-  if (obj.find("conflicts")) {
-    if (!get_u64(obj, "conflicts", &n, error)) return false;
-    out->conflicts = n;
-  }
-  if (obj.find("bmc_bounds_checked")) {
-    if (!get_u64(obj, "bmc_bounds_checked", &n, error)) return false;
-    out->bmc_bounds_checked = static_cast<unsigned>(n);
-  }
-  if (obj.find("cone_lookups")) {
-    if (!get_u64(obj, "cone_lookups", &n, error)) return false;
-    out->cone_lookups = n;
-  }
-  if (obj.find("cone_hits")) {
-    if (!get_u64(obj, "cone_hits", &n, error)) return false;
-    out->cone_hits = n;
-  }
-  if (obj.find("cone_clauses_replayed")) {
-    if (!get_u64(obj, "cone_clauses_replayed", &n, error)) return false;
-    out->cone_clauses_replayed = n;
-  }
-  if (obj.find("eliminated_vars")) {
-    if (!get_u64(obj, "eliminated_vars", &n, error)) return false;
-    out->eliminated_vars = n;
-  }
-  if (obj.find("subsumed_clauses")) {
-    if (!get_u64(obj, "subsumed_clauses", &n, error)) return false;
-    out->subsumed_clauses = n;
-  }
-  if (obj.find("vivified_clauses")) {
-    if (!get_u64(obj, "vivified_clauses", &n, error)) return false;
-    out->vivified_clauses = n;
-  }
-  if (obj.find("sat_retries")) {
-    if (!get_u64(obj, "sat_retries", &n, error)) return false;
-    out->sat_retries = n;
-  }
-  get_bool(obj, "hit_memory_limit", &out->hit_memory_limit);
-  get_bool(obj, "from_cache", &out->from_cache);
-  get_bool(obj, "hit_resource_limit", &out->hit_resource_limit);
-  // Witness pipeline: round-trips through checkpoint journals (timing
-  // form), so resumed rows keep their recorded check instead of
-  // re-deriving the trace.
-  get_bool(obj, "witness_checked", &out->witness_checked);
-  if (obj.find("trace_length_shrunk")) {
-    if (!get_u64(obj, "trace_length_shrunk", &n, error)) return false;
-    out->trace_length_shrunk = static_cast<unsigned>(n);
-  }
-  get_double(obj, "seconds", &out->seconds);
+  // Timing and counter fields are skipped: every reader (merge, the
+  // dispatcher, perfbench) consumes only the stable fields above.
   return true;
 }
 
@@ -443,8 +375,6 @@ bool parse_report(const std::string& json, CampaignReport* out, std::string* err
   if (!get_u64(root, "threads", &threads, error, /*required=*/false)) return false;
   report.threads = static_cast<unsigned>(threads);
   get_double(root, "wall_seconds", &report.wall_seconds);
-  if (const std::string* digest = get_string(root, "spec_digest"))
-    report.spec_digest = *digest;
 
   const JsonValue* jobs = root.find("jobs");
   if (!jobs || jobs->kind != JsonValue::Kind::Array)
@@ -470,11 +400,11 @@ bool write_text_file_atomic(const std::string& path, const std::string& text,
                             const char* fault_point) {
   // Transient filesystem trouble (and the faults docs/ROBUSTNESS.md
   // injects through `fault_point`) gets a bounded retry with a short
-  // deterministic backoff: a checkpoint journal that misses one beat
-  // still lands, and only a *persistently* failing disk degrades to the
-  // best-effort path the callers document. The temp-file + rename dance
-  // keeps readers from ever observing a torn file: a short write only
-  // ever strands (and here removes) the .tmp, never the published one.
+  // deterministic backoff: a report that misses one beat still lands,
+  // and only a *persistently* failing disk fails the write. The
+  // temp-file + rename dance keeps readers from ever observing a torn
+  // file: a short write only ever strands (and here removes) the .tmp,
+  // never the published one.
   constexpr int kMaxAttempts = 3;
   const std::string tmp = path + ".tmp";
   for (int attempt = 1; attempt <= kMaxAttempts; ++attempt) {

@@ -2,11 +2,12 @@
 //
 // The scale-out seam (engine/shard.hpp) moves reports between processes
 // and hosts as JSON files: shard runs write them, `sepe-run merge` and
-// the checkpoint/resume path read them back. This is the reader side —
-// a small recursive-descent parser for exactly the dialect
-// CampaignReport::to_json emits (both the timing and the stable form,
-// with or without shard metadata). Unknown fields are skipped so newer
-// writers stay readable by older readers.
+// the dispatcher read them back. This is the reader side — a small
+// recursive-descent parser for the dialect CampaignReport::to_json
+// emits (the timing or the stable form, with or without shard
+// metadata). It reads the stable fields only: a timing report parses to
+// its run's stable form. Unknown fields are skipped so newer writers
+// stay readable by older readers.
 #pragma once
 
 #include <optional>
@@ -28,7 +29,7 @@ std::optional<std::string> read_text_file(const std::string& path);
 /// Write `text` to `path` atomically (temp file + rename) so readers
 /// never observe a torn report. Transient failures — including ones
 /// injected through the optional `fault_point` (docs/ROBUSTNESS.md,
-/// e.g. "checkpoint.write" / "report.write") — are retried a bounded
+/// e.g. "report.write") — are retried a bounded
 /// number of times with a short deterministic backoff before the write
 /// is given up on. Returns false on persistent I/O failure.
 bool write_text_file_atomic(const std::string& path, const std::string& text,

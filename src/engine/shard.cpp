@@ -1,16 +1,9 @@
 #include "engine/shard.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <mutex>
 #include <numeric>
-#include <unordered_map>
 #include <unordered_set>
 
-#include "engine/report_io.hpp"
 #include "engine/verdict_cache.hpp"
 #include "engine/witness.hpp"
 #include "util/fault.hpp"
@@ -33,54 +26,6 @@ std::optional<std::string> find_duplicate_name(const std::vector<JobSpec>& jobs)
   for (const JobSpec& job : jobs)
     if (!seen.insert(job.name).second) return job.name;
   return std::nullopt;
-}
-
-/// FNV-1a digest of everything that determines a job's verdict besides
-/// the model builder itself: the job names, every budget knob, and the
-/// full provenance — workload family, source id, property index, and
-/// the per-file content hash corpus sources stamp on their jobs — plus
-/// the caller's fingerprint for parameters hidden inside the builders.
-/// Guards checkpoints against silent reuse under changed flags, and
-/// refuses a resume against a corpus file edited since the journal was
-/// written (same names, different content hash).
-std::string spec_digest_of(const CampaignSpec& spec, const std::string& fingerprint) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix_byte = [&](unsigned char b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  };
-  const auto mix_u64 = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) mix_byte(static_cast<unsigned char>(v >> (8 * i)));
-  };
-  const auto mix_string = [&](const std::string& s) {
-    mix_u64(s.size());
-    for (char c : s) mix_byte(static_cast<unsigned char>(c));
-  };
-  mix_string(fingerprint);
-  mix_u64(spec.jobs.size());
-  for (const JobSpec& job : spec.jobs) {
-    mix_string(job.name);
-    mix_string(job.provenance.family);
-    mix_string(job.provenance.source);
-    mix_u64(job.provenance.property);
-    mix_string(job.provenance.content_digest);
-    mix_string(job.provenance.mode);
-    mix_u64(job.budget.max_bound);
-    mix_u64(job.budget.max_k);
-    mix_u64(job.budget.conflict_budget);
-    std::uint64_t seconds_bits = 0;
-    static_assert(sizeof seconds_bits == sizeof job.budget.max_seconds);
-    std::memcpy(&seconds_bits, &job.budget.max_seconds, sizeof seconds_bits);
-    mix_u64(seconds_bits);
-    mix_byte(job.budget.plaisted_greenbaum
-                 ? (*job.budget.plaisted_greenbaum ? 2 : 1)
-                 : 0);
-    mix_byte(static_cast<unsigned char>(job.budget.backend));
-    mix_u64(job.budget.memory_limit_mb);
-  }
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
-  return hex;
 }
 
 }  // namespace
@@ -227,8 +172,8 @@ std::optional<CampaignReport> CampaignReport::merge(
 
 CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& options,
                            std::string* error) {
-  // The report's wall time covers the whole call: checkpoint and cache
-  // loads and the replay of cached FALSIFIED rows all happen before
+  // The report's wall time covers the whole call: the journal load and
+  // the replay of journaled FALSIFIED rows both happen before
   // run_campaign, which times only the jobs still pending.
   const Stopwatch clock;
   if (error) error->clear();
@@ -239,8 +184,6 @@ CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& opti
     set_error(error, plan.error);
     return empty;
   }
-  const CampaignReport::ShardInfo info{effective, plan.total_jobs};
-  const std::string digest = spec_digest_of(full, options.fingerprint);
 
   std::unique_ptr<VerdictCache> cache;
   if (!options.cache_dir.empty()) {
@@ -252,82 +195,20 @@ CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& opti
     }
   }
 
-  // Resume: load finished jobs from the checkpoint, keyed by name.
+  // Journal hits are how a run resumes: every job an earlier run (an
+  // interrupted one, a crashed dispatcher attempt, an overlapping
+  // campaign) finished is served here. A hit restores the stable verdict
+  // fields with solver counters zeroed and from_cache set, and does not
+  // fire the user's on_job_done hook: the job was not solved by this run.
+  // An unservable entry (a FALSIFIED one without a stimulus) is a miss.
   std::vector<JobResult> results(plan.spec.jobs.size());
-  std::vector<bool> done(plan.spec.jobs.size(), false);
-  std::unordered_map<std::string, std::size_t> position;
-  for (std::size_t i = 0; i < plan.spec.jobs.size(); ++i)
-    position[plan.spec.jobs[i].name] = i;
-
-  if (!options.checkpoint_path.empty()) {
-    std::error_code exists_error;
-    const bool exists =
-        std::filesystem::exists(options.checkpoint_path, exists_error);
-    const auto text =
-        exists ? read_text_file(options.checkpoint_path) : std::nullopt;
-    if (exists && !text) {
-      // Present but unreadable (permissions, transient I/O) is a hard
-      // error: silently starting over would clobber the journal and
-      // discard every recorded verdict on the first completion.
-      set_error(error, "checkpoint '" + options.checkpoint_path +
-                           "' exists but cannot be read — fix its "
-                           "permissions or delete it to start over");
-      return empty;
-    }
-    if (text) {
-      CampaignReport saved;
-      std::string parse_error;
-      if (!parse_report(*text, &saved, &parse_error)) {
-        set_error(error, "checkpoint '" + options.checkpoint_path +
-                             "' is unreadable (" + parse_error +
-                             ") — delete it to start over");
-        return empty;
-      }
-      if (saved.seed != full.seed || !saved.shard ||
-          saved.shard->shard.index != effective.index ||
-          saved.shard->shard.count != effective.count ||
-          saved.shard->total_jobs != plan.total_jobs) {
-        set_error(error, "checkpoint '" + options.checkpoint_path +
-                             "' belongs to a different campaign or shard — "
-                             "delete it to start over");
-        return empty;
-      }
-      if (saved.spec_digest != digest) {
-        set_error(error, "checkpoint '" + options.checkpoint_path +
-                             "' was recorded under different campaign "
-                             "parameters (budgets/flags, or a workload "
-                             "source — e.g. a corpus file — edited since "
-                             "the journal was written) — delete it to "
-                             "start over");
-        return empty;
-      }
-      for (const JobResult& job : saved.jobs) {
-        const auto it = position.find(job.name);
-        if (it == position.end() || plan.spec_indices[it->second] != job.spec_index) {
-          set_error(error, "checkpoint '" + options.checkpoint_path +
-                               "' records unknown job '" + job.name +
-                               "' — delete it to start over");
-          return empty;
-        }
-        results[it->second] = job;
-        done[it->second] = true;
-      }
-    }
-  }
-
-  // Verdict-cache hits fill in after the checkpoint: a hit restores the
-  // stable verdict fields with solver counters zeroed and from_cache
-  // set, and — like a checkpoint-resumed job — does not fire the user's
-  // on_job_done hook: the job was not solved by this run. An unservable
-  // entry (a FALSIFIED one without a stimulus) counts as a miss.
   if (cache) {
     for (std::size_t i = 0; i < plan.spec.jobs.size(); ++i) {
-      if (done[i]) continue;
       const JobSpec& job = plan.spec.jobs[i];
       if (!VerdictCache::cacheable(job)) continue;
       auto hit = cache->lookup(VerdictCache::key_of(job, options.fingerprint));
       if (!hit || !hit->servable()) continue;
-      JobResult r;
+      JobResult& r = results[i];
       r.name = job.name;
       r.spec_index = plan.spec_indices[i];
       r.provenance = job.provenance;
@@ -338,59 +219,41 @@ CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& opti
       r.note = std::move(hit->note);
       r.stimulus = std::move(hit->stimulus);
       r.from_cache = true;
-      results[i] = std::move(r);
-      done[i] = true;
-    }
-    // Cached FALSIFIED rows are re-validated like freshly solved ones:
-    // the journal line's self-check proves integrity, not truth. The
-    // post-pass replays the journaled stimulus on the simulator (and
-    // shrinks it if the cold run journaled it raw), so a warm run reports
-    // witness_checked / trace_length_shrunk byte-identically to a cold
-    // one without starting a solver — and a poisoned cache entry demotes
-    // to a diagnosed UNKNOWN instead of shipping. from_cache stays set
-    // either way. Checkpoint-resumed rows round-trip their recorded check
-    // and are not re-run.
-    if (options.pool.witness.check) {
-      for (std::size_t i = 0; i < plan.spec.jobs.size(); ++i)
-        if (done[i] && results[i].from_cache && !results[i].witness_checked &&
-            results[i].verdict == Verdict::Falsified)
-          witness_post_pass(plan.spec.jobs[i], options.pool.witness, &results[i]);
+      // A served FALSIFIED row is re-validated like a freshly solved one:
+      // the line's self-check proves integrity, not truth. The post-pass
+      // replays the journaled stimulus on the simulator (and shrinks it
+      // if the cold run journaled it raw), so the row reports
+      // witness_checked / trace_length_shrunk byte-identically to a cold
+      // one without starting a solver, and a poisoned entry demotes to a
+      // diagnosed UNKNOWN instead of shipping. from_cache stays set.
+      if (options.pool.witness.check && r.verdict == Verdict::Falsified)
+        witness_post_pass(job, options.pool.witness, &r);
     }
   }
 
-  // The sub-spec of jobs the checkpoint does not already cover.
+  // The sub-spec of jobs the journal does not already cover.
   CampaignSpec pending;
   pending.seed = full.seed;
   std::vector<std::size_t> pending_to_plan;
   for (std::size_t i = 0; i < plan.spec.jobs.size(); ++i) {
-    if (done[i]) continue;
+    if (results[i].from_cache) continue;
     pending.jobs.push_back(plan.spec.jobs[i]);
     pending_to_plan.push_back(i);
   }
 
   CampaignOptions pool = options.pool;
-  std::mutex checkpoint_mutex;
   const auto user_hook = options.pool.on_job_done;
-  const bool journal = !options.checkpoint_path.empty();
-  if (journal || user_hook || cache || fault::armed()) {
-    pool.on_job_done = [&, user_hook, journal](std::size_t pending_index,
-                                               const JobResult& job) {
+  if (user_hook || cache || fault::armed()) {
+    pool.on_job_done = [&, user_hook](std::size_t pending_index, const JobResult& job) {
       const std::size_t i = pending_to_plan[pending_index];
       JobResult patched = job;
       patched.spec_index = plan.spec_indices[i];
-      // A job wound down by the global stop (SIGTERM/SIGINT, or an
-      // injected stop fault) reports Unknown only because it was
-      // interrupted; journaling or caching that row would make the
-      // resumed run differ from an uninterrupted one. Skip persistence —
-      // the resume re-solves it properly.
-      const bool interrupted_unknown =
-          fault::global_stop_requested() && patched.verdict == Verdict::Unknown;
-      // Persist freshly solved verdicts (VerdictCache serializes its own
-      // journal; no need for the checkpoint mutex). Jobs served from the
-      // cache never reach this hook — run_campaign only ran the misses.
-      // A FALSIFIED row journals its trace: shrunk when the post-pass
+      // Journal the freshly solved verdict (VerdictCache serializes its
+      // own appends). run_campaign never hands this hook a job the global
+      // stop wound down, so an interrupted row is never journaled. A
+      // FALSIFIED row journals its trace: shrunk when the post-pass
       // checked it, else run_job's raw one.
-      if (cache && !interrupted_unknown && VerdictCache::cacheable(plan.spec.jobs[i])) {
+      if (cache && VerdictCache::cacheable(plan.spec.jobs[i])) {
         VerdictCache::Entry entry;
         entry.verdict = patched.verdict;
         entry.trace_length = patched.trace_length;
@@ -402,29 +265,13 @@ CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& opti
         cache->append(VerdictCache::key_of(plan.spec.jobs[i], options.fingerprint),
                       entry);
       }
-      if (journal && !interrupted_unknown) {
-        std::lock_guard<std::mutex> lock(checkpoint_mutex);
-        results[i] = patched;
-        done[i] = true;
-        CampaignReport snapshot;
-        snapshot.seed = full.seed;
-        snapshot.shard = info;
-        snapshot.spec_digest = digest;
-        for (std::size_t k = 0; k < results.size(); ++k)
-          if (done[k]) snapshot.jobs.push_back(results[k]);
-        // Best-effort journal: an unwritable checkpoint only costs the
-        // resume, never the run.
-        write_text_file_atomic(options.checkpoint_path,
-                               snapshot.to_json(/*include_timing=*/true),
-                               "checkpoint.write");
-      }
       // The hook contract is positions in the spec the caller handed to
-      // run_sharded, not the internal pending sub-spec (jobs resumed from
-      // the checkpoint do not re-fire the hook).
+      // run_sharded, not the internal pending sub-spec (jobs served from
+      // the journal do not fire the hook).
       if (user_hook) user_hook(patched.spec_index, patched);
       // Fault point "worker.job_done" (docs/ROBUSTNESS.md): fires only
       // after the finished job was journaled and reported, so an injected
-      // kill/hang/stop always leaves a resumable checkpoint behind —
+      // kill/hang/stop always leaves it in the journal for the resume —
       // exactly the crash window the dispatcher's relaunch path covers.
       if (fault::armed()) {
         if (const auto action = fault::hit("worker.job_done"))
@@ -438,7 +285,7 @@ CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& opti
   CampaignReport report;
   report.seed = full.seed;
   report.threads = fresh.threads;
-  if (options.shard) report.shard = info;
+  if (options.shard) report.shard = CampaignReport::ShardInfo{effective, plan.total_jobs};
   for (std::size_t i = 0; i < fresh.jobs.size(); ++i)
     results[pending_to_plan[i]] = fresh.jobs[i];
   report.jobs = std::move(results);

@@ -16,10 +16,11 @@
 // balanced to within one job, and together they cover the expanded job
 // list exactly (no overlap, no gaps).
 //
-// Checkpoint/resume: a shard run can journal every finished job to a
-// report file (rewritten atomically after each completion); rerunning
-// the same shard against that file re-executes only the unfinished jobs
-// and re-emits the same report.
+// Resume: a shard run given a verdict journal (ShardRunOptions::
+// cache_dir, engine/verdict_cache.hpp) appends every finished job to it;
+// rerunning the same shard against that journal serves the finished jobs
+// from it, re-executes only the rest, and re-emits the same stable
+// report.
 #pragma once
 
 #include <cstddef>
@@ -60,42 +61,35 @@ struct ShardPlan {
 /// and the merge key on.
 ShardPlan plan_shard(const CampaignSpec& full, const ShardSpec& shard);
 
-/// Options for a sharded (and/or checkpointed) campaign run.
+/// Options for a sharded (and/or journaled) campaign run.
 struct ShardRunOptions {
   /// Worker pool configuration. pool.on_job_done, if set, is called with
-  /// positions in the *full* spec handed to run_sharded; jobs resumed
-  /// from a checkpoint do not re-fire it.
+  /// positions in the *full* spec handed to run_sharded; jobs served from
+  /// the verdict journal do not fire it.
   CampaignOptions pool;
   /// Which slice to run; nullopt = the whole spec (the report then
   /// carries no shard metadata, exactly as a plain run_campaign).
   std::optional<ShardSpec> shard;
-  /// When non-empty: resume finished jobs from this report file if it
-  /// exists (validated against the spec's seed, shard, and a digest of
-  /// the job names and budgets), and rewrite it atomically after every
-  /// completed job. Resumed jobs keep their recorded verdicts; only
-  /// their witness text (never serialized) is lost.
-  std::string checkpoint_path;
-  /// Extra campaign parameters folded into the checkpoint digest that
+  /// Extra campaign parameters folded into every verdict-journal key that
   /// the JobSpecs cannot expose themselves (their model builders are
-  /// opaque) — e.g. sepe-run contributes the DUV xlen. A checkpoint
-  /// recorded under a different fingerprint is refused on resume.
+  /// opaque) — e.g. sepe-run contributes the DUV xlen. A journal written
+  /// under a different fingerprint simply misses.
   std::string fingerprint;
-  /// When non-empty: a campaign verdict-cache directory (sepe-run
-  /// --cache DIR; engine/verdict_cache.hpp). Jobs whose key is already
-  /// journaled there are served from the cache (JobResult::from_cache,
-  /// zero solver counters, no on_job_done callback — same contract as
-  /// checkpoint-resumed jobs); freshly solved cacheable jobs are
-  /// appended. Unlike the checkpoint, the cache is shared across
-  /// campaigns and shards — keys embed the fingerprint and the full job
-  /// identity, so unrelated runs simply miss. An unusable directory is
-  /// a hard error; a corrupt journal entry is only ever a miss.
+  /// When non-empty: a verdict-journal directory (sepe-run --cache DIR;
+  /// engine/verdict_cache.hpp), the one way a run persists and resumes
+  /// finished jobs. Jobs whose key is already journaled there are served
+  /// from it (JobResult::from_cache, zero solver counters, no
+  /// on_job_done callback, FALSIFIED rows replayed); freshly solved
+  /// cacheable jobs are appended. The journal is shared across runs,
+  /// shards and campaigns — keys embed the fingerprint and the full job
+  /// identity, so unrelated runs simply miss. An unusable directory is a
+  /// hard error; a corrupt journal entry is only ever a miss.
   std::string cache_dir;
 };
 
-/// Run one shard of the campaign with optional checkpoint/resume. On
-/// invalid input (bad shard, duplicate job names, or a checkpoint file
-/// that is unreadable or inconsistent with this spec/shard) returns an
-/// empty report and sets *error.
+/// Run one shard of the campaign, resuming from the verdict journal when
+/// one is given. On invalid input (bad shard, duplicate job names, or an
+/// unusable journal directory) returns an empty report and sets *error.
 CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& options,
                            std::string* error);
 

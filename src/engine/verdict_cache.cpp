@@ -1,6 +1,7 @@
 #include "engine/verdict_cache.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -18,9 +19,9 @@ namespace sepe::engine {
 
 namespace {
 
-/// One step ahead of the checkpoint format: bump whenever the key
-/// derivation or the line layout changes, so entries written by an
-/// older binary become unreachable instead of misread. v2: the per-job
+/// Bump whenever the key derivation or the line layout changes, so
+/// entries written by an older binary become unreachable instead of
+/// misread. v2: the per-job
 /// memory ceiling (JobBudget::memory_limit_mb) joined the key — a
 /// memory-capped Unknown must never be replayed as an uncapped verdict
 /// (or vice versa). v3: the learnt-clause sharing width joined the key.
@@ -150,10 +151,9 @@ bool VerdictCache::cacheable(const JobSpec& job) {
 }
 
 std::string VerdictCache::key_of(const JobSpec& job, const std::string& fingerprint) {
-  // Same FNV-1a construction as the checkpoint spec digest (shard.cpp),
-  // but per job and with the encoding tri-state *resolved*: nullopt and
-  // an explicit request for the family default blast identically, so
-  // they share verdicts.
+  // FNV-1a over everything that determines the job's verdict, with the
+  // encoding tri-state *resolved*: nullopt and an explicit request for
+  // the family default blast identically, so they share verdicts.
   std::uint64_t h = 1469598103934665603ull;
   const auto mix_byte = [&](unsigned char b) {
     h ^= b;
@@ -267,11 +267,15 @@ std::unique_ptr<VerdictCache> VerdictCache::open(const std::string& dir,
 
   std::ifstream in(cache->path_, std::ios::binary);
   if (!in) {
-    if (std::filesystem::exists(cache->path_, ec)) {
+    if (!std::filesystem::exists(cache->path_, ec)) return cache;  // no journal yet
+    // A concurrent writer sharing the directory (another dispatcher
+    // worker) may have created the journal since the open failed: try
+    // once more before calling it unreadable.
+    in.open(cache->path_, std::ios::binary);
+    if (!in) {
       if (error) *error = "cannot read cache journal '" + cache->path_ + "'";
       return nullptr;
     }
-    return cache;  // no journal yet — empty cache
   }
   std::string line;
   std::size_t lineno = 0;
@@ -321,7 +325,7 @@ void VerdictCache::append(const std::string& key, const Entry& e) {
   // Fault point "cache.append" (docs/ROBUSTNESS.md): torn truncates the
   // entry mid-line — the self-check digest catches it on the next load,
   // so injection exercises exactly the crash-mid-write window; fail and
-  // enospc drop the write and take the diagnosed-once degraded path.
+  // enospc drop the write and take the diagnosed degraded path.
   std::size_t bytes = line.size();
   bool injected_failure = false;
   if (fault::armed()) {
@@ -336,19 +340,32 @@ void VerdictCache::append(const std::string& key, const Entry& e) {
   // directory (dispatcher workers) interleave whole entries, and a torn
   // final line from a crash fails its self-check and costs one miss.
   const int fd =
-      injected_failure ? -1 : ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
+      injected_failure ? -1 : ::open(path_.c_str(), O_RDWR | O_APPEND | O_CREAT, 0644);
   bool ok = fd >= 0;
   if (ok) {
-    ok = ::write(fd, line.data(), bytes) == static_cast<ssize_t>(line.size());
+    // Start on a fresh line even when a torn write (from this process or
+    // another) left a fragment without its newline: appended onto the
+    // fragment's line, this entry would fail its self-check too. A blank
+    // line that a racing appender leaves instead is skipped on load.
+    struct stat st {};
+    char last = '\n';
+    if (::fstat(fd, &st) == 0 && st.st_size > 0 &&
+        ::pread(fd, &last, 1, st.st_size - 1) != 1)
+      last = '\n';
+    std::string out;
+    if (last != '\n') out += '\n';
+    out.append(line, 0, bytes);
+    ok = ::write(fd, out.data(), out.size()) == static_cast<ssize_t>(out.size()) &&
+         bytes == line.size();
     ::close(fd);
   }
-  if (!ok && !write_error_diagnosed_) {
-    write_error_diagnosed_ = true;
+  // Later appends may still land, so only this entry is lost: it costs a
+  // miss and a re-solve on the next run, never a wrong verdict.
+  if (!ok)
     std::fprintf(stderr,
-                 "sepe: verdict cache: cannot append to '%s'; verdicts from "
-                 "this run will not be persisted\n",
-                 path_.c_str());
-  }
+                 "sepe: verdict cache: cannot append to '%s'; the entry for "
+                 "key %s was not persisted\n",
+                 path_.c_str(), key.c_str());
 }
 
 VerdictCache::Stats VerdictCache::stats() const {

@@ -4,10 +4,10 @@
 // smt/cone_cache.hpp): verdict-bearing job results keyed by a content
 // digest of everything that determines them, persisted in an on-disk
 // journal so a re-run, a dispatcher retry, or an overlapping campaign
-// skips already-solved frontiers entirely. This generalizes the PR-2
-// frontier checkpoint across jobs *and* campaigns: a checkpoint resumes
-// one shard of one campaign, the verdict cache serves any campaign whose
-// jobs digest to the same keys.
+// skips already-solved frontiers entirely. It is the one way a run
+// persists and resumes finished jobs: an interrupted run, a crashed
+// worker or a stolen shard resumes by serving its journal hits, and any
+// campaign whose jobs digest to the same keys shares them.
 //
 // Key: a 64-bit FNV-1a digest (16 hex digits) over a format-version tag,
 // the caller's fingerprint (sepe-run's xlen/modes or workload=btor2),
@@ -16,7 +16,7 @@
 // the encoding *resolved* (the tri-state plaisted_greenbaum collapses to
 // the encoding the job actually runs). Anything that could change the
 // verdict changes the key, so stale entries are unreachable rather than
-// refused — unlike a checkpoint, the cache never rejects a run.
+// refused — the journal never rejects a run.
 //
 // Refusal rules (what is never cached):
 //   * jobs with a wall-clock cap (max_seconds > 0): wall-capped verdicts
@@ -24,7 +24,8 @@
 //     nondeterministic answer into a deterministic-looking report;
 //   * journal lines whose self-check digest does not match (truncation,
 //     hand-editing, torn concurrent appends): diagnosed on stderr and
-//     treated as a miss — never a wrong verdict;
+//     treated as a miss — never a wrong verdict. Every append starts on a
+//     fresh line, so a torn line costs only its own entry;
 //   * FALSIFIED entries without a stimulus (Entry::servable): they load
 //     and lookup returns them, but run_sharded re-solves the job instead
 //     of serving a counterexample its check could not replay, and the
@@ -99,7 +100,7 @@ class VerdictCache {
   static bool cacheable(const JobSpec& job);
 
   /// The cache key of `job` under the caller's campaign fingerprint
-  /// (the same fingerprint string run_sharded folds into spec digests).
+  /// (ShardRunOptions::fingerprint).
   static std::string key_of(const JobSpec& job, const std::string& fingerprint);
 
   /// Serialize one journal line (without trailing newline) — exposed for
@@ -112,10 +113,11 @@ class VerdictCache {
   std::optional<Entry> lookup(const std::string& key);
 
   /// Record a fresh verdict: append to the journal (single O_APPEND
-  /// write, whole line) and to the in-memory map. A key is journaled
-  /// once, unless a servable entry supersedes an unservable one. Append
-  /// failures are diagnosed once on stderr and otherwise ignored — a
-  /// read-only cache directory costs persistence, never the run.
+  /// write, whole line, on a fresh line even after a torn one) and to the
+  /// in-memory map. A key is journaled once, unless a servable entry
+  /// supersedes an unservable one. A failed append is diagnosed on stderr
+  /// and otherwise ignored — it costs that entry's persistence, never the
+  /// run.
   void append(const std::string& key, const Entry& e);
 
   Stats stats() const;
@@ -130,7 +132,6 @@ class VerdictCache {
   mutable std::mutex mu_;
   std::unordered_map<std::string, Entry> map_;
   Stats stats_;
-  bool write_error_diagnosed_ = false;
 };
 
 }  // namespace sepe::engine

@@ -131,7 +131,7 @@ CampaignSpec expand(const CampaignMatrix& matrix, std::uint64_t seed) {
 namespace {
 
 /// FNV-1a of the file bytes, as 16 hex digits. The per-file content
-/// fingerprint the checkpoint spec digest covers.
+/// fingerprint the verdict-journal key covers.
 std::string content_digest_of(const std::string& text) {
   std::uint64_t h = 1469598103934665603ull;
   for (char c : text) {
@@ -194,8 +194,8 @@ bool Btor2CorpusSource::expand(std::vector<JobSpec>* out, std::string* error) co
     const std::string path = (fs::path(directory_) / rel).string();
     const auto text = read_text_file(path);
     // Unreadable at expansion time is a setup error, not a model error:
-    // without the bytes there is nothing to hash, so a checkpoint could
-    // not tell this corpus from an edited one.
+    // without the bytes there is nothing to hash, so the verdict journal
+    // could not tell this corpus from an edited one.
     if (!text) return fail("cannot read corpus file '" + rel + "'");
     const std::string digest = content_digest_of(*text);
     const unsigned properties = std::max(1u, count_bad_properties(*text));

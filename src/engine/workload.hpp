@@ -5,7 +5,7 @@
 // what they verify; a JobSource is a named *family* of workloads that
 // expands into those JobSpecs, stamping each with provenance (family
 // tag, source id, bad-property index, content digest) that flows into
-// reports and checkpoint digests. Mature checkers owe much of their
+// reports and verdict-journal keys. Mature checkers owe much of their
 // reach to exactly this seam — the solver layers never learn which
 // frontend produced the model — and every future scenario family here
 // is one JobSource subclass, not another copy of the campaign plumbing.
@@ -125,8 +125,8 @@ std::vector<isa::Opcode> replay_opcodes(const synth::EquivalenceTable& table,
 /// property: a file with N >= 2 bad lines fans out into N jobs named
 /// `<file>:b<i>`, each checking only property i. File content is read
 /// and hashed at expansion time (the hash lands in the provenance and
-/// hence the checkpoint spec digest; resume under an edited corpus is
-/// refused), but parsed with ts::parse_btor2 on the worker thread — a
+/// hence the verdict-journal key; an edited file misses the journal and
+/// is re-solved), but parsed with ts::parse_btor2 on the worker thread — a
 /// malformed file costs a parse-error row, not the campaign.
 class Btor2CorpusSource final : public JobSource {
  public:

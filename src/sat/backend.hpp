@@ -66,13 +66,11 @@ inline Value operator^(Value v, bool sign) {
 enum class SolveResult { Sat, Unsat, Unknown /* resource limit hit */ };
 
 /// The engines the factory can build. The kind is part of the
-/// verdict-cache key and the spec digest (a campaign solved by a
-/// different engine is a different campaign), so the enumerator values
-/// and names are stable.
+/// verdict-cache key (a campaign solved by a different engine is a
+/// different campaign), so the enumerator values and names are stable.
 enum class BackendKind : std::uint8_t { Native = 0, Dimacs = 1 };
 
-/// Stable lowercase name ("native", "dimacs") — the `--backend` value
-/// and the token mixed into cache keys and spec digests.
+/// Stable lowercase name ("native", "dimacs") — the `--backend` value.
 const char* backend_kind_name(BackendKind kind);
 std::optional<BackendKind> backend_kind_from_name(std::string_view name);
 

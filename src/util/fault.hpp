@@ -4,8 +4,8 @@
 // A *fault plan* is parsed once from the SEPE_FAULT environment variable
 // (or installed by tests via configure()) and names injection points
 // threaded through every layer that can fail in production: solver
-// allocation, the DIMACS subprocess bridge, verdict-cache / checkpoint /
-// report IO, and the dispatcher's worker fleet. Production code asks
+// allocation, the DIMACS subprocess bridge, verdict-cache / report IO,
+// and the dispatcher's worker fleet. Production code asks
 // `fault::hit("point.name")` at each site; with no plan armed that is a
 // single relaxed atomic load, so the instrumentation is free in real runs.
 //

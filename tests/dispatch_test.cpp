@@ -1,15 +1,16 @@
 // Injected-failure battery for the multi-host campaign dispatcher: a
 // scripted FakeLauncher stands in for the process transport so every
-// failure mode is deterministic — crashed attempts retry from their
-// checkpoint journals, stragglers are stolen from journal snapshots,
-// the first completion of a shard wins and late duplicates are
-// discarded, retry budgets are enforced, and a usage error is fatal
+// failure mode is deterministic — crashed attempts are retried with the
+// same worker command (so they share its verdict journal), stragglers
+// are stolen, the first completion of a shard wins and late duplicates
+// are discarded, retry budgets are enforced, and a usage error is fatal
 // rather than retried. Whatever the fault schedule, the merged report
 // must stay byte-identical to an unsharded run (the same contract the
 // shard/merge layer pins). LocalProcessLauncher is exercised against
 // real /bin/sh children at the bottom.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <deque>
@@ -77,44 +78,31 @@ CampaignSpec small_spec() {
   return spec;
 }
 
-/// What a real worker would have produced for each shard, precomputed
-/// in-process so the fake transport can replay (or truncate) it.
-struct ShardArtifacts {
-  std::string stable_report;  // the worker's --stable-json --json output
-  std::string full_journal;   // its completed checkpoint journal
-};
-
 /// Scripted behavior of one fake worker attempt.
 struct Behavior {
   enum class Kind {
-    Complete,            // journal + report written, exit 0
+    Complete,            // report written, exit 0
     CompleteAfterPolls,  // same, but only exits on poll #polls_until_exit
-    CrashPartial,        // journal truncated to partial_jobs, then signal 9
+    Crash,               // signal 9 at the first poll, no report
     CrashAfterPolls,     // ditto, but crashes only on poll #polls_until_exit
-    HangPartial,         // journal truncated to partial_jobs, Running forever
+    Hang,                // Running forever
     ExitUsage,           // exit 2 without writing anything
-    ExitFailure,         // exit 1 without writing anything (e.g. a
-                         // checkpoint refusal — see FORMATS.md)
   };
   Kind kind = Kind::Complete;
-  unsigned partial_jobs = 0;
   unsigned polls_until_exit = 0;
-  /// When nonzero: assert the dispatcher seeded this attempt's
-  /// checkpoint with at least this many journaled jobs (the resume /
-  /// steal-snapshot contract).
-  unsigned expect_resumed = 0;
 };
 
 /// A WorkerLauncher that interprets the dispatcher's command lines and
-/// replays precomputed shard artifacts per a per-shard script. Single
+/// replays precomputed shard reports per a per-shard script. Single
 /// threaded and deterministic: "processes" advance only when polled.
 class FakeLauncher final : public WorkerLauncher {
  public:
-  explicit FakeLauncher(const std::vector<ShardArtifacts>* artifacts)
-      : artifacts_(artifacts) {}
+  /// `reports[i]`: the stable report a real worker writes for shard i.
+  explicit FakeLauncher(const std::vector<std::string>* reports) : reports_(reports) {}
 
   std::map<unsigned, std::deque<Behavior>> script;
-  std::vector<unsigned> launches;  // shard index per launch, in order
+  std::vector<unsigned> launches;                // shard index per launch, in order
+  std::vector<std::vector<std::string>> argvs;  // command line per launch
   unsigned terminations = 0;
 
   bool terminated(std::size_t launch_index) const {
@@ -132,37 +120,11 @@ class FakeLauncher final : public WorkerLauncher {
       proc.behavior = queue.front();
       queue.pop_front();
     }
-    if (proc.behavior.expect_resumed > 0) {
-      const auto text = read_text_file(proc.checkpoint_path);
-      EXPECT_TRUE(text.has_value())
-          << "attempt for shard " << proc.shard << " was not seeded with a journal";
-      if (text) {
-        CampaignReport journal;
-        std::string parse_error;
-        EXPECT_TRUE(parse_report(*text, &journal, &parse_error)) << parse_error;
-        EXPECT_GE(journal.jobs.size(), proc.behavior.expect_resumed);
-      }
-    }
-    switch (proc.behavior.kind) {
-      case Behavior::Kind::Complete:
-      case Behavior::Kind::CompleteAfterPolls: {
-        const ShardArtifacts& art = (*artifacts_)[proc.shard];
-        if (!art.full_journal.empty())
-          write_text_file_atomic(proc.checkpoint_path, art.full_journal);
-        write_text_file_atomic(proc.report_path, art.stable_report);
-        break;
-      }
-      case Behavior::Kind::CrashPartial:
-      case Behavior::Kind::CrashAfterPolls:
-      case Behavior::Kind::HangPartial:
-        write_text_file_atomic(
-            proc.checkpoint_path,
-            truncated_journal(proc.shard, proc.behavior.partial_jobs));
-        break;
-      case Behavior::Kind::ExitUsage:
-      case Behavior::Kind::ExitFailure: break;
-    }
+    if (proc.behavior.kind == Behavior::Kind::Complete ||
+        proc.behavior.kind == Behavior::Kind::CompleteAfterPolls)
+      write_text_file_atomic(proc.report_path, (*reports_)[proc.shard]);
     launches.push_back(proc.shard);
+    argvs.push_back(argv);
     procs_.push_back(std::move(proc));
     return static_cast<long>(procs_.size()) - 1;
   }
@@ -176,14 +138,13 @@ class FakeLauncher final : public WorkerLauncher {
         if (proc.polls >= proc.behavior.polls_until_exit)
           return {Exit::Status::Exited, 0};
         return {Exit::Status::Running, 0};
-      case Behavior::Kind::CrashPartial: return {Exit::Status::Signalled, SIGKILL};
+      case Behavior::Kind::Crash: return {Exit::Status::Signalled, SIGKILL};
       case Behavior::Kind::CrashAfterPolls:
         if (proc.polls >= proc.behavior.polls_until_exit)
           return {Exit::Status::Signalled, SIGKILL};
         return {Exit::Status::Running, 0};
-      case Behavior::Kind::HangPartial: return {Exit::Status::Running, 0};
+      case Behavior::Kind::Hang: return {Exit::Status::Running, 0};
       case Behavior::Kind::ExitUsage: return {Exit::Status::Exited, 2};
-      case Behavior::Kind::ExitFailure: return {Exit::Status::Exited, 1};
     }
     return {Exit::Status::Lost, 0};
   }
@@ -196,7 +157,6 @@ class FakeLauncher final : public WorkerLauncher {
  private:
   struct Proc {
     unsigned shard = 0;
-    std::string checkpoint_path;
     std::string report_path;
     Behavior behavior;
     unsigned polls = 0;
@@ -210,25 +170,14 @@ class FakeLauncher final : public WorkerLauncher {
       if (argv[i] == "--shard") {
         if (!parse_shard(argv[i + 1], &shard, &error)) return false;
         out->shard = shard.index;
-      } else if (argv[i] == "--checkpoint") {
-        out->checkpoint_path = argv[i + 1];
       } else if (argv[i] == "--json") {
         out->report_path = argv[i + 1];
       }
     }
-    return !out->checkpoint_path.empty() && !out->report_path.empty();
+    return !out->report_path.empty();
   }
 
-  std::string truncated_journal(unsigned shard, unsigned keep) const {
-    CampaignReport journal;
-    std::string error;
-    EXPECT_TRUE(parse_report((*artifacts_)[shard].full_journal, &journal, &error))
-        << error;
-    if (journal.jobs.size() > keep) journal.jobs.resize(keep);
-    return journal.to_json(/*include_timing=*/true);
-  }
-
-  const std::vector<ShardArtifacts>* artifacts_;
+  const std::vector<std::string>* reports_;
   std::vector<Proc> procs_;
 };
 
@@ -247,7 +196,7 @@ class DispatchTest : public ::testing::Test {
 
   void TearDown() override { std::filesystem::remove_all(work_); }
 
-  /// Run every shard in-process once to capture the artifacts the fake
+  /// Run every shard in-process once to capture the reports the fake
   /// transport replays.
   void prepare_artifacts(unsigned shards) {
     artifacts_.assign(shards, {});
@@ -255,14 +204,10 @@ class DispatchTest : public ::testing::Test {
       ShardRunOptions options;
       options.pool.threads = 1;
       options.shard = ShardSpec{i, shards};
-      options.checkpoint_path = work_ + "/prep-" + std::to_string(i) + ".json";
       std::string error;
       const CampaignReport report = run_sharded(spec_, options, &error);
       ASSERT_TRUE(error.empty()) << error;
-      artifacts_[i].stable_report = report.to_json(/*include_timing=*/false);
-      // An empty shard (more shards than jobs) journals nothing.
-      if (const auto journal = read_text_file(options.checkpoint_path))
-        artifacts_[i].full_journal = *journal;
+      artifacts_[i] = report.to_json(/*include_timing=*/false);
     }
   }
 
@@ -289,7 +234,7 @@ class DispatchTest : public ::testing::Test {
   std::string work_;
   CampaignSpec spec_;
   std::string reference_;
-  std::vector<ShardArtifacts> artifacts_;
+  std::vector<std::string> artifacts_;
   std::vector<std::string> events_;
 };
 
@@ -314,14 +259,14 @@ TEST_F(DispatchTest, MoreShardsThanJobsStillMergesByteIdentically) {
   EXPECT_EQ(result.launches, 8u);
 }
 
-TEST_F(DispatchTest, CrashedAttemptRetriesFromItsJournal) {
+TEST_F(DispatchTest, CrashedAttemptIsRetriedWithTheSameWorkerCommand) {
   prepare_artifacts(2);
   FakeLauncher launcher(&artifacts_);
-  // Shard 0 journals two jobs, crashes; the retry must be seeded with
-  // both of them before completing.
-  launcher.script[0] = {Behavior{Behavior::Kind::CrashPartial, 2, 0, 0},
-                        Behavior{Behavior::Kind::Complete, 0, 0, 2}};
+  // Shard 0 crashes once; the retry completes.
+  launcher.script[0] = {Behavior{Behavior::Kind::Crash},
+                        Behavior{Behavior::Kind::Complete}};
   DispatchOptions options = base_options(&launcher, 1, 2);
+  options.worker_command = {"fake-sepe-run", "--bound", "6", "--cache", "journal"};
   options.retries = 1;
   const DispatchResult result = run_dispatch(options);
   ASSERT_TRUE(result.ok) << result.error;
@@ -329,17 +274,22 @@ TEST_F(DispatchTest, CrashedAttemptRetriesFromItsJournal) {
   EXPECT_EQ(result.failures, 1u);
   EXPECT_EQ(result.launches, 3u);  // shard 0 twice, shard 1 once
   EXPECT_TRUE(any_event_contains("crashed (signal 9)"));
-  EXPECT_TRUE(any_event_contains("resuming 2 journaled jobs"));
+  // Every attempt runs the worker command verbatim, so the retry shares
+  // the crashed attempt's verdict journal and resumes from it.
+  for (const std::vector<std::string>& argv : launcher.argvs) {
+    ASSERT_GE(argv.size(), options.worker_command.size());
+    EXPECT_TRUE(std::equal(options.worker_command.begin(), options.worker_command.end(),
+                           argv.begin()));
+  }
 }
 
-TEST_F(DispatchTest, StragglerIsStolenFromAJournalSnapshotAndLoserTerminated) {
+TEST_F(DispatchTest, StragglerIsStolenAndLoserTerminated) {
   prepare_artifacts(2);
   FakeLauncher launcher(&artifacts_);
-  // Shard 0 journals one job and hangs; once shard 1 finishes, the idle
-  // worker must steal shard 0 (resuming the snapshot), win, and the
-  // hung original must be put down.
-  launcher.script[0] = {Behavior{Behavior::Kind::HangPartial, 1, 0, 0},
-                        Behavior{Behavior::Kind::Complete, 0, 0, 1}};
+  // Shard 0 hangs; once shard 1 finishes, the idle worker must steal
+  // shard 0, win, and the hung original must be put down.
+  launcher.script[0] = {Behavior{Behavior::Kind::Hang},
+                        Behavior{Behavior::Kind::Complete}};
   const DispatchResult result = run_dispatch(base_options(&launcher, 2, 2));
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.merged.to_json(/*include_timing=*/false), reference_);
@@ -359,8 +309,8 @@ TEST_F(DispatchTest, FirstCompletionWinsAndTheDuplicateIsDiscarded) {
   // scheduler pass in which the freshly-stolen copy finishes. The
   // original (older) attempt wins the photo finish; the thief's
   // completion is reconciled away as a duplicate.
-  launcher.script[0] = {Behavior{Behavior::Kind::CompleteAfterPolls, 0, 2, 0},
-                        Behavior{Behavior::Kind::Complete, 0, 0, 0}};
+  launcher.script[0] = {Behavior{Behavior::Kind::CompleteAfterPolls, 2},
+                        Behavior{Behavior::Kind::Complete}};
   const DispatchResult result = run_dispatch(base_options(&launcher, 2, 2));
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.merged.to_json(/*include_timing=*/false), reference_);
@@ -375,11 +325,10 @@ TEST_F(DispatchTest, AStolenAttemptsCrashDoesNotConsumeTheRetryBudget) {
   // Shard 0's original attempt lingers long enough to be stolen, then
   // crashes; the thief crashes too. Two failed attempts — but zero
   // *retries* have been spent, so with retries=1 the dispatcher must
-  // relaunch from the journal and finish, not abort with an exhausted
-  // retry budget.
-  launcher.script[0] = {Behavior{Behavior::Kind::CrashAfterPolls, 1, 3, 0},
-                        Behavior{Behavior::Kind::CrashAfterPolls, 1, 3, 0},
-                        Behavior{Behavior::Kind::Complete, 0, 0, 1}};
+  // relaunch and finish, not abort with an exhausted retry budget.
+  launcher.script[0] = {Behavior{Behavior::Kind::CrashAfterPolls, 3},
+                        Behavior{Behavior::Kind::CrashAfterPolls, 3},
+                        Behavior{Behavior::Kind::Complete}};
   DispatchOptions options = base_options(&launcher, 2, 2);
   options.retries = 1;
   const DispatchResult result = run_dispatch(options);
@@ -392,8 +341,8 @@ TEST_F(DispatchTest, AStolenAttemptsCrashDoesNotConsumeTheRetryBudget) {
 TEST_F(DispatchTest, RetryBudgetExhaustionFailsTheDispatch) {
   prepare_artifacts(2);
   FakeLauncher launcher(&artifacts_);
-  launcher.script[0] = {Behavior{Behavior::Kind::CrashPartial, 1, 0, 0},
-                        Behavior{Behavior::Kind::CrashPartial, 1, 0, 0}};
+  launcher.script[0] = {Behavior{Behavior::Kind::Crash},
+                        Behavior{Behavior::Kind::Crash}};
   DispatchOptions options = base_options(&launcher, 2, 2);
   options.retries = 1;
   const DispatchResult result = run_dispatch(options);
@@ -406,7 +355,7 @@ TEST_F(DispatchTest, RetryBudgetExhaustionFailsTheDispatch) {
 TEST_F(DispatchTest, UsageErrorIsFatalNotRetried) {
   prepare_artifacts(2);
   FakeLauncher launcher(&artifacts_);
-  launcher.script[0] = {Behavior{Behavior::Kind::ExitUsage, 0, 0, 0}};
+  launcher.script[0] = {Behavior{Behavior::Kind::ExitUsage}};
   DispatchOptions options = base_options(&launcher, 1, 2);
   options.retries = 5;
   const DispatchResult result = run_dispatch(options);
@@ -415,26 +364,6 @@ TEST_F(DispatchTest, UsageErrorIsFatalNotRetried) {
       << result.error;
   // Never relaunched: a usage error is deterministic.
   EXPECT_EQ(launcher.launches.size(), 1u);
-}
-
-TEST_F(DispatchTest, RefusedPreexistingJournalIsDiscardedBeforeTheRetry) {
-  prepare_artifacts(2);
-  // A reused work dir left a journal from some other campaign at the
-  // attempt-1 checkpoint path; the worker refuses it (exit 1 without
-  // touching it). The retry must run clean — the stale journal is
-  // discarded, not copied into every subsequent attempt.
-  const std::string stale = work_ + "/shard-0.a1.ckpt.json";
-  ASSERT_TRUE(write_text_file_atomic(stale, artifacts_[0].full_journal));
-  FakeLauncher launcher(&artifacts_);
-  launcher.script[0] = {Behavior{Behavior::Kind::ExitFailure, 0, 0, 0},
-                        Behavior{Behavior::Kind::Complete, 0, 0, 0}};
-  DispatchOptions options = base_options(&launcher, 1, 2);
-  options.retries = 1;
-  const DispatchResult result = run_dispatch(options);
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.merged.to_json(/*include_timing=*/false), reference_);
-  EXPECT_TRUE(any_event_contains("discarded the pre-existing journal"));
-  EXPECT_FALSE(std::filesystem::exists(stale));
 }
 
 TEST_F(DispatchTest, MissingWorkerBinaryFailsFastWithoutRetries) {

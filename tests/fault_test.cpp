@@ -2,13 +2,13 @@
 // the crash-only execution envelope built on it: plan-grammar parsing,
 // per-point trigger determinism (Nth / probability / fleet token), the
 // per-job memory ceiling degrading both workload families to a diagnosed
-// UNKNOWN row, an injected mid-campaign stop leaving a resumable
-// checkpoint whose resumed run is byte-identical to an uninterrupted
-// one, concurrent verdict-cache writers with torn appends never yielding
+// UNKNOWN row, an injected mid-campaign stop leaving a verdict journal
+// whose resumed run is byte-identical to an uninterrupted one, concurrent verdict-cache writers with torn appends never yielding
 // a wrong verdict, and the retrying atomic report writer masking
 // transient write faults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -46,7 +46,7 @@ using FaultTrigger = FaultTest;
 using FaultEnvelope = FaultTest;
 using FaultSolver = FaultTest;
 using FaultCampaign = FaultTest;
-using FaultCheckpoint = FaultTest;
+using FaultJournal = FaultTest;
 using FaultCache = FaultTest;
 using FaultReportIo = FaultTest;
 
@@ -321,10 +321,10 @@ TEST_F(FaultCampaign, MemoryCeilingIsPartOfTheCacheKey) {
       << "a memory-starved run answers a different question";
 }
 
-// --- injected stop mid-campaign: resumable checkpoint ---
+// --- injected stop mid-campaign: resumable journal ---
 
-TEST_F(FaultCheckpoint, InjectedStopLeavesResumableCheckpoint) {
-  const auto dir = fresh_dir("fault_ckpt_test");
+TEST_F(FaultJournal, InjectedStopLeavesAResumableJournal) {
+  const auto dir = fresh_dir("fault_journal_test");
   JobBudget budget;
   budget.max_bound = 6;
   budget.max_k = 2;
@@ -342,29 +342,74 @@ TEST_F(FaultCheckpoint, InjectedStopLeavesResumableCheckpoint) {
   ASSERT_EQ(reference.jobs.size(), 2u);
 
   // Interrupted run: the first finished job raises the global stop flag
-  // from the worker's job-done hook — after the checkpoint journal was
-  // written, exactly like a SIGTERM landing between jobs.
-  ShardRunOptions ck;
-  ck.pool.threads = 1;
-  ck.checkpoint_path = (dir / "ck.json").string();
+  // from the worker's job-done hook — after the job was journaled,
+  // exactly like a SIGTERM landing between jobs.
+  ShardRunOptions journaled;
+  journaled.pool.threads = 1;
+  journaled.cache_dir = (dir / "journal").string();
   ASSERT_TRUE(fault::configure("point=worker.job_done:stop@1"));
-  const CampaignReport interrupted = run_sharded(spec, ck, &error);
+  const CampaignReport interrupted = run_sharded(spec, journaled, &error);
   ASSERT_TRUE(error.empty()) << error;
   EXPECT_TRUE(fault::global_stop_requested());
   unsigned finished = 0;
   for (const JobResult& r : interrupted.jobs)
     if (!r.name.empty()) ++finished;
   EXPECT_EQ(finished, 1u);  // the second job was never claimed
-  ASSERT_TRUE(std::filesystem::exists(ck.checkpoint_path));
+  const auto text = read_text_file(VerdictCache::journal_path(journaled.cache_dir));
+  ASSERT_TRUE(text.has_value());
+  EXPECT_EQ(std::count(text->begin(), text->end(), '\n'), 1);
 
-  // Resume with the envelope cleared: only the unfinished job re-runs,
-  // and the final stable JSON is byte-identical to the uninterrupted run.
+  // Resume with the envelope cleared: the finished job is served from the
+  // journal, only the other one runs, and the final stable JSON is
+  // byte-identical to the uninterrupted run.
   ASSERT_TRUE(fault::configure(""));
   fault::clear_global_stop();
-  const CampaignReport resumed = run_sharded(spec, ck, &error);
+  const CampaignReport resumed = run_sharded(spec, journaled, &error);
   ASSERT_TRUE(error.empty()) << error;
+  ASSERT_EQ(resumed.jobs.size(), 2u);
+  EXPECT_TRUE(resumed.jobs[0].from_cache);
+  EXPECT_FALSE(resumed.jobs[1].from_cache);
   EXPECT_EQ(resumed.to_json(/*include_timing=*/false),
             reference.to_json(/*include_timing=*/false));
+}
+
+TEST_F(FaultJournal, AJobTheStopWindsDownIsNeitherReportedNorJournaled) {
+  const auto dir = fresh_dir("fault_journal_inflight_test");
+  JobBudget budget;
+  budget.max_bound = 6;
+  budget.max_k = 2;
+  // The stop lands while the job is in flight: its own model builder
+  // raises it, so the prover loop winds down to UNKNOWN.
+  JobSpec job = counter_job("in-flight", 8, 3, budget);
+  job.build = [build = job.build](ts::TransitionSystem& ts, std::string* error) {
+    fault::request_global_stop();
+    return build(ts, error);
+  };
+  CampaignSpec spec;
+  spec.jobs.push_back(job);
+
+  ShardRunOptions options;
+  options.cache_dir = (dir / "journal").string();
+  unsigned hook_fired = 0;
+  options.pool.on_job_done = [&](std::size_t, const JobResult&) { ++hook_fired; };
+  std::string error;
+  const CampaignReport interrupted = run_sharded(spec, options, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  ASSERT_EQ(interrupted.jobs.size(), 1u);
+  EXPECT_TRUE(interrupted.jobs[0].name.empty());  // left unclaimed
+  EXPECT_EQ(hook_fired, 0u);
+  const auto text = read_text_file(VerdictCache::journal_path(options.cache_dir));
+  EXPECT_TRUE(!text || text->empty());
+
+  // The resume solves it to the verdict an uninterrupted run reports.
+  fault::clear_global_stop();
+  spec.jobs[0] = counter_job("in-flight", 8, 3, budget);
+  const CampaignReport resumed = run_sharded(spec, options, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  ASSERT_EQ(resumed.jobs.size(), 1u);
+  EXPECT_EQ(resumed.jobs[0].verdict, Verdict::Falsified);
+  EXPECT_EQ(resumed.jobs[0].trace_length, 3u);
+  EXPECT_EQ(hook_fired, 1u);
 }
 
 // --- verdict cache under torn concurrent appends ---

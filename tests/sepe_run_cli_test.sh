@@ -3,7 +3,8 @@
 # (exit 2, diagnostic on stderr), the shard/merge round trip reproduces
 # the unsharded stable JSON byte-for-byte, the BTOR2 corpus workload
 # (sepe-run corpus DIR) is deterministic, shardable, and survives
-# malformed files as per-job diagnostic rows, and the witness pipeline
+# malformed files as per-job diagnostic rows, interrupted and crashed
+# runs resume from the verdict journal (--cache), and the witness pipeline
 # (--witness-dir / check-witness) emits self-checking artifacts that
 # re-validate without the SAT stack and reject tampering loudly.
 #
@@ -54,6 +55,7 @@ expect_usage_error shard_range       -- --shard 4/4
 expect_usage_error retired_portfolio -- --portfolio 2
 expect_usage_error retired_sharing   -- --share-clauses on
 expect_usage_error retired_race      -- --no-race
+expect_usage_error checkpoint_retired -- --checkpoint f
 expect_usage_error unknown_flag      -- --frobnicate
 expect_usage_error merge_no_inputs   -- merge
 expect_usage_error corpus_no_dir     -- corpus
@@ -70,7 +72,6 @@ expect_usage_error witness_contra_dispatch  -- dispatch --witness-dir wd --no-wi
 expect_usage_error dispatch_workers_zero    -- dispatch --workers 0
 expect_usage_error dispatch_workers_bad     -- dispatch --workers abc
 expect_usage_error dispatch_owns_shard      -- dispatch --shard 0/2
-expect_usage_error dispatch_owns_checkpoint -- dispatch --checkpoint f
 expect_usage_error dispatch_steal_after_bad -- dispatch --steal-after -1
 
 # --help and --list-bugs succeed.
@@ -124,40 +125,26 @@ for bad in "shard0.json shard1.json" "shard0.json shard0.json shard1.json"; do
   fi
 done
 
-# Checkpoint/resume: a second run against the finished journal does no
-# solving and reproduces the same stable JSON.
-if ! "$SEPE_RUN" "${CAMPAIGN[@]}" --threads 1 --checkpoint "$WORK/ckpt.json" \
-    --json "$WORK/first.json" >/dev/null; then
-  echo "FAIL: checkpointed run"
-  FAILURES=$((FAILURES + 1))
-fi
-if ! "$SEPE_RUN" "${CAMPAIGN[@]}" --threads 1 --checkpoint "$WORK/ckpt.json" \
-    --json "$WORK/second.json" >/dev/null; then
-  echo "FAIL: resumed run"
-  FAILURES=$((FAILURES + 1))
-fi
-if cmp -s "$WORK/first.json" "$WORK/second.json"; then
-  echo "ok: checkpoint resume reproduces the report"
-else
-  echo "FAIL: resumed report differs from the original"
-  FAILURES=$((FAILURES + 1))
-fi
+# --- the verdict journal (--cache) ---
 
-# --- the verdict cache ---
-
-# A warm run against the same --cache directory serves every job from
-# the journal and the stable JSON is byte-identical to the reference.
+# A rerun against the same --cache directory resumes: it serves every
+# job from the journal (saying so on stderr) and the stable JSON is
+# byte-identical to the reference.
 if ! "$SEPE_RUN" "${CAMPAIGN[@]}" --threads 1 --cache "$WORK/cache-dir" \
     --json "$WORK/cache-cold.json" >/dev/null; then
   echo "FAIL: cold cached run"
   FAILURES=$((FAILURES + 1))
 fi
 if ! "$SEPE_RUN" "${CAMPAIGN[@]}" --threads 1 --cache "$WORK/cache-dir" \
-    --json "$WORK/cache-warm.json" >/dev/null; then
+    --json "$WORK/cache-warm.json" >/dev/null 2>"$WORK/cache-warm.log"; then
   echo "FAIL: warm cached run"
   FAILURES=$((FAILURES + 1))
 fi
-if cmp -s "$WORK/reference.json" "$WORK/cache-cold.json" \
+if ! grep -q "2 of 2 job(s) served from the verdict journal" "$WORK/cache-warm.log"; then
+  echo "FAIL: the warm run did not report serving both jobs from the journal:"
+  cat "$WORK/cache-warm.log"
+  FAILURES=$((FAILURES + 1))
+elif cmp -s "$WORK/reference.json" "$WORK/cache-cold.json" \
     && cmp -s "$WORK/reference.json" "$WORK/cache-warm.json"; then
   echo "ok: --cache warm rerun is byte-identical to the uncached reference"
 else
@@ -220,8 +207,8 @@ else
 fi
 
 # A hung worker (claim-once hang token) is out-raced: its shard is
-# stolen from a journal snapshot by the idle worker, the straggler is
-# terminated, and the merge is still byte-identical.
+# stolen by the idle worker, which resumes from the shared journal, the
+# straggler is terminated, and the merge is still byte-identical.
 touch "$WORK/hang.token"
 if ! SEPE_FAULT="point=worker.job_done:hang@token:$WORK/hang.token" \
     "$SEPE_RUN" dispatch --workers 2 --steal-after 0.2 "${CAMPAIGN[@]}" \
@@ -244,26 +231,34 @@ else
 fi
 
 # A worker killed mid-shard (SIGKILL after its first journaled job, via
-# the claim-once fault token) is retried from its checkpoint journal and
-# the merged report is still byte-identical to the reference.
+# the claim-once fault token) is retried; the retry serves that job from
+# the journal every attempt shares (WORK_DIR/cache by default), so the
+# journal ends with one line per job, and the merged report is still
+# byte-identical to the reference.
 touch "$WORK/kill2.token"
 if ! SEPE_FAULT="point=worker.job_done:kill@token:$WORK/kill2.token" \
-    "$SEPE_RUN" dispatch --workers 1 --shards 1 "${CAMPAIGN[@]}" \
-    --json "$WORK/dispatched-kill2.json" >/dev/null 2>"$WORK/dispatch-kill2.log"; then
+    "$SEPE_RUN" dispatch --workers 1 --shards 1 --work-dir "$WORK/kill2-work" \
+    "${CAMPAIGN[@]}" --json "$WORK/dispatched-kill2.json" \
+    >/dev/null 2>"$WORK/dispatch-kill2.log"; then
   echo "FAIL: dispatch run with a SEPE_FAULT-killed worker"
   cat "$WORK/dispatch-kill2.log"
   FAILURES=$((FAILURES + 1))
 fi
+KILL2_LINES=$(wc -l < "$WORK/kill2-work/cache/verdicts.jsonl" 2>/dev/null || echo 0)
 if [ ! -e "$WORK/kill2.token.claimed" ]; then
   echo "FAIL: no worker claimed the SEPE_FAULT kill token"
   FAILURES=$((FAILURES + 1))
 elif ! grep -q "crashed (signal 9)" "$WORK/dispatch-kill2.log" \
-    || ! grep -q "resuming 1 journaled jobs" "$WORK/dispatch-kill2.log"; then
+    || ! grep -q "1 of 2 job(s) served from the verdict journal" \
+      "$WORK/dispatch-kill2.log"; then
   echo "FAIL: dispatcher log is missing the SEPE_FAULT crash/resume trail:"
   cat "$WORK/dispatch-kill2.log"
   FAILURES=$((FAILURES + 1))
+elif [ "$KILL2_LINES" -ne 2 ]; then
+  echo "FAIL: the shared journal should hold one line per job (2), holds $KILL2_LINES"
+  FAILURES=$((FAILURES + 1))
 elif cmp -s "$WORK/reference.json" "$WORK/dispatched-kill2.json"; then
-  echo "ok: a killed worker is retried from its journal, byte-identical merge"
+  echo "ok: a killed worker is retried from the shared journal, byte-identical merge"
 else
   echo "FAIL: post-SEPE_FAULT-kill merged JSON differs from the reference:"
   diff "$WORK/reference.json" "$WORK/dispatched-kill2.json"
@@ -285,30 +280,43 @@ fi
 
 # --- crash-only envelope: SIGTERM mid-campaign ---
 
-# A worker hangs (interruptibly) after its first journaled job; SIGTERM
-# must flush the partial report, exit 143, and leave a checkpoint from
-# which a clean rerun reproduces the reference byte-for-byte.
+# One worker thread hangs (interruptibly) after its first journaled job
+# while the other may still be solving; SIGTERM must write the partial
+# report, exit 143, and leave a journal from which a clean rerun
+# reproduces the reference byte-for-byte. The job the stop wound down is
+# neither reported nor journaled: the partial report's rows, the journal's
+# lines and the count on stderr agree.
+TERM_JOURNAL="$WORK/term-cache/verdicts.jsonl"
 SEPE_FAULT="point=worker.job_done:hang@1" "$SEPE_RUN" "${CAMPAIGN[@]}" \
-    --threads 1 --checkpoint "$WORK/term-ckpt.json" \
-    --json "$WORK/term-partial.json" >/dev/null 2>&1 &
+    --threads 2 --cache "$WORK/term-cache" \
+    --json "$WORK/term-partial.json" >/dev/null 2>"$WORK/term.log" &
 RUN_PID=$!
 for _ in $(seq 1 200); do
-  [ -s "$WORK/term-ckpt.json" ] && break
+  [ -s "$TERM_JOURNAL" ] && break
   sleep 0.1
 done
 kill -TERM "$RUN_PID" 2>/dev/null
 wait "$RUN_PID"
 status=$?
+TERM_ROWS=$(grep -c '"name"' "$WORK/term-partial.json" 2>/dev/null)
+TERM_LINES=$(wc -l < "$TERM_JOURNAL" 2>/dev/null)
+TERM_SAID=$(sed -n 's/.*interrupted[^0-9]*\([0-9]*\) job(s) finished.*/\1/p' "$WORK/term.log")
 if [ "$status" -ne 143 ]; then
   echo "FAIL: SIGTERM'd run should exit 143, got $status"
   FAILURES=$((FAILURES + 1))
-elif [ ! -s "$WORK/term-ckpt.json" ] || [ ! -s "$WORK/term-partial.json" ]; then
-  echo "FAIL: SIGTERM'd run left no checkpoint/partial report"
+elif [ ! -s "$TERM_JOURNAL" ] || [ ! -s "$WORK/term-partial.json" ]; then
+  echo "FAIL: SIGTERM'd run left no journal/partial report"
+  FAILURES=$((FAILURES + 1))
+elif [ -z "$TERM_SAID" ] || [ "$TERM_ROWS" != "$TERM_LINES" ] \
+    || [ "$TERM_SAID" != "$TERM_LINES" ]; then
+  echo "FAIL: partial rows ($TERM_ROWS), journal lines ($TERM_LINES) and the" \
+       "stderr count (${TERM_SAID:-none}) should agree:"
+  cat "$WORK/term.log"
   FAILURES=$((FAILURES + 1))
 else
-  echo "ok: SIGTERM flushes the checkpoint and partial report, exits 143"
+  echo "ok: SIGTERM writes the partial report and journals exactly its $TERM_ROWS row(s), exits 143"
 fi
-if "$SEPE_RUN" "${CAMPAIGN[@]}" --threads 1 --checkpoint "$WORK/term-ckpt.json" \
+if "$SEPE_RUN" "${CAMPAIGN[@]}" --threads 2 --cache "$WORK/term-cache" \
     --json "$WORK/term-resumed.json" >/dev/null 2>&1 \
     && cmp -s "$WORK/reference.json" "$WORK/term-resumed.json"; then
   echo "ok: resume after SIGTERM is byte-identical to the uninterrupted run"
@@ -468,25 +476,29 @@ else
   FAILURES=$((FAILURES + 1))
 fi
 
-# Editing a corpus file invalidates the checkpoint (content digests are
-# part of the spec digest): the resume is refused with exit 1.
-"$SEPE_RUN" "${CORPUS_RUN[@]}" --checkpoint "$WORK/corpus-ckpt.json" >/dev/null 2>&1
+# Editing a corpus file changes its content digest, which is part of the
+# journal key: on resume that file's job misses and is re-solved (the
+# violation moves from 5 to 4), while the other three jobs are served.
+"$SEPE_RUN" "${CORPUS_RUN[@]}" --cache "$WORK/corpus-journal" >/dev/null 2>&1
 sed -i 's/constd 1 5/constd 1 4/' "$CORPUS/counter.btor2"
-"$SEPE_RUN" "${CORPUS_RUN[@]}" --checkpoint "$WORK/corpus-ckpt.json" \
-    >/dev/null 2>"$WORK/corpus-ckpt.stderr"
+"$SEPE_RUN" "${CORPUS_RUN[@]}" --cache "$WORK/corpus-journal" \
+    --json "$WORK/corpus-edited.json" >/dev/null 2>"$WORK/corpus-edited.stderr"
 status=$?
-if [ "$status" -eq 1 ] && grep -q "corpus file" "$WORK/corpus-ckpt.stderr"; then
-  echo "ok: resume against an edited corpus file is refused"
+if [ "$status" -eq 3 ] \
+    && grep -q "3 of 4 job(s) served from the verdict journal" "$WORK/corpus-edited.stderr" \
+    && grep '"source": "counter.btor2"' "$WORK/corpus-edited.json" \
+      | grep -q '"trace_length": 4'; then
+  echo "ok: an edited corpus file misses the journal and is re-solved"
 else
-  echo "FAIL: edited-corpus resume should exit 1 with a diagnostic, got $status"
-  cat "$WORK/corpus-ckpt.stderr"
+  echo "FAIL: edited-corpus resume should re-solve counter.btor2 to length 4, got $status"
+  cat "$WORK/corpus-edited.stderr" "$WORK/corpus-edited.json"
   FAILURES=$((FAILURES + 1))
 fi
 
 # --- witness artifacts ---
 
 # A fresh two-file corpus with known-falsifiable properties (the earlier
-# one was edited by the checkpoint-invalidation drill).
+# one was edited by the journal-invalidation drill).
 WITCORPUS="$WORK/witcorpus"
 mkdir -p "$WITCORPUS"
 sed 's/constd 1 4/constd 1 5/' "$CORPUS/counter.btor2" > "$WITCORPUS/counter.btor2"

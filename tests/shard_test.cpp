@@ -2,14 +2,14 @@
 // partitions the expanded job list deterministically (no overlap, no
 // gaps, reproducible across runs), merge is order-insensitive and
 // rejects overlapping/incomplete shard sets, merged stable JSON is
-// byte-identical to an unsharded run, reports round-trip through their
-// JSON form, and an interrupted shard resumes from its checkpoint
-// without re-running finished jobs.
+// byte-identical to an unsharded run, reports parse back to their
+// stable form, and an interrupted shard resumes from its verdict journal
+// without re-solving finished jobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -17,15 +17,13 @@
 #include "engine/campaign.hpp"
 #include "engine/report_io.hpp"
 #include "engine/shard.hpp"
+#include "engine/verdict_cache.hpp"
+#include "util/fault.hpp"
 
 namespace sepe::engine {
 namespace {
 
 using smt::TermRef;
-
-/// Shared counter of model-builder invocations, for asserting that a
-/// resumed run does not rebuild finished jobs.
-std::atomic<unsigned> g_builds{0};
 
 /// Counter that increments by an input-controlled step: falsified at
 /// depth `target` when target <= max_bound, bound-clean otherwise.
@@ -35,7 +33,6 @@ JobSpec counter_job(const std::string& name, unsigned width, std::uint64_t targe
   job.name = name;
   job.budget = budget;
   job.build = [width, target](ts::TransitionSystem& ts, std::string*) {
-    g_builds.fetch_add(1);
     smt::TermManager& mgr = ts.mgr();
     const TermRef cnt = ts.add_state("cnt", width);
     const TermRef inc = ts.add_input("inc", 1);
@@ -53,7 +50,6 @@ JobSpec frozen_job(const std::string& name, unsigned width, const JobBudget& bud
   job.name = name;
   job.budget = budget;
   job.build = [width](ts::TransitionSystem& ts, std::string*) {
-    g_builds.fetch_add(1);
     smt::TermManager& mgr = ts.mgr();
     const TermRef x = ts.add_state("x", width);
     ts.set_init(x, mgr.mk_const(width, 0));
@@ -300,20 +296,21 @@ TEST(ShardMerge, MergeIsIdempotentOnDisjointShards) {
   EXPECT_EQ(once->to_json(false), twice->to_json(false));
 }
 
-// The report dialects, the checkpoint-journal layout, and the
-// spec-digest refusal rules these tests pin are specified field by
-// field in docs/FORMATS.md — keep the two in sync.
-TEST(ReportIo, TimingReportRoundTrips) {
+// The report dialects and the verdict-journal resume semantics these
+// tests pin are specified field by field in docs/FORMATS.md — keep the
+// two in sync.
+TEST(ReportIo, TimingReportParsesToTheRunsStableForm) {
   const CampaignSpec spec = mixed_spec();
   ShardRunOptions options;
   options.shard = ShardSpec{0, 2};
   std::string error;
   const CampaignReport report = run_sharded(spec, options, &error);
   ASSERT_TRUE(error.empty()) << error;
-  const std::string json = report.to_json(/*include_timing=*/true);
   CampaignReport parsed;
-  ASSERT_TRUE(parse_report(json, &parsed, &error)) << error;
-  EXPECT_EQ(parsed.to_json(/*include_timing=*/true), json);
+  ASSERT_TRUE(parse_report(report.to_json(/*include_timing=*/true), &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.to_json(/*include_timing=*/false),
+            report.to_json(/*include_timing=*/false));
   ASSERT_TRUE(parsed.shard.has_value());
   EXPECT_EQ(parsed.shard->total_jobs, spec.jobs.size());
 }
@@ -321,8 +318,8 @@ TEST(ReportIo, TimingReportRoundTrips) {
 // Backward compatibility: timing reports written while learnt-clause
 // sharing existed carry three counters this binary no longer knows, and
 // those written while the provers raced carry loser_cancelled. Such
-// shard reports (an old checkpoint, an older worker in the fleet) must
-// still parse and merge, with the retired keys ignored.
+// shard reports (an older worker in the fleet) must still parse and
+// merge, with the retired keys ignored.
 TEST(ReportIo, RetiredSharingCountersAreIgnored) {
   const auto shard_json = [](unsigned index, const std::string& name) {
     return "{\"seed\": 7, \"shard\": {\"index\": " + std::to_string(index) +
@@ -338,7 +335,6 @@ TEST(ReportIo, RetiredSharingCountersAreIgnored) {
   std::string error;
   ASSERT_TRUE(parse_report(shard_json(0, "a"), &shards[0], &error)) << error;
   ASSERT_TRUE(parse_report(shard_json(1, "b"), &shards[1], &error)) << error;
-  EXPECT_EQ(shards[0].jobs[0].conflicts, 12u);
   const auto merged = CampaignReport::merge(shards, &error);
   ASSERT_TRUE(merged.has_value()) << error;
   ASSERT_EQ(merged->jobs.size(), 2u);
@@ -364,7 +360,6 @@ TEST(ReportIo, UnknownTimingKeysAreTolerated) {
   ASSERT_TRUE(parse_report(json, &report, &error)) << error;
   ASSERT_EQ(report.jobs.size(), 1u);
   EXPECT_EQ(report.jobs[0].proved_k, 3u);
-  EXPECT_EQ(report.jobs[0].cone_hits, 2u);
 }
 
 TEST(ReportIo, RejectsMalformedInput) {
@@ -384,7 +379,7 @@ TEST(ReportIo, RejectsMalformedInput) {
       &report, &error));  // nameless job
   EXPECT_FALSE(parse_report(
       "{\"seed\": 1, \"jobs\": [{\"name\": \"x\", \"mode\": \"EDDI-V\", "
-      "\"verdict\": \"PROVED\", \"conflicts\": \"oops\"}]}",
+      "\"verdict\": \"FALSIFIED\", \"trace_length\": \"oops\"}]}",
       &report, &error));  // non-numeric count is a hard error
   // A corrupt file cannot drive the parser into unbounded recursion.
   EXPECT_FALSE(parse_report(std::string(100000, '['), &report, &error));
@@ -417,94 +412,130 @@ TEST(ShardRun, JobDoneHookReportsFullSpecPositions) {
   EXPECT_EQ(seen, plan.spec_indices);
 }
 
-class CheckpointTest : public ::testing::Test {
+/// Resume goes through the verdict journal (ShardRunOptions::cache_dir):
+/// a rerun serves every job the journal holds and solves only the rest.
+class JournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "shard_checkpoint_test.json";
-    std::remove(path_.c_str());
+    dir_ = ::testing::TempDir() + "shard_journal_test";
+    std::filesystem::remove_all(dir_);
   }
-  void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_;
+  void TearDown() override {
+    fault::configure("");
+    std::filesystem::remove_all(dir_);
+  }
+  ShardRunOptions options() const {
+    ShardRunOptions o;
+    o.shard = ShardSpec{0, 2};
+    o.cache_dir = dir_;
+    return o;
+  }
+  std::string journal() const {
+    return read_text_file(VerdictCache::journal_path(dir_)).value_or("");
+  }
+  std::string dir_;
 };
 
-TEST_F(CheckpointTest, ResumeSkipsFinishedJobsAndReproducesTheReport) {
+TEST_F(JournalTest, RerunAgainstACompleteJournalStartsNoSolver) {
   const CampaignSpec spec = mixed_spec();
-  ShardRunOptions options;
-  options.shard = ShardSpec{0, 2};
-  options.checkpoint_path = path_;
-
   std::string error;
-  g_builds.store(0);
-  const CampaignReport first = run_sharded(spec, options, &error);
+  const CampaignReport first = run_sharded(spec, options(), &error);
   ASSERT_TRUE(error.empty()) << error;
-  // Every job races two provers -> two builds each; at least one each.
-  EXPECT_GE(g_builds.load(), first.jobs.size());
 
-  // A second run against the complete checkpoint does no model building.
-  g_builds.store(0);
-  const CampaignReport resumed = run_sharded(spec, options, &error);
+  // Under this plan every SAT solve fails as out of memory, so a rerun
+  // that started a solver would demote rows to UNKNOWN.
+  ASSERT_TRUE(fault::configure("point=solver.alloc:oom"));
+  std::atomic<unsigned> hook_fired{0};
+  ShardRunOptions rerun = options();
+  rerun.pool.on_job_done = [&](std::size_t, const JobResult&) { ++hook_fired; };
+  const CampaignReport resumed = run_sharded(spec, rerun, &error);
   ASSERT_TRUE(error.empty()) << error;
-  EXPECT_EQ(g_builds.load(), 0u);
+  EXPECT_EQ(hook_fired.load(), 0u);
+  for (const JobResult& j : resumed.jobs) {
+    EXPECT_TRUE(j.from_cache) << j.name;
+    EXPECT_EQ(j.conflicts, 0u) << j.name;
+    EXPECT_EQ(j.witness_checked, j.verdict == Verdict::Falsified) << j.name;
+  }
   EXPECT_EQ(resumed.to_json(/*include_timing=*/false),
-            first.to_json(/*include_timing=*/false));
-
-  // Simulate an interruption: drop all but two finished jobs from the
-  // journal. Only the dropped jobs are re-run.
-  CampaignReport partial;
-  ASSERT_TRUE(parse_report(*read_text_file(path_), &partial, &error)) << error;
-  ASSERT_GT(partial.jobs.size(), 2u);
-  const std::size_t dropped = partial.jobs.size() - 2;
-  partial.jobs.resize(2);
-  ASSERT_TRUE(write_text_file_atomic(path_, partial.to_json(true)));
-  g_builds.store(0);
-  const CampaignReport recovered = run_sharded(spec, options, &error);
-  ASSERT_TRUE(error.empty()) << error;
-  EXPECT_GE(g_builds.load(), dropped);
-  // Never more than both provers plus the witness post-pass rebuild of
-  // each re-run FALSIFIED row (resumed rows round-trip witness_checked
-  // through the journal and are not re-checked).
-  EXPECT_LE(g_builds.load(), 3 * dropped);
-  EXPECT_EQ(recovered.to_json(/*include_timing=*/false),
             first.to_json(/*include_timing=*/false));
 }
 
-TEST_F(CheckpointTest, RejectsForeignCheckpoint) {
+TEST_F(JournalTest, TruncatedJournalReSolvesExactlyTheDroppedJobs) {
   const CampaignSpec spec = mixed_spec();
-  ShardRunOptions options;
-  options.shard = ShardSpec{0, 2};
-  options.checkpoint_path = path_;
   std::string error;
-  run_sharded(spec, options, &error);
+  const CampaignReport first = run_sharded(spec, options(), &error);
   ASSERT_TRUE(error.empty()) << error;
 
-  // Same file, different shard: refused rather than mis-resumed.
-  options.shard = ShardSpec{1, 2};
-  const CampaignReport report = run_sharded(spec, options, &error);
-  EXPECT_FALSE(error.empty());
-  EXPECT_TRUE(report.jobs.empty());
+  // Simulate an interruption: keep only the first two journal lines.
+  const std::string full = journal();
+  const std::size_t lines = std::count(full.begin(), full.end(), '\n');
+  ASSERT_EQ(lines, first.jobs.size());
+  const std::size_t cut = full.find('\n', full.find('\n') + 1);
+  ASSERT_TRUE(write_text_file_atomic(VerdictCache::journal_path(dir_),
+                                     full.substr(0, cut + 1)));
 
-  // Same shard, different budgets: the spec digest refuses the resume
-  // instead of presenting stale verdicts as the new campaign's result.
-  options.shard = ShardSpec{0, 2};
+  std::mutex resolved_mutex;
+  std::vector<std::size_t> resolved;
+  ShardRunOptions resume = options();
+  resume.pool.threads = 2;
+  resume.pool.on_job_done = [&](std::size_t index, const JobResult&) {
+    std::lock_guard<std::mutex> lock(resolved_mutex);
+    resolved.push_back(index);
+  };
+  const CampaignReport recovered = run_sharded(spec, resume, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  // The hook fires exactly once per dropped job and never for a served one.
+  std::sort(resolved.begin(), resolved.end());
+  EXPECT_EQ(resolved.size(), lines - 2);
+  EXPECT_EQ(std::adjacent_find(resolved.begin(), resolved.end()), resolved.end());
+  for (const JobResult& j : recovered.jobs)
+    EXPECT_NE(j.from_cache,
+              std::binary_search(resolved.begin(), resolved.end(), j.spec_index))
+        << j.name;
+  EXPECT_EQ(recovered.to_json(/*include_timing=*/false),
+            first.to_json(/*include_timing=*/false));
+  // The journal again holds one line per job: nothing was solved twice.
+  const std::string healed = journal();
+  EXPECT_EQ(static_cast<std::size_t>(std::count(healed.begin(), healed.end(), '\n')),
+            lines);
+}
+
+TEST_F(JournalTest, ForeignShardBudgetFingerprintOrCorruptionOnlyMisses) {
+  const CampaignSpec spec = mixed_spec();
+  std::string error;
+  const CampaignReport first = run_sharded(spec, options(), &error);
+  ASSERT_TRUE(error.empty()) << error;
+
+  // Every variation runs without error and solves all of its jobs afresh.
+  const auto run_missing_everything = [&](const CampaignSpec& s, ShardRunOptions o,
+                                          const char* what) {
+    std::atomic<std::size_t> solved{0};
+    o.pool.on_job_done = [&](std::size_t, const JobResult&) { ++solved; };
+    const CampaignReport r = run_sharded(s, o, &error);
+    EXPECT_TRUE(error.empty()) << what << ": " << error;
+    EXPECT_FALSE(r.jobs.empty()) << what;
+    EXPECT_EQ(solved.load(), r.jobs.size()) << what;
+    for (const JobResult& j : r.jobs) EXPECT_FALSE(j.from_cache) << what << ": " << j.name;
+    return r;
+  };
+
+  ShardRunOptions other_shard = options();
+  other_shard.shard = ShardSpec{1, 2};
+  run_missing_everything(spec, other_shard, "different shard");
+
   CampaignSpec rebudgeted = mixed_spec();
   for (JobSpec& job : rebudgeted.jobs) job.budget.max_bound += 4;
-  error.clear();
-  run_sharded(rebudgeted, options, &error);
-  EXPECT_NE(error.find("different campaign parameters"), std::string::npos);
+  run_missing_everything(rebudgeted, options(), "different budget");
 
-  // A caller-supplied fingerprint change (e.g. sepe-run's --xlen) is
-  // refused the same way.
-  options.fingerprint = "xlen=8";
-  error.clear();
-  run_sharded(spec, options, &error);
-  EXPECT_NE(error.find("different campaign parameters"), std::string::npos);
-  options.fingerprint.clear();
+  // A caller-supplied fingerprint change (e.g. sepe-run's --xlen).
+  ShardRunOptions refingerprinted = options();
+  refingerprinted.fingerprint = "xlen=8";
+  run_missing_everything(spec, refingerprinted, "different fingerprint");
 
-  // Corrupt journal: refused with a pointer to the fix.
-  ASSERT_TRUE(write_text_file_atomic(path_, "{not json"));
-  error.clear();
-  run_sharded(spec, options, &error);
-  EXPECT_NE(error.find("delete it"), std::string::npos);
+  ASSERT_TRUE(write_text_file_atomic(VerdictCache::journal_path(dir_), "{not json\n"));
+  const CampaignReport rerun = run_missing_everything(spec, options(), "corrupt journal");
+  EXPECT_EQ(rerun.to_json(/*include_timing=*/false),
+            first.to_json(/*include_timing=*/false));
 }
 
 }  // namespace

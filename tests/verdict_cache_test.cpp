@@ -1,6 +1,7 @@
 // Tests for the persistent verdict cache: journal lines round-trip and
 // self-validate (truncation or hand-editing is detected and degrades to
-// a miss, never a wrong verdict), FALSIFIED lines carry their stimulus,
+// a miss, never a wrong verdict; a torn line costs only its own entry),
+// FALSIFIED lines carry their stimulus,
 // keys separate every budget/provenance knob while unifying resolved
 // encodings, wall-capped jobs are refused, and a warm run_sharded serves
 // every cacheable job from the journal with byte-identical stable JSON,
@@ -274,6 +275,31 @@ TEST_F(VerdictCacheStoreTest, CorruptJournalLinesDegradeToMisses) {
   EXPECT_TRUE(cache->lookup("aaaaaaaaaaaaaaaa").has_value());   // intact
   EXPECT_FALSE(cache->lookup("bbbbbbbbbbbbbbbb").has_value());  // truncated
   EXPECT_FALSE(cache->lookup("cccccccccccccccc").has_value());  // forged
+}
+
+TEST_F(VerdictCacheStoreTest, AppendAfterATornLineStartsAFreshLine) {
+  // A writer that crashed mid-append left half an entry and no newline.
+  std::filesystem::create_directories(dir_);
+  const std::string torn =
+      VerdictCache::format_line("aaaaaaaaaaaaaaaa", falsified_entry());
+  std::ofstream(VerdictCache::journal_path(dir_), std::ios::binary)
+      << torn.substr(0, torn.size() / 2);
+
+  std::string error;
+  {
+    auto cache = VerdictCache::open(dir_, &error);
+    ASSERT_TRUE(cache) << error;
+    VerdictCache::Entry proved;
+    proved.verdict = Verdict::Proved;
+    proved.proved_k = 2;
+    cache->append("bbbbbbbbbbbbbbbb", proved);
+  }
+  // The fragment costs only its own entry: the next one lands intact.
+  auto reopened = VerdictCache::open(dir_, &error);
+  ASSERT_TRUE(reopened) << error;
+  EXPECT_EQ(reopened->stats().entries_loaded, 1u);
+  EXPECT_EQ(reopened->stats().corrupt_lines, 1u);
+  EXPECT_TRUE(reopened->lookup("bbbbbbbbbbbbbbbb").has_value());
 }
 
 // --- run_sharded integration ---

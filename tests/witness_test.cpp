@@ -735,23 +735,5 @@ TEST(WitnessCorpusTest, FalsifiedCorpusJobsRoundTripThroughArtifacts) {
   EXPECT_EQ(falsified, 2u);  // counter at 5, multi:b0 at 3; multi:b1 proved
 }
 
-// --- report round-trip of the new columns ---
-
-TEST(WitnessReportTest, TimingJsonRoundTripsCheckedAndShrunk) {
-  const CampaignSpec spec = mixed_spec();
-  CampaignOptions options;
-  options.threads = 2;
-  const CampaignReport report = run_campaign(spec, options);
-  const std::string json = report.to_json(/*include_timing=*/true);
-  std::string error;
-  CampaignReport back;
-  ASSERT_TRUE(parse_report(json, &back, &error)) << error;
-  ASSERT_EQ(back.jobs.size(), report.jobs.size());
-  for (std::size_t i = 0; i < report.jobs.size(); ++i) {
-    EXPECT_EQ(back.jobs[i].witness_checked, report.jobs[i].witness_checked);
-    EXPECT_EQ(back.jobs[i].trace_length_shrunk, report.jobs[i].trace_length_shrunk);
-  }
-}
-
 }  // namespace
 }  // namespace sepe::engine

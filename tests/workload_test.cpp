@@ -2,8 +2,8 @@
 // BTOR2 corpus source expands one job per bad property with provenance
 // and content digests, malformed corpus files become per-job parse-error
 // rows instead of campaign aborts, corpus campaigns are byte-
-// deterministic across thread counts, an edited corpus file refuses a
-// checkpoint resume, and the pinned QED models survive a
+// deterministic across thread counts, an edited corpus file misses the
+// verdict journal and is re-solved, and the pinned QED models survive a
 // to_btor2 -> parse_btor2 round trip behaviourally intact.
 #include <gtest/gtest.h>
 
@@ -159,7 +159,7 @@ TEST_F(CorpusTest, MalformedFileBecomesParseErrorRowAndCampaignContinues) {
   EXPECT_EQ(report.jobs[1].trace_length, 5u);
 
   // The diagnostic and the provenance columns travel through the stable
-  // JSON and parse back (merge/checkpoint wire format).
+  // JSON and parse back (the merge wire format).
   const std::string json = report.to_json(/*include_timing=*/false);
   EXPECT_NE(json.find("\"workload\": \"btor2\""), std::string::npos);
   EXPECT_NE(json.find("\"error\": "), std::string::npos);
@@ -185,31 +185,39 @@ TEST_F(CorpusTest, StableJsonIsThreadCountInvariant) {
   EXPECT_EQ(a, b);
 }
 
-TEST_F(CorpusTest, EditedCorpusFileRefusesCheckpointResume) {
+TEST_F(CorpusTest, EditedCorpusFileMissesTheJournal) {
   write("counter.btor2", kCounterSat);
   write("multi.btor2", kMultiProp);
-  const std::string checkpoint = (dir_ / "checkpoint.json").string();
 
   ShardRunOptions options;
-  options.checkpoint_path = checkpoint;
-  options.shard = ShardSpec{0, 1};
+  options.cache_dir = (dir_ / "journal").string();
   std::string error;
   const CampaignReport first = run_sharded(expand_ok(), options, &error);
   ASSERT_TRUE(error.empty()) << error;
   ASSERT_EQ(first.jobs.size(), 3u);
 
-  // Unchanged corpus: the journal resumes cleanly.
-  run_sharded(expand_ok(), options, &error);
-  EXPECT_TRUE(error.empty()) << error;
+  // Unchanged corpus: every job is served from the journal.
+  const CampaignReport warm = run_sharded(expand_ok(), options, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  for (const JobResult& j : warm.jobs) EXPECT_TRUE(j.from_cache) << j.name;
 
   // Edit one file (the violation moves from 5 to 4): the re-expanded
-  // spec has the same job names but different content digests, so the
-  // resume must be refused instead of reusing the stale verdict.
+  // spec has the same job names but a different content digest, so that
+  // job misses the journal and is re-solved instead of reusing the stale
+  // verdict; the untouched file's jobs are still served.
   std::string edited = kCounterSat;
   edited.replace(edited.find("16 constd 1 5"), 13, "16 constd 1 4");
   write("counter.btor2", edited);
-  run_sharded(expand_ok(), options, &error);
-  EXPECT_NE(error.find("different campaign parameters"), std::string::npos);
+  const CampaignReport rerun = run_sharded(expand_ok(), options, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  ASSERT_EQ(rerun.jobs.size(), 3u);
+  for (const JobResult& j : rerun.jobs) {
+    const bool edited_job = j.provenance.source == "counter.btor2";
+    EXPECT_EQ(j.from_cache, !edited_job) << j.name;
+    if (!edited_job) continue;
+    EXPECT_EQ(j.verdict, Verdict::Falsified);
+    EXPECT_EQ(j.trace_length, 4u);
+  }
 }
 
 TEST(QedMatrixSource, ExpandsWithQedProvenance) {

@@ -21,8 +21,8 @@
 // subcommand folds the N shard reports back into one report whose
 // stable JSON is byte-identical to an unsharded run, and the dispatch
 // subcommand schedules all N shards onto a fleet of worker processes
-// (src/engine/dispatch.hpp: checkpoint-journal retries, straggler
-// stealing, live aggregation) and merges for you.
+// (src/engine/dispatch.hpp: retries and straggler stealing that resume
+// from one shared verdict journal, live aggregation) and merges for you.
 //
 // Examples:
 //   sepe-run --bugs table1 --rows 8 --threads 4
@@ -71,9 +71,10 @@ using isa::Opcode;
 namespace {
 
 /// Crash-only envelope (docs/ROBUSTNESS.md): SIGTERM/SIGINT raise the
-/// cooperative stop flag every CDCL loop polls; the campaign winds down,
-/// flushes its checkpoint journal and a partial report, and main exits
-/// 128+signal (143 / 130). Only async-signal-safe work happens here.
+/// cooperative stop flag every CDCL loop polls; the campaign winds down
+/// (finished jobs are already in the verdict journal), writes a partial
+/// report, and main exits 128+signal (143 / 130). Only async-signal-safe
+/// work happens here.
 volatile std::sig_atomic_t g_signal = 0;
 
 void handle_terminate_signal(int sig) {
@@ -122,11 +123,12 @@ void usage() {
       "  --seed S         RNG seed recorded in the report (default 1)\n"
       "  --shard I/N      run only the deterministic shard I of N (0-based);\n"
       "                   the JSON report then carries shard metadata for merge\n"
-      "  --checkpoint F   journal finished jobs to F and resume from it\n"
-      "  --cache DIR      reuse verdicts journaled under DIR (verdicts.jsonl)\n"
-      "                   across runs, shards, and campaigns; stable JSON is\n"
-      "                   byte-identical warm or cold (see docs/FORMATS.md);\n"
-      "                   wall-capped jobs (--time-cap) are never cached\n"
+      "  --cache DIR      journal finished jobs under DIR (verdicts.jsonl) and\n"
+      "                   serve the ones journaled there: how an interrupted\n"
+      "                   run resumes, and verdicts are reused across runs,\n"
+      "                   shards, and campaigns; stable JSON is byte-identical\n"
+      "                   warm or cold (see docs/FORMATS.md); wall-capped jobs\n"
+      "                   (--time-cap) are never journaled\n"
       "  --json FILE      write a JSON report ('-' = stdout)\n"
       "  --stable-json    JSON omits timing and counter fields (byte-deterministic)\n"
       "  --witness        print the counterexample trace of falsified jobs\n"
@@ -155,20 +157,23 @@ void usage() {
       "with the parse diagnostic instead of aborting the campaign).\n"
       "\n"
       "dispatch: shard the campaign across worker processes spawned by this\n"
-      "one, retry crashed shards from their checkpoint journals, re-issue\n"
-      "stragglers to idle workers (first completion wins), and merge — the\n"
-      "merged stable JSON is byte-identical to an unsharded run. Every flag\n"
-      "not listed below (and an optional leading 'corpus DIR') is forwarded\n"
-      "to the workers verbatim; --threads defaults to 1 per worker, and\n"
-      "--shard/--checkpoint are owned by the dispatcher and rejected.\n"
+      "one, retry crashed shards, re-issue stragglers to idle workers (first\n"
+      "completion wins), and merge — the merged stable JSON is byte-identical\n"
+      "to an unsharded run. Every attempt shares one verdict journal, so a\n"
+      "retry or a thief resumes instead of re-solving. Every flag not listed\n"
+      "below (and an optional leading 'corpus DIR') is forwarded to the\n"
+      "workers verbatim; --threads defaults to 1 per worker, and --shard is\n"
+      "owned by the dispatcher and rejected.\n"
       "  --workers N      concurrent worker processes (default 2)\n"
       "  --shards M       shard count (default: the worker count)\n"
       "  --retries R      re-launches per shard after a failure (default 1)\n"
       "  --no-steal       never re-issue straggler shards to idle workers\n"
       "  --steal-after S  seconds a shard must run before an idle worker\n"
       "                   may steal it (default 1)\n"
-      "  --work-dir D     keep per-attempt journals and reports in D\n"
-      "                   (default: a temp directory, removed on success)\n"
+      "  --work-dir D     keep per-attempt reports (and the default journal)\n"
+      "                   in D (default: a temp directory, removed on success)\n"
+      "  --cache DIR      the verdict journal every worker attempt shares\n"
+      "                   (default: WORK_DIR/cache)\n"
       "  --witness-dir D  forwarded to the workers (they write the artifacts)\n"
       "                   and additionally audited after the merge: every\n"
       "                   FALSIFIED row — retried and stolen shards included —\n"
@@ -193,8 +198,8 @@ void usage() {
       "exit codes: 0 success; 1 I/O, merge, dispatch or pinned-table\n"
       "synthesis failure; 2 usage error; 3 the campaign finished with\n"
       "UNKNOWN verdicts; 130/143 the run was interrupted (SIGINT/SIGTERM)\n"
-      "after flushing its checkpoint journal and a partial report — resume\n"
-      "with the same --checkpoint.\n"
+      "after writing a partial report — with --cache, re-running with the\n"
+      "same flags resumes from the verdict journal.\n"
       "Fault injection (SEPE_FAULT) and the failure-mode matrix are\n"
       "documented in docs/ROBUSTNESS.md.\n");
 }
@@ -272,7 +277,6 @@ struct CommonOptions {
   bool witness_check = true;
   std::string witness_dir;
   std::string json_path;
-  std::string checkpoint_path;
   std::string cache_dir;
   std::optional<engine::ShardSpec> shard;
   std::optional<bool> plaisted_greenbaum;  // nullopt = workload default
@@ -349,9 +353,7 @@ bool parse_common_flag(int& i, int argc, char** argv, CommonOptions* o) {
       std::exit(2);
     }
     o->shard = parsed;
-  } else if (!std::strcmp(argv[i], "--checkpoint"))
-    o->checkpoint_path = next("--checkpoint");
-  else if (!std::strcmp(argv[i], "--cache"))
+  } else if (!std::strcmp(argv[i], "--cache"))
     o->cache_dir = next("--cache");
   else if (!std::strcmp(argv[i], "--json"))
     o->json_path = next("--json");
@@ -368,7 +370,7 @@ bool parse_common_flag(int& i, int argc, char** argv, CommonOptions* o) {
   return true;
 }
 
-/// Run the expanded spec (sharded/checkpointed as requested) and emit
+/// Run the expanded spec (sharded/journaled as requested) and emit
 /// the table + optional JSON report. Shared campaign epilogue of both
 /// workload families.
 int run_and_report(const engine::CampaignSpec& spec, const CommonOptions& common,
@@ -395,11 +397,10 @@ int run_and_report(const engine::CampaignSpec& spec, const CommonOptions& common
     options.pool.witness.artifact_dir = common.witness_dir;
   }
   options.shard = common.shard;
-  options.checkpoint_path = common.checkpoint_path;
   options.cache_dir = common.cache_dir;
   // Campaign parameters the JobSpecs cannot expose (they shape the model
-  // builders): folded into the checkpoint digest so a resume under
-  // different flags is refused instead of reusing stale verdicts.
+  // builders): folded into every journal key, so a resume under
+  // different flags misses instead of reusing stale verdicts.
   options.fingerprint = fingerprint;
   std::string run_error;
   engine::CampaignReport report = engine::run_sharded(spec, options, &run_error);
@@ -407,12 +408,19 @@ int run_and_report(const engine::CampaignSpec& spec, const CommonOptions& common
     std::fprintf(stderr, "sepe-run: %s\n", run_error.c_str());
     return exit_code(1);
   }
+  std::size_t served = 0;
+  for (const engine::JobResult& j : report.jobs) served += j.from_cache;
+  if (served > 0)
+    std::fprintf(stderr,
+                 "sepe-run: %zu of %zu job(s) served from the verdict journal in %s\n",
+                 served, report.jobs.size(), common.cache_dir.c_str());
 
   // Interrupted (SIGTERM/SIGINT or an injected stop fault): the rows of
-  // jobs this run never claimed carry no information — drop them so the
-  // partial report holds exactly the solved/journaled jobs, then exit
-  // 128+signal below. Finished jobs are already in the checkpoint; the
-  // resumed run completes the campaign byte-identically.
+  // jobs this run never claimed — never started, or wound down UNKNOWN by
+  // the stop — carry no information. Drop them so the partial report
+  // holds exactly the finished jobs, then exit 128+signal below. With
+  // --cache the finished jobs are already journaled, and the resumed run
+  // completes the campaign byte-identically.
   const bool interrupted = fault::global_stop_requested();
   if (interrupted) {
     std::vector<engine::JobResult> kept;
@@ -443,13 +451,11 @@ int run_and_report(const engine::CampaignSpec& spec, const CommonOptions& common
     }
   }
   if (interrupted)
-    std::fprintf(stderr,
-                 "sepe-run: interrupted — %zu job(s) journaled; re-run with the "
-                 "same flags%s to resume\n",
+    std::fprintf(stderr, "sepe-run: interrupted — %zu job(s) finished; %s\n",
                  report.jobs.size(),
-                 common.checkpoint_path.empty() ? " (add --checkpoint to make "
-                                                  "interrupts resumable)"
-                                                : " and --checkpoint");
+                 common.cache_dir.empty()
+                     ? "add --cache DIR to make interrupts resumable"
+                     : "re-run with the same flags to resume from the verdict journal");
 
   // Exit status: 0 when every job reached a definite or clean verdict
   // (and 128+signal when the run was told to stop).
@@ -600,13 +606,14 @@ std::string self_exe_path(const char* argv0) {
 
 /// `sepe-run dispatch [dispatch flags] [workload args...]` — shard the
 /// campaign over a fleet of worker processes (each one a `sepe-run
-/// --shard I/M` child), with checkpoint-journal retries and straggler
-/// stealing; print and optionally write the merged report.
+/// --shard I/M` child sharing one verdict journal), with retries and
+/// straggler stealing; print and optionally write the merged report.
 int run_dispatch_cli(int argc, char** argv) {
   engine::DispatchOptions options;
   std::string json_path;
   std::string work_dir_flag;
   std::string witness_dir;
+  std::string cache_dir;
   std::vector<std::string> forwarded;
   bool forwards_threads = false;
   bool forwards_no_witness_check = false;
@@ -636,6 +643,10 @@ int run_dispatch_cli(int argc, char** argv) {
       // the artifacts (the flag is forwarded below), the dispatcher
       // audits every merged FALSIFIED row against them.
       witness_dir = next("--witness-dir");
+    } else if (!std::strcmp(argv[i], "--cache")) {
+      // Every attempt gets the same journal (forwarded below), so a retry
+      // or a thief resumes from what earlier attempts finished.
+      cache_dir = next("--cache");
     } else if (!std::strcmp(argv[i], "--json"))
       json_path = next("--json");
     else if (!std::strcmp(argv[i], "--stable-json")) {
@@ -644,12 +655,10 @@ int run_dispatch_cli(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
       usage();
       return 0;
-    } else if (!std::strcmp(argv[i], "--shard") ||
-               !std::strcmp(argv[i], "--checkpoint")) {
+    } else if (!std::strcmp(argv[i], "--shard")) {
       std::fprintf(stderr,
-                   "sepe-run: %s is owned by the dispatcher (it plans the shards "
-                   "and journals every attempt) — try --help\n",
-                   argv[i]);
+                   "sepe-run: --shard is owned by the dispatcher (it plans the "
+                   "shards) — try --help\n");
       return 2;
     } else {
       if (!std::strcmp(argv[i], "--threads")) forwards_threads = true;
@@ -702,6 +711,9 @@ int run_dispatch_cli(int argc, char** argv) {
     return 1;
   }
   options.work_dir = work_dir.string();
+  options.worker_command.push_back("--cache");
+  options.worker_command.push_back(cache_dir.empty() ? (work_dir / "cache").string()
+                                                     : cache_dir);
   options.on_event = [](const std::string& line) {
     std::fprintf(stderr, "[dispatch] %s\n", line.c_str());
   };
@@ -709,9 +721,9 @@ int run_dispatch_cli(int argc, char** argv) {
   const engine::DispatchResult result = engine::run_dispatch(options);
   if (!result.ok) {
     std::fprintf(stderr, "sepe-run: dispatch failed: %s\n", result.error.c_str());
-    // Keep the journals of a failed dispatch — they are the resume and
-    // the post-mortem material.
-    std::fprintf(stderr, "sepe-run: worker journals kept in %s\n",
+    // Keep the work dir of a failed dispatch — its reports (and the
+    // default journal) are the resume and the post-mortem material.
+    std::fprintf(stderr, "sepe-run: work directory kept in %s\n",
                  options.work_dir.c_str());
     return exit_code(1);
   }
@@ -727,9 +739,9 @@ int run_dispatch_cli(int argc, char** argv) {
       std::printf("\n%s", json.c_str());
     } else if (!engine::write_text_file_atomic(json_path, json, "report.write")) {
       std::fprintf(stderr, "sepe-run: cannot write '%s'\n", json_path.c_str());
-      // The campaign itself succeeded; keep the journals so rerunning
-      // with --work-dir can re-merge without re-solving anything.
-      std::fprintf(stderr, "sepe-run: worker journals kept in %s\n",
+      // The campaign itself succeeded; keep the work dir so rerunning
+      // with --work-dir serves every job from its journal.
+      std::fprintf(stderr, "sepe-run: work directory kept in %s\n",
                    options.work_dir.c_str());
       return 1;
     } else {
@@ -783,7 +795,7 @@ int run_corpus(int argc, char** argv) {
                 common.shard->count);
   std::printf("\n");
 
-  // Budgets and per-file content hashes are covered by the spec digest
+  // Budgets and per-file content hashes are covered by every journal key
   // already; the fingerprint pins the family.
   return run_and_report(*spec, common, "workload=btor2");
 }
@@ -793,7 +805,7 @@ int run_corpus(int argc, char** argv) {
 int main(int argc, char** argv) {
   // Crash-only envelope first: every subcommand (and every dispatched
   // worker child, which re-enters main) stops cooperatively on
-  // SIGTERM/SIGINT and exits 128+signal after flushing its journals.
+  // SIGTERM/SIGINT and exits 128+signal after writing a partial report.
   std::signal(SIGTERM, handle_terminate_signal);
   std::signal(SIGINT, handle_terminate_signal);
   // Arm SEPE_FAULT before any work happens; see docs/ROBUSTNESS.md.
