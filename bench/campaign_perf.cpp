@@ -3,10 +3,10 @@
 // Runs the Table-1 single-instruction campaign (8 instruction classes ×
 // both QED modes, the CI smoke grid) on the user path: one BMC +
 // k-induction loop per job, default solver config, 1 worker thread.
-// Every counter in the report — SAT conflicts / propagations /
-// decisions, CNF variable / clause counts, cone-cache traffic — is a
-// deterministic function of the code, so consecutive runs (and CI runs
-// on different machines) produce identical numbers and the counters form a comparable
+// Every counter in the report (smt::kWorkCounters: SAT work, CNF sizes,
+// cone-cache traffic, inprocessing, retries) is a deterministic function
+// of the code at 1 thread, so consecutive runs (and CI runs on different
+// machines) produce identical numbers and the counters form a comparable
 // trajectory across commits. Wall time is reported too but is
 // machine-dependent and excluded from comparisons; the wall-clock
 // yardstick is perfbench (perfbench/NOTES.md).
@@ -20,12 +20,11 @@
 //   warm — same cone cache, same verdict-cache directory. Every job is
 //          served from the verdict journal (FALSIFIED rows replayed from
 //          their journaled stimuli by the default witness check, as in a
-//          user's warm run), so the warm totals (solver conflicts,
-//          blasted clauses, jobs solved) drop to zero — the headline
-//          saving the cache exists for. The bench hard-fails if any warm
-//          verdict field differs from its cold twin, or if the warm run
-//          solved anything: the cache must never change answers, only
-//          skip work.
+//          user's warm run), so every warm work total drops to zero —
+//          the headline saving the cache exists for. The bench
+//          hard-fails if any warm verdict field differs from its cold
+//          twin, or if the warm run solved anything: the cache must
+//          never change answers, only skip work.
 //
 // Usage: campaign_perf [--json FILE] [--rows N] [--bound N] [--max-k N]
 // The default grid must stay in sync with bench/baseline.json and the CI
@@ -49,34 +48,33 @@ using namespace sepe;
 
 namespace {
 
-struct Totals {
-  std::uint64_t conflicts = 0, propagations = 0, decisions = 0;
-  std::uint64_t cnf_vars = 0, cnf_clauses = 0;
-  std::uint64_t cone_lookups = 0, cone_hits = 0, cone_clauses_replayed = 0;
-  std::uint64_t eliminated_vars = 0, subsumed_clauses = 0, vivified_clauses = 0;
-  std::uint64_t sat_retries = 0, jobs_hit_memory_limit = 0;
-  std::uint64_t jobs_from_cache = 0;
-};
-
-Totals tally(const engine::CampaignReport& report) {
-  Totals t;
-  for (const engine::JobResult& j : report.jobs) {
-    t.conflicts += j.conflicts;
-    t.propagations += j.propagations;
-    t.decisions += j.decisions;
-    t.cnf_vars += j.cnf_vars;
-    t.cnf_clauses += j.cnf_clauses;
-    t.cone_lookups += j.cone_lookups;
-    t.cone_hits += j.cone_hits;
-    t.cone_clauses_replayed += j.cone_clauses_replayed;
-    t.eliminated_vars += j.eliminated_vars;
-    t.subsumed_clauses += j.subsumed_clauses;
-    t.vivified_clauses += j.vivified_clauses;
-    t.sat_retries += j.sat_retries;
-    if (j.hit_memory_limit) ++t.jobs_hit_memory_limit;
-    if (j.from_cache) ++t.jobs_from_cache;
-  }
+/// Job-wise sum of a report's work counters.
+smt::Work total(const engine::CampaignReport& report) {
+  smt::Work t;
+  for (const engine::JobResult& j : report.jobs) t += j.work;
   return t;
+}
+
+/// `"name": value` for every work counter, comma-separated.
+void write_work(std::ostream& os, const smt::Work& w) {
+  const char* sep = "";
+  for (const smt::WorkCounter& c : smt::kWorkCounters) {
+    os << sep << '"' << c.name << "\": " << w.*c.member;
+    sep = ", ";
+  }
+}
+
+/// Jobs a report served from the verdict journal.
+std::size_t served_from_cache(const engine::CampaignReport& report) {
+  std::size_t n = 0;
+  for (const engine::JobResult& j : report.jobs) n += j.from_cache;
+  return n;
+}
+
+bool any_work(const smt::Work& w) {
+  for (const smt::WorkCounter& c : smt::kWorkCounters)
+    if (w.*c.member != 0) return true;
+  return false;
 }
 
 std::string perf_json(const engine::CampaignReport& cold,
@@ -87,6 +85,7 @@ std::string perf_json(const engine::CampaignReport& cold,
      << ", \"modes\": \"both\", \"bound\": " << bound << ", \"max_k\": " << max_k
      << ", \"xlen\": 4}";
   os << ",\n  \"jobs\": [";
+  std::uint64_t jobs_hit_memory_limit = 0;
   for (std::size_t i = 0; i < cold.jobs.size(); ++i) {
     const engine::JobResult& j = cold.jobs[i];
     os << (i ? ",\n    {" : "\n    {") << "\"name\": ";
@@ -100,39 +99,24 @@ std::string perf_json(const engine::CampaignReport& cold,
       }
     }
     if (j.verdict == engine::Verdict::Proved) os << ", \"proved_k\": " << j.proved_k;
-    os << ", \"conflicts\": " << j.conflicts
-       << ", \"propagations\": " << j.propagations
-       << ", \"decisions\": " << j.decisions << ", \"cnf_vars\": " << j.cnf_vars
-       << ", \"cnf_clauses\": " << j.cnf_clauses
-       << ", \"cone_lookups\": " << j.cone_lookups
-       << ", \"cone_hits\": " << j.cone_hits
-       << ", \"cone_clauses_replayed\": " << j.cone_clauses_replayed
-       << ", \"eliminated_vars\": " << j.eliminated_vars
-       << ", \"subsumed_clauses\": " << j.subsumed_clauses
-       << ", \"vivified_clauses\": " << j.vivified_clauses << "}";
+    os << ", ";
+    write_work(os, j.work);
+    os << "}";
+    jobs_hit_memory_limit += j.work.hit_memory_limit;
   }
   os << "\n  ]";
-  const Totals c = tally(cold);
-  const Totals w = tally(warm);
-  os << ",\n  \"totals\": {\"conflicts\": " << c.conflicts
-     << ", \"propagations\": " << c.propagations << ", \"decisions\": " << c.decisions
-     << ", \"cnf_vars\": " << c.cnf_vars << ", \"cnf_clauses\": " << c.cnf_clauses
-     << ", \"cone_lookups\": " << c.cone_lookups << ", \"cone_hits\": " << c.cone_hits
-     << ", \"cone_clauses_replayed\": " << c.cone_clauses_replayed
-     << ", \"eliminated_vars\": " << c.eliminated_vars
-     << ", \"subsumed_clauses\": " << c.subsumed_clauses
-     << ", \"vivified_clauses\": " << c.vivified_clauses
-     // Robustness observables (docs/ROBUSTNESS.md): both must be zero in
-     // this fault-free bench, and compare_perf.py treats them as
-     // advisory, absence-tolerant fields so older baselines still load.
-     << ", \"sat_retries\": " << c.sat_retries
-     << ", \"jobs_hit_memory_limit\": " << c.jobs_hit_memory_limit << "}";
+  // jobs_hit_memory_limit must be zero in this fault-free bench
+  // (docs/ROBUSTNESS.md).
+  os << ",\n  \"totals\": {";
+  write_work(os, total(cold));
+  os << ", \"jobs_hit_memory_limit\": " << jobs_hit_memory_limit << "}";
   // The warm rerun against the same cache directory: everything served
   // from the verdict journal, zero fresh solver work. These totals are
   // deterministic too (they must all be zero with every job cached).
-  os << ",\n  \"warm_totals\": {\"jobs_from_cache\": " << w.jobs_from_cache
-     << ", \"jobs_total\": " << warm.jobs.size() << ", \"conflicts\": " << w.conflicts
-     << ", \"cnf_clauses\": " << w.cnf_clauses << "}";
+  os << ",\n  \"warm_totals\": {\"jobs_from_cache\": " << served_from_cache(warm)
+     << ", \"jobs_total\": " << warm.jobs.size() << ", ";
+  write_work(os, total(warm));
+  os << "}";
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.3f", cold.wall_seconds);
   os << ",\n  \"wall_seconds\": " << buf << "\n}\n";
@@ -178,9 +162,12 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    const auto parse_count = [&](const char* flag, const char* text) {
+    // --rows needs at least one row; --bound 0 and --max-k 0 are real
+    // horizons (BMC bound 0 only, BMC only), as in sepe-run.
+    const auto parse_count = [&](const char* flag, const char* text,
+                                 std::uint64_t min = 0) {
       const auto value = parse_u64_strict(text);
-      if (!value || *value == 0 || *value > 1000) {
+      if (!value || *value < min || *value > 1000) {
         std::fprintf(stderr, "campaign_perf: %s expects a count, got '%s'\n", flag,
                      text);
         std::exit(2);
@@ -189,7 +176,7 @@ int main(int argc, char** argv) {
     };
     if (!std::strcmp(argv[i], "--json")) json_path = next("--json");
     else if (!std::strcmp(argv[i], "--rows"))
-      rows = parse_count("--rows", next("--rows"));
+      rows = parse_count("--rows", next("--rows"), 1);
     else if (!std::strcmp(argv[i], "--bound"))
       bound = parse_count("--bound", next("--bound"));
     else if (!std::strcmp(argv[i], "--max-k"))
@@ -245,16 +232,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!verdicts_match(cold, warm)) return 1;
-  const Totals w = tally(warm);
-  std::fprintf(stderr,
-               "warm run: %llu/%zu jobs from cache, %llu conflicts, %llu "
-               "blasted clauses (cold: %llu / %llu)\n",
-               static_cast<unsigned long long>(w.jobs_from_cache), warm.jobs.size(),
-               static_cast<unsigned long long>(w.conflicts),
-               static_cast<unsigned long long>(w.cnf_clauses),
-               static_cast<unsigned long long>(tally(cold).conflicts),
-               static_cast<unsigned long long>(tally(cold).cnf_clauses));
-  if (w.jobs_from_cache != warm.jobs.size() || w.conflicts != 0 || w.cnf_clauses != 0) {
+  const std::size_t served = served_from_cache(warm);
+  std::fprintf(stderr, "warm run: %zu/%zu jobs from cache\n", served, warm.jobs.size());
+  if (served != warm.jobs.size() || any_work(total(warm))) {
     std::fprintf(stderr, "campaign_perf: the warm run solved jobs it should have "
                          "served from the verdict cache\n");
     return 1;

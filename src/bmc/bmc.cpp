@@ -70,30 +70,12 @@ void Bmc::unroll_to(unsigned step) {
   }
 }
 
-void Bmc::snapshot_solver_stats() {
-  const sat::Backend& sat = solver_.sat_solver();
-  stats_.solver_conflicts = sat.num_conflicts();
-  stats_.solver_propagations = sat.num_propagations();
-  stats_.solver_decisions = sat.num_decisions();
-  stats_.cnf_vars = static_cast<std::uint64_t>(sat.num_vars());
-  stats_.cnf_clauses = sat.num_clauses();
-  stats_.eliminated_vars = sat.num_eliminated_vars();
-  stats_.subsumed_clauses = sat.num_subsumed_clauses();
-  stats_.vivified_clauses = sat.num_vivified_clauses();
-  const smt::BitBlaster::ConeStats& cone = solver_.cone_stats();
-  stats_.cone_lookups = cone.lookups;
-  stats_.cone_hits = cone.hits;
-  stats_.cone_clauses_replayed = cone.clauses_replayed;
-  stats_.hit_memory_limit = sat.out_of_memory();
-  stats_.sat_retries = sat.num_retries();
-}
-
 std::optional<Witness> Bmc::check(const BmcOptions& options) {
   Stopwatch clock;
   stats_ = BmcStats{};
   // Lifetime-cumulative, so an early exit (stop flag, wall cap) before the
   // first solve of this call still reports the conflicts of earlier calls.
-  snapshot_solver_stats();
+  static_cast<smt::Work&>(stats_) = solver_.work();
 
   // Reset resource budgets before anything else: a capped earlier call
   // must not leave its (smaller) budgets armed for an uncapped one.
@@ -131,7 +113,7 @@ std::optional<Witness> Bmc::check(const BmcOptions& options) {
     if (options.max_seconds > 0)
       solver_.set_time_budget(options.max_seconds - clock.seconds());
     const Result r = solver_.check({any_bad});
-    snapshot_solver_stats();
+    static_cast<smt::Work&>(stats_) = solver_.work();
     if (r == Result::Unknown) {
       if (solver_.stop_requested()) {
         stats_.cancelled = true;

@@ -37,7 +37,9 @@ struct BmcOptions {
   double max_seconds = 0.0;
 };
 
-struct BmcStats {
+/// The solver stack's lifetime work (smt::Work: cumulative across
+/// check() calls) plus the last check()'s sweep.
+struct BmcStats : smt::Work {
   /// Bounds known violation-free, including ones proven by *earlier*
   /// check() calls on the same instance (the frontier): after
   /// check(max_bound=3) then check(max_bound=6), the second call reports
@@ -48,28 +50,6 @@ struct BmcStats {
   /// The process-global stop (fault::request_global_stop) interrupted
   /// the sweep, between bounds or inside the CDCL loop.
   bool cancelled = false;
-  // Lifetime-cumulative solver counters (deterministic proxies) and the
-  // CNF size of the unrolled encoding so far.
-  std::uint64_t solver_conflicts = 0;
-  std::uint64_t solver_propagations = 0;
-  std::uint64_t solver_decisions = 0;
-  std::uint64_t cnf_vars = 0;
-  std::uint64_t cnf_clauses = 0;
-  // Cone-cache traffic of this instance's blaster (zero when no campaign
-  // cache is attached; see smt/cone_cache.hpp).
-  std::uint64_t cone_lookups = 0;
-  std::uint64_t cone_hits = 0;
-  std::uint64_t cone_clauses_replayed = 0;
-  // Inprocessing counters of the underlying SAT engine (zero when
-  // inprocessing is off or the backend has none; see docs/SOLVER.md).
-  std::uint64_t eliminated_vars = 0;
-  std::uint64_t subsumed_clauses = 0;
-  std::uint64_t vivified_clauses = 0;
-  // Robustness observables: true when the SAT engine degraded to Unknown
-  // on its memory ceiling (implies hit_resource_limit), and transient
-  // backend failures absorbed by retrying (docs/ROBUSTNESS.md).
-  bool hit_memory_limit = false;
-  std::uint64_t sat_retries = 0;
 };
 
 /// The unrolling engine. One instance per (transition system, run).
@@ -104,7 +84,7 @@ class Bmc {
   /// check() call).
   unsigned frontier() const { return frontier_; }
 
-  /// The solver facade, for budget/stat inspection by tests and benches.
+  /// The solver facade, for budget inspection by tests.
   const smt::SmtSolver& solver() const { return solver_; }
 
   /// The timed copy of a state/input variable at a step (for inspection
@@ -113,7 +93,6 @@ class Bmc {
 
  private:
   void unroll_to(unsigned step);
-  void snapshot_solver_stats();
 
   const ts::TransitionSystem& ts_;
   smt::TermManager& mgr_;

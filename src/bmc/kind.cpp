@@ -118,36 +118,9 @@ KInductionResult prove_by_k_induction(const ts::TransitionSystem& ts,
   const auto tally = [&]() {
     const BmcStats& bs = base.stats();
     result.bmc_bounds_checked = bs.bounds_checked;
-    result.solver_conflicts = bs.solver_conflicts;
-    result.solver_propagations = bs.solver_propagations;
-    result.solver_decisions = bs.solver_decisions;
-    result.cnf_vars = bs.cnf_vars;
-    result.cnf_clauses = bs.cnf_clauses;
-    result.cone_lookups = bs.cone_lookups;
-    result.cone_hits = bs.cone_hits;
-    result.cone_clauses_replayed = bs.cone_clauses_replayed;
-    result.eliminated_vars = bs.eliminated_vars;
-    result.subsumed_clauses = bs.subsumed_clauses;
-    result.vivified_clauses = bs.vivified_clauses;
-    result.hit_memory_limit = bs.hit_memory_limit;
-    result.sat_retries = bs.sat_retries;
-    if (window) {
-      const sat::Backend& wsat = window->solver().sat_solver();
-      result.solver_conflicts += wsat.num_conflicts();
-      result.solver_propagations += wsat.num_propagations();
-      result.solver_decisions += wsat.num_decisions();
-      result.cnf_vars += static_cast<std::uint64_t>(wsat.num_vars());
-      result.cnf_clauses += wsat.num_clauses();
-      const smt::BitBlaster::ConeStats& wc = window->solver().cone_stats();
-      result.cone_lookups += wc.lookups;
-      result.cone_hits += wc.hits;
-      result.cone_clauses_replayed += wc.clauses_replayed;
-      result.eliminated_vars += wsat.num_eliminated_vars();
-      result.subsumed_clauses += wsat.num_subsumed_clauses();
-      result.vivified_clauses += wsat.num_vivified_clauses();
-      result.hit_memory_limit = result.hit_memory_limit || wsat.out_of_memory();
-      result.sat_retries += wsat.num_retries();
-    }
+    smt::Work& work = result;
+    work = bs;
+    if (window) work += window->solver().work();
     // BMC stats describe its last call, the one that ended the loop.
     result.hit_resource_limit = result.hit_resource_limit || bs.hit_resource_limit;
     result.cancelled = result.cancelled || bs.cancelled;

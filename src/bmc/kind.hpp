@@ -62,7 +62,9 @@ struct KInductionOptions {
   sat::BackendKind backend = sat::BackendKind::Native;
 };
 
-struct KInductionResult {
+/// smt::Work holds the totals across the base-case and inductive
+/// solvers: SAT work counters, CNF sizes and cone-cache traffic.
+struct KInductionResult : smt::Work {
   KInductionStatus status = KInductionStatus::Unknown;
   /// k at which the proof closed / the counterexample was found.
   unsigned k = 0;
@@ -78,24 +80,6 @@ struct KInductionResult {
   /// the loop; never bound_clean.
   bool cancelled = false;
   double seconds = 0.0;
-  /// Totals across the base-case and inductive solvers: SAT work
-  /// counters (deterministic proxies) and CNF sizes.
-  std::uint64_t solver_conflicts = 0;
-  std::uint64_t solver_propagations = 0;
-  std::uint64_t solver_decisions = 0;
-  std::uint64_t cnf_vars = 0;
-  std::uint64_t cnf_clauses = 0;
-  /// Cone-cache traffic across both solvers (zero when uncached).
-  std::uint64_t cone_lookups = 0;
-  std::uint64_t cone_hits = 0;
-  std::uint64_t cone_clauses_replayed = 0;
-  /// Inprocessing totals across both solvers (zero when off/unsupported).
-  std::uint64_t eliminated_vars = 0;
-  std::uint64_t subsumed_clauses = 0;
-  std::uint64_t vivified_clauses = 0;
-  /// Robustness observables across both solvers (docs/ROBUSTNESS.md).
-  bool hit_memory_limit = false;
-  std::uint64_t sat_retries = 0;
 };
 
 /// Run BMC and k-induction on every bad condition of `ts` (disjunctively:

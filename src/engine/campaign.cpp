@@ -111,19 +111,7 @@ JobResult run_job(const JobSpec& job,
   ko.backend = job.budget.backend;
   const bmc::KInductionResult kr = bmc::prove_by_k_induction(ts, ko);
 
-  r.conflicts = kr.solver_conflicts;
-  r.propagations = kr.solver_propagations;
-  r.decisions = kr.solver_decisions;
-  r.cnf_vars = kr.cnf_vars;
-  r.cnf_clauses = kr.cnf_clauses;
-  r.cone_lookups = kr.cone_lookups;
-  r.cone_hits = kr.cone_hits;
-  r.cone_clauses_replayed = kr.cone_clauses_replayed;
-  r.eliminated_vars = kr.eliminated_vars;
-  r.subsumed_clauses = kr.subsumed_clauses;
-  r.vivified_clauses = kr.vivified_clauses;
-  r.hit_memory_limit = kr.hit_memory_limit;
-  r.sat_retries = kr.sat_retries;
+  r.work = kr;
   r.bmc_bounds_checked = kr.bmc_bounds_checked;
 
   if (kr.status == bmc::KInductionStatus::Falsified) {
@@ -150,7 +138,7 @@ JobResult run_job(const JobSpec& job,
     // A memory-ceiling trip is deterministic for a fixed spec and
     // budget, so the diagnosis belongs in the stable form: the Unknown
     // row explains itself (docs/ROBUSTNESS.md).
-    if (r.hit_memory_limit) r.note = "resource: memory";
+    if (r.work.hit_memory_limit) r.note = "resource: memory";
   }
   r.seconds = clock.seconds();
   return r;
@@ -239,8 +227,8 @@ std::string CampaignReport::to_table() const {
         j.provenance.mode.empty() ? j.provenance.family : j.provenance.mode;
     std::snprintf(line, sizeof line, "%-34s %-8s %-12s %-6s %-12s %10llu %8.2fs\n",
                   j.name.c_str(), mode.c_str(), verdict_name(j.verdict), lenk,
-                  prover_name(j.winner), static_cast<unsigned long long>(j.conflicts),
-                  j.seconds);
+                  prover_name(j.winner),
+                  static_cast<unsigned long long>(j.work.solver_conflicts), j.seconds);
     os << line;
   }
   std::snprintf(line, sizeof line,
@@ -312,20 +300,11 @@ std::string CampaignReport::to_json(bool include_timing) const {
     // and warm or cold caches for a fixed spec.
     if (include_timing) {
       os << ", \"winner\": \"" << prover_name(j.winner) << "\"";
-      os << ", \"conflicts\": " << j.conflicts;
       os << ", \"bmc_bounds_checked\": " << j.bmc_bounds_checked;
       os << ", \"hit_resource_limit\": " << (j.hit_resource_limit ? "true" : "false");
-      // Cache traffic is workload-dependent scheduling detail (a verdict-
-      // cache hit zeroes the solver counters entirely), so like the other
-      // counters it stays out of the stable form.
-      os << ", \"cone_lookups\": " << j.cone_lookups;
-      os << ", \"cone_hits\": " << j.cone_hits;
-      os << ", \"cone_clauses_replayed\": " << j.cone_clauses_replayed;
-      os << ", \"eliminated_vars\": " << j.eliminated_vars;
-      os << ", \"subsumed_clauses\": " << j.subsumed_clauses;
-      os << ", \"vivified_clauses\": " << j.vivified_clauses;
-      os << ", \"sat_retries\": " << j.sat_retries;
-      os << ", \"hit_memory_limit\": " << (j.hit_memory_limit ? "true" : "false");
+      for (const smt::WorkCounter& c : smt::kWorkCounters)
+        os << ", \"" << c.name << "\": " << j.work.*c.member;
+      os << ", \"hit_memory_limit\": " << (j.work.hit_memory_limit ? "true" : "false");
       os << ", \"from_cache\": " << (j.from_cache ? "true" : "false");
       // Witness-pipeline observables. Deterministic, but deliberately
       // kept out of the stable form: the post-pass must be

@@ -159,24 +159,10 @@ struct JobResult {
   std::string note;
   unsigned bmc_bounds_checked = 0;
   bool hit_resource_limit = false;
-  /// Work counters: totals across the job's BMC and inductive-step
-  /// solvers — the perf-report proxy metrics.
-  std::uint64_t conflicts = 0;
-  std::uint64_t propagations = 0;
-  std::uint64_t decisions = 0;
-  std::uint64_t cnf_vars = 0;
-  std::uint64_t cnf_clauses = 0;
-  /// Cone-cache traffic of this job's solver stacks (campaign cache;
-  /// zero when the job ran uncached). Which job of a campaign records a
-  /// shared cone first, and which replays it, depends on scheduling.
-  std::uint64_t cone_lookups = 0;
-  std::uint64_t cone_hits = 0;
-  std::uint64_t cone_clauses_replayed = 0;
-  /// Inprocessing counters of this job's SAT engines (zero with
-  /// inprocessing off or a counter-less backend).
-  std::uint64_t eliminated_vars = 0;
-  std::uint64_t subsumed_clauses = 0;
-  std::uint64_t vivified_clauses = 0;
+  /// Totals across the job's BMC and inductive-step solvers (timing
+  /// report only; zero for a row served from a verdict cache). The cone
+  /// traffic depends on scheduling, the rest is deterministic.
+  smt::Work work;
   /// True when the verdict was loaded from a campaign verdict cache
   /// (engine/verdict_cache.hpp) instead of being solved in-process.
   bool from_cache = false;
@@ -197,11 +183,6 @@ struct JobResult {
   /// (engine/witness.hpp render_stimulus), which the witness post-pass
   /// parses against the rebuilt model and replays. Empty otherwise.
   std::string stimulus;
-  /// Robustness observables (timing report only): the job's SAT engines
-  /// tripped the JobBudget::memory_limit_mb ceiling / absorbed transient
-  /// backend failures by retrying (docs/ROBUSTNESS.md).
-  bool hit_memory_limit = false;
-  std::uint64_t sat_retries = 0;
   double seconds = 0.0;  // job wall time
 };
 

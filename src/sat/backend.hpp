@@ -15,11 +15,9 @@
 // byte-exact.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -74,9 +72,30 @@ enum class BackendKind : std::uint8_t { Native = 0, Dimacs = 1 };
 const char* backend_kind_name(BackendKind kind);
 std::optional<BackendKind> backend_kind_from_name(std::string_view name);
 
+/// Lifetime counters of one engine, read through Backend::stats().
+/// Deterministic for a fixed clause stream; an engine that cannot
+/// observe a counter reports 0 rather than guessing.
+struct Stats {
+  std::uint64_t conflicts = 0;
+  std::uint64_t decisions = 0;
+  std::uint64_t propagations = 0;
+  std::uint64_t vars = 0;     // allocated by new_var()
+  std::uint64_t clauses = 0;  // problem clauses held
+  // Inprocessing work (docs/SOLVER.md); zero for engines without it.
+  std::uint64_t eliminated_vars = 0;
+  std::uint64_t subsumed_clauses = 0;
+  std::uint64_t vivified_clauses = 0;
+  /// Transient failures absorbed by retrying (subprocess respawns, torn
+  /// model re-reads).
+  std::uint64_t retries = 0;
+  /// A solve degraded to Unknown because the memory ceiling
+  /// (SolverConfig::memory_limit_mb) tripped. Sticky.
+  bool out_of_memory = false;
+};
+
 /// Abstract incremental SAT engine (the IPASIR shape: add / assume /
-/// solve / value / failed, plus the budgets the campaign engine relies
-/// on).
+/// solve / model, plus the budgets the campaign engine relies on and
+/// one counter snapshot).
 ///
 /// Budgets live in the base class so every engine inherits identical
 /// semantics; solve() implementations must poll stop_requested() often
@@ -86,20 +105,10 @@ class Backend {
  public:
   virtual ~Backend() = default;
 
-  virtual BackendKind kind() const = 0;
-  /// Human-readable engine identity for diagnostics ("native",
-  /// "dimacs:kissat", ...).
-  virtual std::string name() const = 0;
-  /// False when the engine cannot run on this host (e.g. no external
-  /// DIMACS solver found). Callers report unavailability; they never
-  /// treat it as a solver failure.
-  virtual bool available() const { return true; }
-
   /// Allocate a fresh variable; returns its index. Indices are dense,
   /// starting at 0, in allocation order (the cone cache replays tapes of
   /// recorded allocations and depends on this).
   virtual int new_var() = 0;
-  virtual int num_vars() const = 0;
 
   /// Add a clause (disjunction of literals). Returns false if the engine
   /// is already in an unsatisfiable root state.
@@ -116,9 +125,8 @@ class Backend {
   virtual bool model_value(int var) const = 0;
   bool model_value(Lit l) const { return model_value(l.var()) ^ l.sign(); }
 
-  /// After Unsat under assumptions: a (not necessarily minimal) subset of
-  /// the assumptions involved in the refutation.
-  virtual const std::vector<Lit>& failed_assumptions() const = 0;
+  /// Counters since construction (see Stats).
+  virtual Stats stats() const = 0;
 
   /// Abort solve() with Unknown after this many conflicts (0 = no
   /// limit). Engines that cannot meter conflicts (subprocess backends)
@@ -136,26 +144,6 @@ class Backend {
   /// Unknown at the next poll point.
   bool stop_requested() const { return fault::global_stop_requested(); }
 
-  // --- statistics (deterministic proxies; engines that cannot observe a
-  // --- counter report 0 rather than guessing) ---
-  virtual std::uint64_t num_conflicts() const = 0;
-  virtual std::uint64_t num_decisions() const = 0;
-  virtual std::uint64_t num_propagations() const = 0;
-  virtual std::uint64_t num_restarts() const = 0;
-  virtual std::size_t num_clauses() const = 0;
-  virtual std::size_t num_learnts() const = 0;
-  // Inprocessing counters; engines without inprocessing report zero.
-  virtual std::uint64_t num_eliminated_vars() const { return 0; }
-  virtual std::uint64_t num_subsumed_clauses() const { return 0; }
-  virtual std::uint64_t num_vivified_clauses() const { return 0; }
-  // --- robustness observables ---
-  /// True once a solve degraded to Unknown because the per-job memory
-  /// ceiling (SolverConfig::memory_limit_mb) tripped. Sticky.
-  virtual bool out_of_memory() const { return false; }
-  /// Transient failures absorbed by retrying (subprocess respawns, torn
-  /// model re-reads). Engines that never retry report zero.
-  virtual std::uint64_t num_retries() const { return 0; }
-
  protected:
   std::uint64_t conflict_budget_ = 0;
   double time_budget_seconds_ = 0.0;
@@ -163,8 +151,8 @@ class Backend {
 
 /// Build an engine of the given kind. `config` tunes the native CDCL
 /// heuristics; the DIMACS backend records it but solves with the
-/// external solver's own defaults. Never fails: an unavailable engine is
-/// still constructed and reports available() == false.
+/// external solver's own defaults. Never fails: an unavailable DIMACS
+/// engine is still constructed, and its solves return Unknown.
 std::unique_ptr<Backend> make_backend(BackendKind kind, const SolverConfig& config);
 
 }  // namespace sepe::sat

@@ -51,11 +51,6 @@ std::string probe_external_solver() {
   return "";
 }
 
-std::string basename_of(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
 struct TempFile {
   std::string path;
   int fd = -1;
@@ -78,10 +73,6 @@ struct TempFile {
 
 DimacsBackend::DimacsBackend() : solver_path_(probe_external_solver()) {}
 
-std::string DimacsBackend::name() const {
-  return available() ? "dimacs:" + basename_of(solver_path_) : "dimacs:unavailable";
-}
-
 int DimacsBackend::new_var() { return num_vars_++; }
 
 bool DimacsBackend::add_clause(std::vector<Lit> clause_lits) {
@@ -95,7 +86,6 @@ bool DimacsBackend::add_clause(std::vector<Lit> clause_lits) {
 }
 
 SolveResult DimacsBackend::solve(const std::vector<Lit>& assumptions) {
-  core_.clear();
   if (root_unsat_) return SolveResult::Unsat;
   if (!available()) return SolveResult::Unknown;
 
@@ -225,13 +215,7 @@ bool DimacsBackend::solve_attempt(const std::vector<Lit>& assumptions,
 
   const int code = WEXITSTATUS(status);
   if (code == 20) {
-    if (assumptions.empty()) {
-      root_unsat_ = true;
-    } else {
-      // No core from the subprocess: report every assumption (a sound,
-      // maximal over-approximation; callers treat cores as hints).
-      for (const Lit a : assumptions) core_.push_back(~a);
-    }
+    if (assumptions.empty()) root_unsat_ = true;
     *result = SolveResult::Unsat;
     return true;
   }

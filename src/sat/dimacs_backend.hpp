@@ -11,9 +11,9 @@
 // Solver discovery: the SEPE_EXTERNAL_SOLVER environment variable (an
 // executable path or bare command name) wins; otherwise the PATH is
 // probed for kissat, then cadical. When neither resolves the backend
-// still constructs but reports available() == false — callers surface
-// that as "unavailable", never as a solver failure (docs/SOLVER.md,
-// "The DIMACS subprocess backend").
+// still constructs but reports available() == false, and its solves
+// return Unknown — callers surface that as "unavailable", never as a
+// solver failure (docs/SOLVER.md, "The DIMACS subprocess backend").
 #pragma once
 
 #include <string>
@@ -28,16 +28,13 @@ class DimacsBackend final : public Backend {
   /// Probes for an external solver (see file header). Never throws.
   DimacsBackend();
 
-  BackendKind kind() const override { return BackendKind::Dimacs; }
-  /// "dimacs:<basename of the solver>" or "dimacs:unavailable".
-  std::string name() const override;
-  bool available() const override { return !solver_path_.empty(); }
+  /// False when no external solver resolved (see file header).
+  bool available() const { return !solver_path_.empty(); }
 
   /// The resolved external solver command ("" when unavailable).
   const std::string& solver_path() const { return solver_path_; }
 
   int new_var() override;
-  int num_vars() const override { return num_vars_; }
 
   using Backend::add_clause;
   bool add_clause(std::vector<Lit> lits) override;
@@ -50,23 +47,17 @@ class DimacsBackend final : public Backend {
     return var < static_cast<int>(model_.size()) && model_[var] == Value::True;
   }
 
-  /// The subprocess reports no refutation core, so after an
-  /// assumption-based Unsat this returns all assumptions of the failing
-  /// call — a sound (maximal) core.
-  const std::vector<Lit>& failed_assumptions() const override { return core_; }
-
-  // The subprocess exposes no counters; everything reports zero (the
-  // Backend contract allows that, and campaign reports show zeros rather
-  // than fabricated numbers).
-  std::uint64_t num_conflicts() const override { return 0; }
-  std::uint64_t num_decisions() const override { return 0; }
-  std::uint64_t num_propagations() const override { return 0; }
-  std::uint64_t num_restarts() const override { return 0; }
-  std::size_t num_clauses() const override { return clauses_.size(); }
-  std::size_t num_learnts() const override { return 0; }
-  /// Transient subprocess failures (spawn errors, stuck children we
-  /// killed, truncated model output) absorbed by respawning the solver.
-  std::uint64_t num_retries() const override { return retries_; }
+  /// The subprocess exposes no search counters: only vars, clauses and
+  /// retries (transient subprocess failures — spawn errors, stuck
+  /// children we killed, truncated model output — absorbed by
+  /// respawning the solver) are nonzero.
+  Stats stats() const override {
+    Stats s;
+    s.vars = static_cast<std::uint64_t>(num_vars_);
+    s.clauses = clauses_.size();
+    s.retries = retries_;
+    return s;
+  }
 
  private:
   /// One spawn/solve/parse attempt. Returns true with *result set on a
@@ -84,7 +75,6 @@ class DimacsBackend final : public Backend {
   std::uint64_t retries_ = 0;
   std::vector<std::vector<Lit>> clauses_;
   std::vector<Value> model_;
-  std::vector<Lit> core_;
 };
 
 }  // namespace sepe::sat

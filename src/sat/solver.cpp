@@ -3,89 +3,17 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cinttypes>
-#include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <utility>
 
 namespace sepe::sat {
 
-std::string SolverConfig::to_string() const {
-  char buf[336];
-  int n = std::snprintf(buf, sizeof buf,
-                        "decay=%.17g;restart=%s;base=%u;mult=%.17g;phase=%d;rand=%u;"
-                        "seed=%" PRIu64 ";reduce=%" PRIu64 "+%" PRIu64 ";inproc=%" PRIu64
-                        ";bve=%u;vivify=%d",
-                        var_decay, restart == Restart::Luby ? "luby" : "geometric",
-                        restart_base, restart_mult, phase_init_true ? 1 : 0,
-                        random_branch_freq, seed, reduce_base, reduce_increment,
-                        inprocess_interval, bve_occurrence_limit, vivify ? 1 : 0);
-  // The tail segment is appended only when non-default so existing
-  // (pre-knob) strings stay byte-identical and keep parsing.
-  if (memory_limit_mb != 0)
-    std::snprintf(buf + n, sizeof buf - n, ";mem=%u", memory_limit_mb);
-  return buf;
-}
-
-std::optional<SolverConfig> SolverConfig::from_string(const std::string& text) {
-  SolverConfig c;
-  char restart_name[16] = {0};
-  int phase = 0;
-  int vivify_flag = 0;
-  int consumed = 0;
-  const int got = std::sscanf(
-      text.c_str(),
-      "decay=%lg;restart=%15[a-z];base=%u;mult=%lg;phase=%d;rand=%u;"
-      "seed=%" SCNu64 ";reduce=%" SCNu64 "+%" SCNu64 ";inproc=%" SCNu64
-      ";bve=%u;vivify=%d%n",
-      &c.var_decay, restart_name, &c.restart_base, &c.restart_mult, &phase,
-      &c.random_branch_freq, &c.seed, &c.reduce_base, &c.reduce_increment,
-      &c.inprocess_interval, &c.bve_occurrence_limit, &vivify_flag, &consumed);
-  if (got != 12) return std::nullopt;
-  // Optional tail segment. to_string writes it only when the knob is
-  // non-default, so a tail carrying the default value is non-canonical
-  // and rejected.
-  const char* tail = text.c_str() + consumed;
-  int seg = 0;
-  if (std::sscanf(tail, ";mem=%u%n", &c.memory_limit_mb, &seg) == 1) {
-    if (c.memory_limit_mb == 0) return std::nullopt;
-    tail += seg;
-  }
-  if (*tail != '\0') return std::nullopt;
-  if (!std::strcmp(restart_name, "luby")) {
-    c.restart = Restart::Luby;
-  } else if (!std::strcmp(restart_name, "geometric")) {
-    c.restart = Restart::Geometric;
-  } else {
-    return std::nullopt;
-  }
-  if (phase != 0 && phase != 1) return std::nullopt;
-  c.phase_init_true = phase == 1;
-  if (vivify_flag != 0 && vivify_flag != 1) return std::nullopt;
-  c.vivify = vivify_flag == 1;
-  if (!(c.var_decay > 0.0 && c.var_decay <= 1.0)) return std::nullopt;
-  if (!(c.restart_mult >= 1.0) || c.restart_base == 0) return std::nullopt;
-  // A zero reduction cadence would purge the learnt DB on every conflict.
-  if (c.reduce_base == 0 || c.reduce_increment == 0) return std::nullopt;
-  return c;
-}
-
-Solver::Solver(const SolverConfig& config) : config_(config), rng_state_(config.seed) {}
-
-std::uint64_t Solver::next_random() {
-  // splitmix64 — deterministic from config_.seed.
-  std::uint64_t z = (rng_state_ += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+Solver::Solver(const SolverConfig& config) : config_(config) {}
 
 int Solver::new_var() {
   const int v = static_cast<int>(assigns_.size());
   assigns_.push_back(Value::Unknown);
   model_.push_back(Value::False);
-  saved_phase_.push_back(config_.phase_init_true ? Value::True : Value::False);
+  saved_phase_.push_back(Value::False);
   level_.push_back(0);
   reason_.push_back(kNullRef);
   activity_.push_back(0.0);
@@ -188,7 +116,7 @@ void Solver::enqueue(Lit l, ClauseRef reason) {
 Solver::ClauseRef Solver::propagate(bool problem_only) {
   while (propagate_head_ < trail_.size()) {
     const Lit p = trail_[propagate_head_++];
-    ++stats_propagations_;
+    ++stats_.propagations;
     auto& ws = watches_[p.code()];
     std::size_t i = 0, j = 0;
     while (i < ws.size()) {
@@ -389,28 +317,6 @@ bool Solver::literal_redundant(Lit l, std::uint32_t abstract_levels) {
   return true;
 }
 
-void Solver::analyze_final(Lit p) {
-  // Compute the set of assumptions implying ~p (conflict core).
-  conflict_core_.clear();
-  conflict_core_.push_back(~p);
-  if (decision_level() == 0) return;
-  seen_[p.var()] = 1;
-  for (std::size_t i = trail_.size(); i-- > static_cast<std::size_t>(trail_lim_[0]);) {
-    const int v = trail_[i].var();
-    if (!seen_[v]) continue;
-    if (reason_[v] == kNullRef) {
-      if (v != p.var()) conflict_core_.push_back(~trail_[i]);
-    } else {
-      const ClauseHeader* h = header(reason_[v]);
-      const Lit* c = lits(reason_[v]);
-      for (std::uint32_t k = 1; k < h->size; ++k)
-        if (level_[c[k].var()] > 0) seen_[c[k].var()] = 1;
-    }
-    seen_[v] = 0;
-  }
-  seen_[p.var()] = 0;
-}
-
 void Solver::backtrack(int target) {
   if (decision_level() <= target) return;
   for (std::size_t i = trail_.size();
@@ -427,35 +333,14 @@ void Solver::backtrack(int target) {
 }
 
 Lit Solver::pick_branch() {
-  // Random branching: every Nth decision branches on a pseudo-random
-  // unassigned variable instead of the VSIDS top. Deterministic (seeded);
-  // falls through to VSIDS when the drawn variable is already assigned.
-  if (config_.random_branch_freq != 0 && !assigns_.empty() &&
-      (stats_decisions_ + 1) % config_.random_branch_freq == 0) {
-    const int v = static_cast<int>(next_random() % assigns_.size());
-    if (value(v) == Value::Unknown && !eliminated(v)) {
-      ++stats_decisions_;
-      return Lit(v, saved_phase_[v] == Value::False);
-    }
-  }
   while (!heap_empty()) {
     const int v = heap_pop();
     if (value(v) == Value::Unknown && !eliminated(v)) {
-      ++stats_decisions_;
+      ++stats_.decisions;
       return Lit(v, saved_phase_[v] == Value::False);
     }
   }
   return Lit();  // all assigned
-}
-
-std::uint64_t Solver::restart_interval(std::uint64_t restart_count) const {
-  if (config_.restart == SolverConfig::Restart::Luby)
-    return config_.restart_base * luby(restart_count + 1);
-  const double interval =
-      static_cast<double>(config_.restart_base) *
-      std::pow(config_.restart_mult, static_cast<double>(restart_count));
-  constexpr double kCap = 1e18;  // avoid overflow on long geometric runs
-  return static_cast<std::uint64_t>(std::min(interval, kCap));
 }
 
 std::uint64_t Solver::luby(std::uint64_t i) {
@@ -632,14 +517,14 @@ void Solver::inprocess(const std::vector<Lit>& assumptions) {
           if (flipped_code < 0) {
             // c subsumes d outright.
             alive[j] = 0;
-            ++stats_subsumed_clauses_;
+            ++stats_.subsumed_clauses;
           } else {
             // Self-subsuming resolution: remove the flipped literal
             // from d. occ entries for d go stale; the alive/membership
             // checks above tolerate that.
             const Lit flipped = Lit::from_code(flipped_code);
             d.erase(std::remove(d.begin(), d.end(), flipped), d.end());
-            ++stats_subsumed_clauses_;
+            ++stats_.subsumed_clauses;
             if (d.size() <= 1) alive[j] = 0;  // re-added as a unit below
           }
         }
@@ -735,7 +620,7 @@ void Solver::inprocess(const std::vector<Lit>& assumptions) {
       }
       elim_stack_.push_back(std::move(record));
       eliminated_[v] = 1;
-      ++stats_eliminated_vars_;
+      ++stats_.eliminated_vars;
       for (auto& r : resolvents) {
         const std::uint32_t idx = static_cast<std::uint32_t>(problem.size());
         for (Lit l : r) occ[l.code()].push_back(idx);
@@ -848,10 +733,10 @@ void Solver::vivify_round() {
   // successive rounds cover the whole database.
   constexpr std::size_t kClausesPerRound = 128;
   constexpr std::uint64_t kPropagationBudget = 1 << 20;
-  const std::uint64_t props_start = stats_propagations_;
+  const std::uint64_t props_start = stats_.propagations;
   std::size_t examined = 0;
   while (examined < kClausesPerRound && examined < clauses_.size() &&
-         stats_propagations_ - props_start < kPropagationBudget && !root_unsat_) {
+         stats_.propagations - props_start < kPropagationBudget && !root_unsat_) {
     if (stop_requested()) return;
     ++examined;
     if (vivify_cursor_ >= clauses_.size()) vivify_cursor_ = 0;
@@ -891,7 +776,7 @@ void Solver::vivify_round() {
     // position pointing at an unexamined clause).
     clauses_[vivify_cursor_] = clauses_.back();
     clauses_.pop_back();
-    ++stats_vivified_clauses_;
+    ++stats_.vivified_clauses;
     if (redundant) continue;
     if (keep.empty()) {
       root_unsat_ = true;
@@ -972,13 +857,13 @@ bool Solver::memory_exceeded() {
   if (config_.memory_limit_mb != 0 &&
       arena_.size() >
           static_cast<std::size_t>(config_.memory_limit_mb) * 1024 * 1024) {
-    hit_memory_limit_ = true;
+    stats_.out_of_memory = true;
     return true;
   }
   if (fault::armed()) {
     const auto a = fault::hit("solver.alloc");
     if (a && *a == fault::Action::Oom) {
-      hit_memory_limit_ = true;
+      stats_.out_of_memory = true;
       return true;
     }
   }
@@ -987,7 +872,6 @@ bool Solver::memory_exceeded() {
 
 SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
   if (root_unsat_) {
-    conflict_core_.clear();
     return SolveResult::Unsat;
   }
   if (stop_requested()) return SolveResult::Unknown;
@@ -1001,7 +885,6 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
   for (const Lit a : assumptions)
     if (eliminated(a.var())) reactivate(a.var());
   if (root_unsat_) {
-    conflict_core_.clear();
     return SolveResult::Unsat;
   }
   if (propagate() != kNullRef) {
@@ -1010,11 +893,11 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
   }
 
   const auto solve_start = std::chrono::steady_clock::now();
-  std::uint64_t conflicts_at_start = stats_conflicts_;
+  std::uint64_t conflicts_at_start = stats_.conflicts;
   std::uint64_t restart_count = 0;
-  std::uint64_t restart_limit = restart_interval(restart_count);
+  std::uint64_t restart_limit = config_.restart_base * luby(restart_count + 1);
   std::uint64_t conflicts_this_restart = 0;
-  std::uint64_t next_reduce = config_.reduce_base;
+  std::uint64_t next_reduce = kReduceBase;
   if (config_.inprocess_interval != 0 && next_inprocess_ == 0)
     next_inprocess_ = config_.inprocess_interval;
 
@@ -1028,16 +911,15 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
     }
     const ClauseRef confl = propagate();
     if (confl != kNullRef) {
-      ++stats_conflicts_;
+      ++stats_.conflicts;
       ++conflicts_this_restart;
       if (decision_level() == 0) {
         root_unsat_ = true;
-        conflict_core_.clear();
         return SolveResult::Unsat;
       }
       // A conflict inside the assumption prefix needs no special case:
       // after backtracking, the decision loop below meets the falsified
-      // assumption and analyze_final derives the core.
+      // assumption and returns Unsat.
       int btlevel;
       std::uint32_t lbd;
       analyze(confl, learnt, btlevel, lbd);
@@ -1047,7 +929,6 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
           enqueue(learnt[0], kNullRef);
         } else if (value(learnt[0]) == Value::False) {
           root_unsat_ = true;
-          conflict_core_.clear();
           return SolveResult::Unsat;
         }
       } else {
@@ -1060,7 +941,7 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
       decay_var_activity();
       clause_inc_ *= 1.001;
       if (conflict_budget_ != 0 &&
-          stats_conflicts_ - conflicts_at_start >= conflict_budget_) {
+          stats_.conflicts - conflicts_at_start >= conflict_budget_) {
         backtrack(0);
         return SolveResult::Unknown;
       }
@@ -1069,7 +950,7 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
         return SolveResult::Unknown;
       }
       if (time_budget_seconds_ > 0 &&
-          (stats_conflicts_ - conflicts_at_start) % 1024 == 0) {
+          (stats_.conflicts - conflicts_at_start) % 1024 == 0) {
         const double elapsed =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - solve_start)
                 .count();
@@ -1083,26 +964,24 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
 
     if (conflicts_this_restart >= restart_limit &&
         decision_level() > static_cast<int>(assumptions.size())) {
-      ++stats_restarts_;
       ++restart_count;
-      restart_limit = restart_interval(restart_count);
+      restart_limit = config_.restart_base * luby(restart_count + 1);
       conflicts_this_restart = 0;
       backtrack(static_cast<int>(assumptions.size()));
       // Inprocess between restarts, whenever enough conflicts accrued
       // since the previous round (the cadence knob).
-      if (config_.inprocess_interval != 0 && stats_conflicts_ >= next_inprocess_) {
-        next_inprocess_ = stats_conflicts_ + config_.inprocess_interval;
+      if (config_.inprocess_interval != 0 && stats_.conflicts >= next_inprocess_) {
+        next_inprocess_ = stats_.conflicts + config_.inprocess_interval;
         backtrack(0);
         inprocess(assumptions);
         if (root_unsat_) {
-          conflict_core_.clear();
           return SolveResult::Unsat;
         }
       }
       continue;
     }
     if (learnts_.size() >= next_reduce) {
-      next_reduce += config_.reduce_increment;
+      next_reduce += kReduceIncrement;
       reduce_learnts();
     }
 
@@ -1114,7 +993,6 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
       if (value(a) == Value::True) {
         trail_lim_.push_back(static_cast<int>(trail_.size()));  // dummy level
       } else if (value(a) == Value::False) {
-        analyze_final(~a);
         backtrack(0);
         return SolveResult::Unsat;
       } else {

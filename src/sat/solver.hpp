@@ -16,44 +16,25 @@
 
 #include <cstdint>
 #include <limits>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "sat/backend.hpp"
 
 namespace sepe::sat {
 
-/// Tunable CDCL heuristics, extracted from what used to be hard-coded
-/// constants. The defaults are tuned on the deep-UNSAT QED campaign
-/// queries (short Luby bursts, faster decay, twice the learnt-clause
-/// retention of the historical constants — ~30% fewer total conflicts on
-/// the Table-1 sweep).
+/// The CDCL knobs something sets: the inprocessing tests force each
+/// pass on small formulas and isolate it, the campaign engine sets the
+/// memory ceiling. The rest of the search is fixed (Solver's k*
+/// constants): VSIDS decay 0.90, Luby restarts, phase saving from false,
+/// learnt-DB reductions at 8000 + 4000·n learnts. Tuned on the deep-UNSAT
+/// QED campaign queries: ~30% fewer total conflicts on the Table-1 sweep
+/// than the historical constants.
 ///
-/// Every knob is deterministic: two solvers with the same config and the
-/// same clause stream make identical decisions (random branching draws
-/// from a fixed-seed splitmix64, never from entropy).
+/// Deterministic: two solvers with the same config and the same clause
+/// stream make identical decisions.
 struct SolverConfig {
-  enum class Restart : std::uint8_t { Luby, Geometric };
-
-  /// VSIDS activity decay per conflict (activities divide by this).
-  double var_decay = 0.90;
-  Restart restart = Restart::Luby;
-  /// Conflicts before the first restart (Luby: multiplier of the series).
+  /// Luby restart unit: conflicts before the first restart.
   unsigned restart_base = 50;
-  /// Geometric restarts: interval growth factor per restart.
-  double restart_mult = 1.5;
-  /// Initial saved phase of fresh variables (phase saving overwrites it).
-  bool phase_init_true = false;
-  /// Branch on a pseudo-random unassigned variable every N decisions
-  /// (0 = pure VSIDS).
-  unsigned random_branch_freq = 0;
-  /// Seed of the random-branching generator.
-  std::uint64_t seed = 1;
-  /// Learnt-DB reductions start at this many learnts...
-  std::uint64_t reduce_base = 8000;
-  /// ...and re-trigger after this many more.
-  std::uint64_t reduce_increment = 4000;
   /// Inprocessing cadence: run the simplification pipeline at the first
   /// restart after this many conflicts since the previous run
   /// (0 = inprocessing off). See docs/SOLVER.md for the pipeline.
@@ -66,37 +47,25 @@ struct SolverConfig {
   /// clauses to shrink or drop them).
   bool vivify = true;
   /// Per-solver clause-arena ceiling in MiB (0 = none). When the arena
-  /// outgrows it, solve() degrades to Unknown and out_of_memory() latches
-  /// — a memory-starved job costs a diagnosed UNKNOWN row, never an
-  /// abort. Deterministic: the arena size is a pure function of the
+  /// outgrows it, solve() degrades to Unknown and Stats::out_of_memory
+  /// latches — a memory-starved job costs a diagnosed UNKNOWN row, never
+  /// an abort. Deterministic: the arena size is a pure function of the
   /// clause stream.
   unsigned memory_limit_mb = 0;
-
-  bool operator==(const SolverConfig&) const = default;
-
-  /// Round-trippable "key=value;..." form (diagnostics, reports, tests).
-  std::string to_string() const;
-  /// Parse to_string() output. Nullopt on any malformed field.
-  static std::optional<SolverConfig> from_string(const std::string& text);
 };
 
 /// Incremental CDCL SAT solver — the native Backend implementation.
 ///
 /// Usage: new_var() to allocate variables, add_clause() to add constraints
 /// (allowed between solve calls), then solve() or solve(assumptions).
-/// After Sat, model_value() reads the satisfying assignment. After an
-/// assumption-based Unsat, failed_assumptions() gives the subset used.
+/// After Sat, model_value() reads the satisfying assignment.
 class Solver final : public Backend {
  public:
   explicit Solver(const SolverConfig& config = {});
 
   const SolverConfig& config() const { return config_; }
 
-  BackendKind kind() const override { return BackendKind::Native; }
-  std::string name() const override { return "native"; }
-
   int new_var() override;
-  int num_vars() const override { return static_cast<int>(assigns_.size()); }
 
   using Backend::add_clause;
   bool add_clause(std::vector<Lit> lits) override;
@@ -109,19 +78,12 @@ class Solver final : public Backend {
     return var < static_cast<int>(model_.size()) && model_[var] == Value::True;
   }
 
-  const std::vector<Lit>& failed_assumptions() const override { return conflict_core_; }
-
-  // --- statistics, for the micro benches and EXPERIMENTS.md ---
-  std::uint64_t num_conflicts() const override { return stats_conflicts_; }
-  std::uint64_t num_decisions() const override { return stats_decisions_; }
-  std::uint64_t num_propagations() const override { return stats_propagations_; }
-  std::uint64_t num_restarts() const override { return stats_restarts_; }
-  std::size_t num_clauses() const override { return clauses_.size(); }
-  std::size_t num_learnts() const override { return learnts_.size(); }
-  std::uint64_t num_eliminated_vars() const override { return stats_eliminated_vars_; }
-  std::uint64_t num_subsumed_clauses() const override { return stats_subsumed_clauses_; }
-  std::uint64_t num_vivified_clauses() const override { return stats_vivified_clauses_; }
-  bool out_of_memory() const override { return hit_memory_limit_; }
+  Stats stats() const override {
+    Stats s = stats_;
+    s.vars = assigns_.size();
+    s.clauses = clauses_.size();
+    return s;
+  }
 
  private:
   // Clauses live in an arena; a ClauseRef is an offset into it.
@@ -165,11 +127,10 @@ class Solver final : public Backend {
   void analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btlevel,
                std::uint32_t& out_lbd);
   bool literal_redundant(Lit l, std::uint32_t abstract_levels);
-  void analyze_final(Lit trail_false);
   void backtrack(int level);
   Lit pick_branch();
   void bump_var(int var);
-  void decay_var_activity() { var_inc_ /= config_.var_decay; }
+  void decay_var_activity() { var_inc_ /= kVarDecay; }
   void bump_clause(ClauseRef ref);
   void reduce_learnts();
   void rescale_var_activity();
@@ -199,7 +160,7 @@ class Solver final : public Backend {
   /// The per-job memory ceiling (config_.memory_limit_mb, or the
   /// solver.alloc:oom fault point): checked at solve() entry (the arena
   /// is mostly grown by bit-blasting before the search starts) and once
-  /// per conflict (learnt growth). Latches hit_memory_limit_.
+  /// per conflict (learnt growth). Latches stats_.out_of_memory.
   bool memory_exceeded();
 
   int decision_level() const { return static_cast<int>(trail_lim_.size()); }
@@ -215,13 +176,15 @@ class Solver final : public Backend {
     return var < static_cast<int>(heap_index_.size()) && heap_index_[var] >= 0;
   }
 
-  std::uint64_t restart_interval(std::uint64_t restart_count) const;
-  std::uint64_t next_random();
-
   static constexpr double kActivityLimit = 1e100;
+  /// VSIDS activity decay per conflict (activities divide by this).
+  static constexpr double kVarDecay = 0.90;
+  /// Learnt-DB reductions start at this many learnts and re-trigger
+  /// after this many more.
+  static constexpr std::uint64_t kReduceBase = 8000;
+  static constexpr std::uint64_t kReduceIncrement = 4000;
 
   SolverConfig config_;
-  std::uint64_t rng_state_;
 
   std::vector<std::uint8_t> arena_;
   std::vector<ClauseRef> clauses_;
@@ -245,8 +208,6 @@ class Solver final : public Backend {
   double clause_inc_ = 1.0;
 
   bool root_unsat_ = false;
-  bool hit_memory_limit_ = false;
-  std::vector<Lit> conflict_core_;
 
   // Inprocessing state. elim_stack_ records, per eliminated variable (in
   // elimination order), every problem clause that mentioned it; a
@@ -267,13 +228,8 @@ class Solver final : public Backend {
   std::vector<int> minimize_marked_;
   std::vector<int> analyze_toclear_;
 
-  std::uint64_t stats_conflicts_ = 0;
-  std::uint64_t stats_decisions_ = 0;
-  std::uint64_t stats_propagations_ = 0;
-  std::uint64_t stats_restarts_ = 0;
-  std::uint64_t stats_eliminated_vars_ = 0;
-  std::uint64_t stats_subsumed_clauses_ = 0;
-  std::uint64_t stats_vivified_clauses_ = 0;
+  /// Search counters; stats() fills in vars and clauses.
+  Stats stats_;
 };
 
 }  // namespace sepe::sat

@@ -26,6 +26,26 @@ Result SmtSolver::check(const std::vector<TermRef>& assumptions) {
   return Result::Unknown;
 }
 
+Work SmtSolver::work() const {
+  const sat::Stats s = sat_->stats();
+  const BitBlaster::ConeStats& cone = blaster_.cone_stats();
+  Work w;
+  w.solver_conflicts = s.conflicts;
+  w.solver_propagations = s.propagations;
+  w.solver_decisions = s.decisions;
+  w.cnf_vars = s.vars;
+  w.cnf_clauses = s.clauses;
+  w.cone_lookups = cone.lookups;
+  w.cone_hits = cone.hits;
+  w.cone_clauses_replayed = cone.clauses_replayed;
+  w.eliminated_vars = s.eliminated_vars;
+  w.subsumed_clauses = s.subsumed_clauses;
+  w.vivified_clauses = s.vivified_clauses;
+  w.sat_retries = s.retries;
+  w.hit_memory_limit = s.out_of_memory;
+  return w;
+}
+
 BitVec SmtSolver::value(TermRef t) {
   assert(last_sat_ && "value() requires a Sat result");
   if (!evaluator_) {

@@ -26,6 +26,7 @@
 #include "smt/bitblast.hpp"
 #include "smt/eval.hpp"
 #include "smt/term.hpp"
+#include "smt/work.hpp"
 
 namespace sepe::smt {
 
@@ -78,12 +79,9 @@ class SmtSolver {
   /// sat::Backend::stop_requested); check() then returns Unknown.
   bool stop_requested() const { return sat_->stop_requested(); }
 
-  const sat::Backend& sat_solver() const { return *sat_; }
-
-  /// Cone-cache traffic of this solver's blaster (zeros when uncached).
-  const BitBlaster::ConeStats& cone_stats() const {
-    return blaster_.cone_stats();
-  }
+  /// This stack's lifetime work: the SAT engine's counters, the CNF
+  /// size and the blaster's cone-cache traffic (zeros when uncached).
+  Work work() const;
 
  private:
   TermManager& mgr_;

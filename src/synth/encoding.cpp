@@ -237,7 +237,7 @@ class MultisetEncoder {
   /// Solve the accumulated constraints; extract a candidate program.
   std::optional<SynthProgram> solve_candidate();
 
-  std::uint64_t conflicts() const { return solver_.sat_solver().num_conflicts(); }
+  std::uint64_t conflicts() const { return solver_.work().solver_conflicts; }
 
  private:
   TermRef loc_const(unsigned v) { return mgr_.mk_const(loc_bits_, v); }

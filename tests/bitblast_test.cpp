@@ -310,9 +310,9 @@ TEST(PlaistedGreenbaum, SingleSidedConeEmitsFewerClauses) {
   auto pg = pg_solver(m);
   full.assert_formula(f);
   pg.assert_formula(f);
-  EXPECT_LT(pg.sat_solver().num_clauses(), full.sat_solver().num_clauses());
+  EXPECT_LT(pg.work().cnf_clauses, full.work().cnf_clauses);
   // Same variables either way — PG prunes clauses, never literals.
-  EXPECT_EQ(pg.sat_solver().num_vars(), full.sat_solver().num_vars());
+  EXPECT_EQ(pg.work().cnf_vars, full.work().cnf_vars);
 }
 
 TEST(PlaistedGreenbaum, PolarityWideningKeepsVerdicts) {
@@ -337,9 +337,9 @@ TEST(BitBlasterSharing, SharedSubtermsEncodeOnce) {
   const TermRef a = m.mk_var("a", 32), b = m.mk_var("b", 32);
   const TermRef sum = m.mk_add(a, b);
   bb.blast(sum);
-  const int vars_after_first = sat.num_vars();
+  const std::uint64_t vars_after_first = sat.stats().vars;
   bb.blast(m.mk_add(a, b));  // same node — no new encoding
-  EXPECT_EQ(sat.num_vars(), vars_after_first);
+  EXPECT_EQ(sat.stats().vars, vars_after_first);
 }
 
 }  // namespace

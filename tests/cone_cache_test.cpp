@@ -57,8 +57,8 @@ TEST(TermDigest, StructurallyDistinctTermsDiffer) {
 struct RunShape {
   Result r1;
   Result r2;
-  int num_vars;
-  std::size_t num_clauses;
+  std::uint64_t num_vars;
+  std::uint64_t num_clauses;
 };
 
 RunShape run_sequence(const std::shared_ptr<ConeCache>& cache, bool pg) {
@@ -71,7 +71,7 @@ RunShape run_sequence(const std::shared_ptr<ConeCache>& cache, bool pg) {
   const Result r2 =
       s.check({m.mk_eq(m.mk_add(c, c), m.mk_const(8, 4)), build_cone(m, 8, 21)});
   EXPECT_EQ(r1, Result::Sat);
-  return {r1, r2, s.sat_solver().num_vars(), s.sat_solver().num_clauses()};
+  return {r1, r2, s.work().cnf_vars, s.work().cnf_clauses};
 }
 
 TEST(ConeCache, ReplayIsByteIdenticalToStructuralEncoding) {
@@ -164,9 +164,8 @@ TEST(ConeCache, RandomFormulasAgreeWithUncachedTwin) {
     const Result rc = cached.check();
     const Result ru = uncached.check();
     ASSERT_EQ(rc, ru) << "width=" << width << " k=" << k << " pg=" << pg;
-    ASSERT_EQ(cached.sat_solver().num_vars(), uncached.sat_solver().num_vars());
-    ASSERT_EQ(cached.sat_solver().num_clauses(),
-              uncached.sat_solver().num_clauses());
+    ASSERT_EQ(cached.work().cnf_vars, uncached.work().cnf_vars);
+    ASSERT_EQ(cached.work().cnf_clauses, uncached.work().cnf_clauses);
   }
   EXPECT_GT(cache->stats().hits, 0u);  // repeated (width, k) pairs replay
 }

@@ -5,6 +5,10 @@
 // the crash-only global stop interrupting every solver layer.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <regex>
+#include <sstream>
+
 #include "engine/campaign.hpp"
 #include "engine/pinned_table.hpp"
 #include "engine/workload.hpp"
@@ -375,11 +379,12 @@ TEST(EngineMatrix, ExpandsMutationsTimesModes) {
 
 // --- deterministic counters (bench/campaign_perf) ---
 
-/// Every JobResult field but the wall time and the cone-cache traffic,
-/// for a fixed spec. Which job of a campaign blasts a shared cone first,
-/// and which replays it, depends on scheduling; the replay is exact, so
-/// the SAT counters do not.
-void expect_same_counters(const JobResult& a, const JobResult& b) {
+/// Every JobResult field but the wall time, for a fixed spec. Work
+/// counters the table marks scheduling-dependent (which job of a
+/// campaign blasts a shared cone first, and which replays it) are
+/// compared only between runs with the same schedule; the replay is
+/// exact, so every other counter matches at any thread count.
+void expect_same_counters(const JobResult& a, const JobResult& b, bool same_schedule) {
   EXPECT_EQ(a.verdict, b.verdict) << a.name;
   EXPECT_EQ(a.winner, b.winner) << a.name;
   EXPECT_EQ(a.trace_length, b.trace_length) << a.name;
@@ -387,16 +392,11 @@ void expect_same_counters(const JobResult& a, const JobResult& b) {
   EXPECT_EQ(a.bad_label, b.bad_label) << a.name;
   EXPECT_EQ(a.bmc_bounds_checked, b.bmc_bounds_checked) << a.name;
   EXPECT_EQ(a.hit_resource_limit, b.hit_resource_limit) << a.name;
-  EXPECT_EQ(a.conflicts, b.conflicts) << a.name;
-  EXPECT_EQ(a.propagations, b.propagations) << a.name;
-  EXPECT_EQ(a.decisions, b.decisions) << a.name;
-  EXPECT_EQ(a.cnf_vars, b.cnf_vars) << a.name;
-  EXPECT_EQ(a.cnf_clauses, b.cnf_clauses) << a.name;
-  EXPECT_EQ(a.eliminated_vars, b.eliminated_vars) << a.name;
-  EXPECT_EQ(a.subsumed_clauses, b.subsumed_clauses) << a.name;
-  EXPECT_EQ(a.vivified_clauses, b.vivified_clauses) << a.name;
-  EXPECT_EQ(a.sat_retries, b.sat_retries) << a.name;
-  EXPECT_EQ(a.hit_memory_limit, b.hit_memory_limit) << a.name;
+  for (const smt::WorkCounter& c : smt::kWorkCounters) {
+    if (!c.deterministic && !same_schedule) continue;
+    EXPECT_EQ(a.work.*c.member, b.work.*c.member) << a.name << ": " << c.name;
+  }
+  EXPECT_EQ(a.work.hit_memory_limit, b.work.hit_memory_limit) << a.name;
   EXPECT_EQ(a.witness_checked, b.witness_checked) << a.name;
   EXPECT_EQ(a.trace_length_shrunk, b.trace_length_shrunk) << a.name;
 }
@@ -412,20 +412,42 @@ TEST(EngineDeterminism, CountersMatchAcrossRunsAndThreadCounts) {
   const CampaignReport c = run_campaign(spec, four);
   ASSERT_EQ(a.jobs.size(), spec.jobs.size());
   for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-    expect_same_counters(a.jobs[i], b.jobs[i]);
-    expect_same_counters(a.jobs[i], c.jobs[i]);
     // On one thread the jobs run in spec order, so even the cone-cache
     // traffic repeats.
-    EXPECT_EQ(a.jobs[i].cone_lookups, b.jobs[i].cone_lookups) << a.jobs[i].name;
-    EXPECT_EQ(a.jobs[i].cone_hits, b.jobs[i].cone_hits) << a.jobs[i].name;
-    EXPECT_EQ(a.jobs[i].cone_clauses_replayed, b.jobs[i].cone_clauses_replayed)
-        << a.jobs[i].name;
-    EXPECT_GT(a.jobs[i].cnf_vars, 0u);
+    expect_same_counters(a.jobs[i], b.jobs[i], /*same_schedule=*/true);
+    expect_same_counters(a.jobs[i], c.jobs[i], /*same_schedule=*/false);
+    EXPECT_GT(a.jobs[i].work.cnf_vars, 0u);
   }
   // Tiny jobs can fold to zero problem clauses, but not a whole campaign.
   std::uint64_t total_clauses = 0;
-  for (const JobResult& j : a.jobs) total_clauses += j.cnf_clauses;
+  for (const JobResult& j : a.jobs) total_clauses += j.work.cnf_clauses;
   EXPECT_GT(total_clauses, 0u);
+}
+
+TEST(EngineReport, TimingRowsCarryEveryWorkCounter) {
+  const CampaignReport report = run_campaign(mixed_spec());
+  std::istringstream json(report.to_json(/*include_timing=*/true));
+  // The timing form writes one job object per line.
+  const std::regex number_field("\"(\\w+)\": (\\d+)[,}]");
+  std::size_t row = 0;
+  std::uint64_t nonzero = 0;
+  for (std::string line; std::getline(json, line);) {
+    if (line.find("{\"name\": ") == std::string::npos) continue;
+    ASSERT_LT(row, report.jobs.size());
+    const JobResult& j = report.jobs[row++];
+    std::map<std::string, std::uint64_t> fields;
+    const std::sregex_iterator end;
+    for (std::sregex_iterator it(line.begin(), line.end(), number_field); it != end; ++it)
+      fields[(*it)[1]] = std::stoull((*it)[2]);
+    for (const smt::WorkCounter& c : smt::kWorkCounters) {
+      const auto field = fields.find(c.name);
+      ASSERT_NE(field, fields.end()) << j.name << " lacks " << c.name;
+      EXPECT_EQ(field->second, j.work.*c.member) << j.name << ": " << c.name;
+      nonzero += field->second != 0;
+    }
+  }
+  EXPECT_EQ(row, report.jobs.size());
+  EXPECT_GT(nonzero, 0u);  // real values, not a row of defaults
 }
 
 // --- Plaisted–Greenbaum vs full Tseitin across the pinned QED table ---

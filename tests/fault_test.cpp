@@ -205,21 +205,6 @@ TEST_F(FaultEnvelope, DataActionsAreNoOpsInExecute) {
 
 // --- per-job memory ceiling (solver layer) ---
 
-TEST_F(FaultSolver, MemoryCeilingRoundTripsThroughConfigString) {
-  sat::SolverConfig cfg;
-  EXPECT_EQ(cfg.to_string().find("mem="), std::string::npos)
-      << "default config string must stay byte-identical to pre-ceiling runs";
-  const auto old = sat::SolverConfig::from_string(cfg.to_string());
-  ASSERT_TRUE(old.has_value());
-  EXPECT_EQ(old->memory_limit_mb, 0u);
-
-  cfg.memory_limit_mb = 64;
-  EXPECT_NE(cfg.to_string().find(";mem=64"), std::string::npos);
-  const auto parsed = sat::SolverConfig::from_string(cfg.to_string());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, cfg);
-}
-
 TEST_F(FaultSolver, RealArenaCeilingDegradesToUnknown) {
   sat::SolverConfig cfg;
   cfg.memory_limit_mb = 1;
@@ -232,7 +217,7 @@ TEST_F(FaultSolver, RealArenaCeilingDegradesToUnknown) {
     solver.add_clause({sat::Lit(a, i % 2 == 0), sat::Lit(b, i % 3 == 0),
                        sat::Lit(c, i % 5 == 0)});
   EXPECT_EQ(solver.solve(), sat::SolveResult::Unknown);
-  EXPECT_TRUE(solver.out_of_memory());
+  EXPECT_TRUE(solver.stats().out_of_memory);
 }
 
 TEST_F(FaultSolver, InjectedOomDegradesToUnknown) {
@@ -241,7 +226,7 @@ TEST_F(FaultSolver, InjectedOomDegradesToUnknown) {
   const int x = solver.new_var();
   solver.add_clause({sat::Lit(x, true)});
   EXPECT_EQ(solver.solve(), sat::SolveResult::Unknown);
-  EXPECT_TRUE(solver.out_of_memory());
+  EXPECT_TRUE(solver.stats().out_of_memory);
 }
 
 // --- OOM degrade at the campaign layer, both workload families ---
@@ -254,7 +239,7 @@ TEST_F(FaultCampaign, OomDegradesSyntheticJobToDiagnosedUnknown) {
   const JobResult r = run_job(counter_job("oom-cnt", 8, 3, budget));
   EXPECT_EQ(r.verdict, Verdict::Unknown);
   EXPECT_TRUE(r.hit_resource_limit);
-  EXPECT_TRUE(r.hit_memory_limit);
+  EXPECT_TRUE(r.work.hit_memory_limit);
   EXPECT_EQ(r.note, "resource: memory");
 }
 
@@ -274,7 +259,7 @@ TEST_F(FaultCampaign, OomDegradesQedJobToDiagnosedUnknown) {
   ASSERT_TRUE(fault::configure("point=solver.alloc:oom"));
   const JobResult r = run_job(job);
   EXPECT_EQ(r.verdict, Verdict::Unknown);
-  EXPECT_TRUE(r.hit_memory_limit);
+  EXPECT_TRUE(r.work.hit_memory_limit);
   EXPECT_EQ(r.note, "resource: memory");
 }
 
@@ -308,7 +293,7 @@ TEST_F(FaultCampaign, OomDegradesBtor2JobToDiagnosedUnknown) {
   ASSERT_TRUE(fault::configure("point=solver.alloc:oom"));
   const JobResult r = run_job(job);
   EXPECT_EQ(r.verdict, Verdict::Unknown);
-  EXPECT_TRUE(r.hit_memory_limit);
+  EXPECT_TRUE(r.work.hit_memory_limit);
   EXPECT_EQ(r.note, "resource: memory");
 }
 

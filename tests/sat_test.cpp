@@ -81,7 +81,7 @@ TEST(Sat, PigeonHole6Into5IsUnsat) {
       for (int j = i + 1; j < N; ++j)
         s.add_clause(Lit(p[i][h], true), Lit(p[j][h], true));
   EXPECT_EQ(s.solve(), SolveResult::Unsat);
-  EXPECT_GT(s.num_conflicts(), 0u);
+  EXPECT_GT(s.stats().conflicts, 0u);
 }
 
 TEST(Sat, AssumptionsSatAndUnsat) {
@@ -95,19 +95,6 @@ TEST(Sat, AssumptionsSatAndUnsat) {
   // Solver stays usable and consistent afterwards (incrementality).
   EXPECT_EQ(s.solve({Lit(a, true)}), SolveResult::Sat);
   EXPECT_FALSE(s.model_value(a));
-}
-
-TEST(Sat, FailedAssumptionsContainCulprit) {
-  Solver s;
-  const int a = s.new_var(), b = s.new_var(), c = s.new_var();
-  s.add_clause(Lit(a, true), Lit(b, true));  // ~a | ~b
-  const auto r = s.solve({Lit(c, false), Lit(a, false), Lit(b, false)});
-  EXPECT_EQ(r, SolveResult::Unsat);
-  // The core must mention a or b, and must not be empty.
-  bool mentions = false;
-  for (Lit l : s.failed_assumptions())
-    if (l.var() == a || l.var() == b) mentions = true;
-  EXPECT_TRUE(mentions);
 }
 
 TEST(Sat, IncrementalClauseAddition) {
@@ -200,68 +187,25 @@ TEST_P(SatRandomTest, AgreesWithBruteForceOnRandom3Sat) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SatRandomTest, ::testing::Range(1, 9));
 
-// --- SolverConfig: round-trip, verdict agreement across heuristics ---
+// --- SolverConfig: verdict agreement across heuristics ---
 
-TEST(SolverConfig, DefaultRoundTripsThroughString) {
-  const SolverConfig c;
-  const auto parsed = SolverConfig::from_string(c.to_string());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, c);
-}
-
-/// Four structurally different heuristic settings: the default, a
-/// slow-decay geometric-restart grinder with eager inprocessing, seeded
-/// random branching from phase-true without vivification, and the
-/// historical pre-tuning constants with inprocessing off.
+/// Four structurally different search trajectories: the default, long
+/// restart bursts with eager inprocessing, frequent restarts without
+/// elimination or vivification, and inprocessing off.
 std::vector<SolverConfig> diverse_configs() {
   std::vector<SolverConfig> configs(4);
-  configs[1].var_decay = 0.99;
-  configs[1].restart = SolverConfig::Restart::Geometric;
   configs[1].restart_base = 200;
-  configs[1].restart_mult = 1.3;
   configs[1].inprocess_interval = 2000;
-  configs[2].phase_init_true = true;
-  configs[2].random_branch_freq = 128;
+  configs[2].restart_base = 10;
+  configs[2].bve_occurrence_limit = 0;
   configs[2].vivify = false;
-  configs[2].seed = 3;
-  configs[3].var_decay = 0.95;
   configs[3].restart_base = 100;
-  configs[3].reduce_base = 4000;
-  configs[3].reduce_increment = 2000;
   configs[3].inprocess_interval = 0;
   return configs;
 }
 
-TEST(SolverConfig, DiverseConfigsRoundTripThroughString) {
-  for (const SolverConfig& c : diverse_configs()) {
-    const auto parsed = SolverConfig::from_string(c.to_string());
-    ASSERT_TRUE(parsed.has_value()) << c.to_string();
-    EXPECT_EQ(*parsed, c) << c.to_string();
-  }
-}
-
-TEST(SolverConfig, FromStringRejectsMalformedText) {
-  EXPECT_FALSE(SolverConfig::from_string("").has_value());
-  EXPECT_FALSE(SolverConfig::from_string("decay=0.9").has_value());
-  EXPECT_FALSE(SolverConfig::from_string(
-                   SolverConfig{}.to_string() + ";junk")
-                   .has_value());
-  // Unknown restart policy name.
-  std::string s = SolverConfig{}.to_string();
-  const auto pos = s.find("restart=luby");
-  ASSERT_NE(pos, std::string::npos);
-  s.replace(pos, 12, "restart=never");
-  EXPECT_FALSE(SolverConfig::from_string(s).has_value());
-  // A zero reduction cadence (reduce after every conflict) is rejected.
-  std::string zero_reduce = SolverConfig{}.to_string();
-  const auto rpos = zero_reduce.find("reduce=");
-  ASSERT_NE(rpos, std::string::npos);
-  zero_reduce.replace(rpos, std::string::npos, "reduce=0+0");
-  EXPECT_FALSE(SolverConfig::from_string(zero_reduce).has_value());
-}
-
 /// Pigeonhole: n+1 pigeons into n holes (UNSAT) — every config must
-/// agree, whatever its restart/decay/phase/random-branch policy.
+/// agree, whatever its restart and inprocessing policy.
 void add_pigeonhole(Solver& s, int holes) {
   const int pigeons = holes + 1;
   std::vector<std::vector<int>> var(pigeons, std::vector<int>(holes));

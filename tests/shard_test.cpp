@@ -453,7 +453,7 @@ TEST_F(JournalTest, RerunAgainstACompleteJournalStartsNoSolver) {
   EXPECT_EQ(hook_fired.load(), 0u);
   for (const JobResult& j : resumed.jobs) {
     EXPECT_TRUE(j.from_cache) << j.name;
-    EXPECT_EQ(j.conflicts, 0u) << j.name;
+    EXPECT_EQ(j.work.solver_conflicts, 0u) << j.name;
     EXPECT_EQ(j.witness_checked, j.verdict == Verdict::Falsified) << j.name;
   }
   EXPECT_EQ(resumed.to_json(/*include_timing=*/false),

@@ -380,7 +380,7 @@ TEST_F(VerdictCacheRunTest, WarmRunIsByteIdenticalWithZeroBuilds) {
   EXPECT_EQ(hook_fired, 0u);
   for (const JobResult& j : warm.jobs) {
     EXPECT_TRUE(j.from_cache) << j.name;
-    EXPECT_EQ(j.conflicts, 0u) << j.name;
+    EXPECT_EQ(j.work.solver_conflicts, 0u) << j.name;
   }
   EXPECT_EQ(warm.to_json(/*include_timing=*/false),
             cold.to_json(/*include_timing=*/false));

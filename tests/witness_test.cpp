@@ -72,7 +72,7 @@ JobBudget counter_budget() {
 }
 
 /// Build the counter system in-place and find its length-5 witness.
-WitnessTrace counter_trace(smt::TermManager& mgr, ts::TransitionSystem& ts) {
+WitnessTrace counter_trace(ts::TransitionSystem& ts) {
   std::string error;
   EXPECT_TRUE(counter_job("cnt5", 8, 5, counter_budget()).build(ts, &error)) << error;
   bmc::Bmc checker(ts);
@@ -102,7 +102,7 @@ std::string reseal(const std::string& payload) {
 TEST(WitnessReplayTest, ExtractedCounterTraceReplaysGreen) {
   smt::TermManager mgr;
   ts::TransitionSystem ts(mgr);
-  const WitnessTrace trace = counter_trace(mgr, ts);
+  const WitnessTrace trace = counter_trace(ts);
   ASSERT_EQ(trace.inputs.size(), 6u);
   ASSERT_EQ(trace.states.size(), 6u);
   const WitnessReplay replay = replay_trace(ts, trace);
@@ -112,7 +112,7 @@ TEST(WitnessReplayTest, ExtractedCounterTraceReplaysGreen) {
 TEST(WitnessReplayTest, TamperedStimulusFailsLoudly) {
   smt::TermManager mgr;
   ts::TransitionSystem ts(mgr);
-  const WitnessTrace good = counter_trace(mgr, ts);
+  const WitnessTrace good = counter_trace(ts);
 
   // Zeroing the first increment leaves cnt at 4 when the bad is checked.
   WitnessTrace flipped = good;
@@ -154,7 +154,7 @@ TEST(WitnessReplayTest, TamperedStimulusFailsLoudly) {
 TEST(WitnessShrinkTest, ShrinksDontCareTailDeterministically) {
   smt::TermManager mgr;
   ts::TransitionSystem ts(mgr);
-  WitnessTrace trace = counter_trace(mgr, ts);
+  WitnessTrace trace = counter_trace(ts);
   const unsigned shrunk = shrink_trace(ts, &trace);
   // The step-5 input is don't-care (the bad fires on the state alone), so
   // the effective stimulus is steps 0..4.
@@ -168,7 +168,7 @@ TEST(WitnessShrinkTest, ShrinksDontCareTailDeterministically) {
   // the identical stimulus.
   smt::TermManager mgr2;
   ts::TransitionSystem ts2(mgr2);
-  WitnessTrace again = counter_trace(mgr2, ts2);
+  WitnessTrace again = counter_trace(ts2);
   EXPECT_EQ(shrink_trace(ts2, &again), shrunk);
   EXPECT_EQ(again.inputs, trace.inputs);
 }
@@ -178,7 +178,7 @@ TEST(WitnessShrinkTest, ShrinksDontCareTailDeterministically) {
 TEST(WitnessArtifactTest, RoundTripsThroughCheck) {
   smt::TermManager mgr;
   ts::TransitionSystem ts(mgr);
-  WitnessTrace trace = counter_trace(mgr, ts);
+  WitnessTrace trace = counter_trace(ts);
   const unsigned shrunk = shrink_trace(ts, &trace);
   const std::string text =
       render_witness_artifact(ts, "cnt5", JobProvenance{}, trace, shrunk);
@@ -204,7 +204,7 @@ TEST(WitnessArtifactTest, FilenameIsSanitizedAndCollisionGuarded) {
 TEST(WitnessTamperTest, EveryCorruptionIsRejectedWithADiagnostic) {
   smt::TermManager mgr;
   ts::TransitionSystem ts(mgr);
-  WitnessTrace trace = counter_trace(mgr, ts);
+  WitnessTrace trace = counter_trace(ts);
   const unsigned shrunk = shrink_trace(ts, &trace);
   const std::string text =
       render_witness_artifact(ts, "cnt5", JobProvenance{}, trace, shrunk);
@@ -276,7 +276,7 @@ TEST(WitnessTamperTest, EveryCorruptionIsRejectedWithADiagnostic) {
 TEST(WitnessStimulusTest, ParseRejectsEveryShapeError) {
   smt::TermManager mgr;
   ts::TransitionSystem ts(mgr);
-  WitnessTrace shrunk = counter_trace(mgr, ts);
+  WitnessTrace shrunk = counter_trace(ts);
   shrink_trace(ts, &shrunk);
   const std::string text = render_stimulus(shrunk);
   EXPECT_EQ(text.find("{\"form\":\"shrunk\",\"bad\":0,\"steps\":["

@@ -3,7 +3,8 @@
 // Speaks the standard SAT-competition protocol: reads a `p cnf` file
 // (or stdin), prints "s SATISFIABLE" / "s UNSATISFIABLE" with "v" model
 // lines, and exits 10 / 20 accordingly (0 on unknown, 1 on input
-// errors). That makes the binary a drop-in SEPE_EXTERNAL_SOLVER target,
+// errors, including a literal or variable count beyond 2^30, the most a
+// sat::Lit can index). That makes the binary a drop-in SEPE_EXTERNAL_SOLVER target,
 // so the DIMACS subprocess backend and its equivalence tests run even on
 // hosts without kissat or cadical — the backend_test battery points the
 // subprocess bridge at this binary and cross-checks it against the
@@ -28,9 +29,16 @@ using sepe::sat::Lit;
 using sepe::sat::SolveResult;
 using sepe::sat::Solver;
 
+// The largest variable count a Lit can index: its code 2*var + sign
+// must fit an int.
+constexpr long kMaxVars = 1L << 30;
+
 int run(std::istream& in) {
   Solver solver;
-  int declared_vars = 0;
+  long num_vars = 0;
+  const auto grow_to = [&](long vars) {
+    for (; num_vars < vars; ++num_vars) solver.new_var();
+  };
   bool header_seen = false;
   std::vector<Lit> clause;
   std::string line;
@@ -39,14 +47,14 @@ int run(std::istream& in) {
     if (line[0] == 'p') {
       std::istringstream header(line);
       std::string p, cnf;
-      long clause_count = 0;
+      long declared_vars = 0, clause_count = 0;
       if (!(header >> p >> cnf >> declared_vars >> clause_count) || cnf != "cnf" ||
-          declared_vars < 0) {
+          declared_vars < 0 || declared_vars > kMaxVars) {
         std::fprintf(stderr, "sepe-dimacs: malformed header: %s\n", line.c_str());
         return 1;
       }
       header_seen = true;
-      while (solver.num_vars() < declared_vars) solver.new_var();
+      grow_to(declared_vars);
       continue;
     }
     if (!header_seen) {
@@ -61,9 +69,18 @@ int run(std::istream& in) {
         clause.clear();
         continue;
       }
-      const int var = static_cast<int>(lit > 0 ? lit : -lit) - 1;
-      while (solver.num_vars() <= var) solver.new_var();  // tolerate var overflow
-      clause.push_back(Lit(var, lit < 0));
+      if (lit < -kMaxVars || lit > kMaxVars) {
+        std::fprintf(stderr, "sepe-dimacs: literal %ld out of range (|lit| <= %ld)\n",
+                     lit, kMaxVars);
+        return 1;
+      }
+      const long var = (lit > 0 ? lit : -lit) - 1;
+      grow_to(var + 1);  // tolerate var overflow
+      clause.push_back(Lit(static_cast<int>(var), lit < 0));
+    }
+    if (!lits.eof()) {
+      std::fprintf(stderr, "sepe-dimacs: malformed clause line: %s\n", line.c_str());
+      return 1;
     }
   }
   if (!clause.empty()) solver.add_clause(clause);  // unterminated final clause
@@ -72,7 +89,7 @@ int run(std::istream& in) {
   if (result == SolveResult::Sat) {
     std::printf("s SATISFIABLE\n");
     std::string vline = "v";
-    for (int v = 0; v < solver.num_vars(); ++v) {
+    for (int v = 0; v < num_vars; ++v) {
       vline += ' ';
       if (!solver.model_value(v)) vline += '-';
       vline += std::to_string(v + 1);
