@@ -4,7 +4,7 @@
 // both QED modes, the CI smoke grid) on the user path: one BMC +
 // k-induction loop per job, default solver config, 1 worker thread.
 // Every counter in the report (smt::kWorkCounters: SAT work, CNF sizes,
-// cone-cache traffic, inprocessing, retries) is a deterministic function
+// cone-cache traffic, inprocessing) is a deterministic function
 // of the code at 1 thread, so consecutive runs (and CI runs on different
 // machines) produce identical numbers and the counters form a comparable
 // trajectory across commits. Wall time is reported too but is

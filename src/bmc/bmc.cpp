@@ -1,5 +1,6 @@
 #include "bmc/bmc.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -11,12 +12,16 @@ using smt::Result;
 using smt::SubstMap;
 using smt::TermRef;
 
+double remaining_seconds(double max_seconds, double elapsed) {
+  if (max_seconds <= 0) return 0.0;
+  return std::max(max_seconds - elapsed, 1e-9);
+}
+
 Bmc::Bmc(const ts::TransitionSystem& ts, const sat::SolverConfig& config,
-         bool plaisted_greenbaum, std::shared_ptr<smt::ConeCache> cone_cache,
-         sat::BackendKind backend)
+         bool plaisted_greenbaum, std::shared_ptr<smt::ConeCache> cone_cache)
     : ts_(ts),
       mgr_(ts.mgr()),
-      solver_(mgr_, config, plaisted_greenbaum, std::move(cone_cache), backend) {
+      solver_(mgr_, config, plaisted_greenbaum, std::move(cone_cache)) {
   assert(ts.complete() && "every state needs a next function");
 }
 
@@ -109,9 +114,8 @@ std::optional<Witness> Bmc::check(const BmcOptions& options) {
 
     solver_.set_conflict_budget(options.conflict_budget_per_bound);
     // Hand the solver the remaining wall budget so one hard bound cannot
-    // overshoot the cap arbitrarily.
-    if (options.max_seconds > 0)
-      solver_.set_time_budget(options.max_seconds - clock.seconds());
+    // overshoot the cap arbitrarily, even when the unroll spent it.
+    solver_.set_time_budget(remaining_seconds(options.max_seconds, clock.seconds()));
     const Result r = solver_.check({any_bad});
     static_cast<smt::Work&>(stats_) = solver_.work();
     if (r == Result::Unknown) {

@@ -37,6 +37,12 @@ struct BmcOptions {
   double max_seconds = 0.0;
 };
 
+/// The wall budget to hand the next solver call under a cap of
+/// `max_seconds` (0 = none) of which `elapsed` seconds are spent. A spent
+/// cap stays positive, because the solver reads a budget of 0 as "no
+/// limit"; no cap stays 0.
+double remaining_seconds(double max_seconds, double elapsed);
+
 /// The solver stack's lifetime work (smt::Work: cumulative across
 /// check() calls) plus the last check()'s sweep.
 struct BmcStats : smt::Work {
@@ -66,12 +72,10 @@ class Bmc {
   /// `config` tunes the underlying CDCL heuristics;
   /// `plaisted_greenbaum` = true opts into polarity-split encoding (the
   /// equivalence tests run both encodings against each other);
-  /// `cone_cache` shares bit-blasted cones campaign-wide (cone_cache.hpp);
-  /// `backend` picks the SAT engine (sat/backend.hpp).
+  /// `cone_cache` shares bit-blasted cones campaign-wide (cone_cache.hpp).
   explicit Bmc(const ts::TransitionSystem& ts, const sat::SolverConfig& config = {},
                bool plaisted_greenbaum = false,
-               std::shared_ptr<smt::ConeCache> cone_cache = nullptr,
-               sat::BackendKind backend = sat::BackendKind::Native);
+               std::shared_ptr<smt::ConeCache> cone_cache = nullptr);
 
   /// Search for any bad state reachable within options.max_bound steps.
   /// Nullopt = no violation found up to the bound (or resource limit hit —

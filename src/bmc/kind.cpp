@@ -1,6 +1,5 @@
 #include "bmc/kind.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <optional>
 #include <string>
@@ -24,11 +23,10 @@ namespace {
 class InductiveWindow {
  public:
   InductiveWindow(const ts::TransitionSystem& ts, const sat::SolverConfig& config,
-                  bool plaisted_greenbaum, std::shared_ptr<smt::ConeCache> cone_cache,
-                  sat::BackendKind backend)
+                  bool plaisted_greenbaum, std::shared_ptr<smt::ConeCache> cone_cache)
       : ts_(ts),
         mgr_(ts.mgr()),
-        solver_(mgr_, config, plaisted_greenbaum, std::move(cone_cache), backend) {}
+        solver_(mgr_, config, plaisted_greenbaum, std::move(cone_cache)) {}
 
   /// Ensure steps 0..k exist. Returns the "any bad at step k" term.
   TermRef extend_to(unsigned k) {
@@ -102,18 +100,14 @@ KInductionResult prove_by_k_induction(const ts::TransitionSystem& ts,
   Stopwatch clock;
   KInductionResult result;
 
-  Bmc base(ts, options.solver_config, options.plaisted_greenbaum,
-           options.cone_cache, options.backend);
+  Bmc base(ts, options.solver_config, options.plaisted_greenbaum, options.cone_cache);
   std::optional<InductiveWindow> window;  // built by the first step
 
   const auto out_of_time = [&]() {
     return options.max_seconds > 0 && clock.seconds() >= options.max_seconds;
   };
-  // The wall cap left for the next solver call; a spent cap stays
-  // positive, because 0 means none.
   const auto remaining = [&]() {
-    if (options.max_seconds <= 0) return 0.0;
-    return std::max(options.max_seconds - clock.seconds(), 1e-9);
+    return remaining_seconds(options.max_seconds, clock.seconds());
   };
   const auto tally = [&]() {
     const BmcStats& bs = base.stats();
@@ -151,7 +145,7 @@ KInductionResult prove_by_k_induction(const ts::TransitionSystem& ts,
     if (out_of_time()) return Result::Unknown;
     if (!window)
       window.emplace(ts, options.solver_config, options.plaisted_greenbaum,
-                     options.cone_cache, options.backend);
+                     options.cone_cache);
     const TermRef bad_k = window->extend_to(k);
     std::vector<TermRef> assumptions;
     for (unsigned t = 0; t < k; ++t)

@@ -58,8 +58,6 @@ struct KInductionOptions {
   bool plaisted_greenbaum = false;
   /// Campaign-wide cone sharing for both internal solvers (cone_cache.hpp).
   std::shared_ptr<smt::ConeCache> cone_cache;
-  /// SAT engine for both internal solvers (sat/backend.hpp).
-  sat::BackendKind backend = sat::BackendKind::Native;
 };
 
 /// smt::Work holds the totals across the base-case and inductive

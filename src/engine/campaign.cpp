@@ -31,53 +31,6 @@ const char* prover_name(Prover p) {
   return "?";
 }
 
-namespace {
-
-/// Record a falsified job's witness: the rendered table, the bad label,
-/// and the index-ordered trace for the witness post-pass, extracted while
-/// the job-local TransitionSystem is still alive (the bmc::Witness itself
-/// is keyed on that system's TermManager and dies with it).
-void record_witness(const ts::TransitionSystem& ts, const bmc::Witness& w,
-                    JobResult* r) {
-  r->witness = bmc::witness_to_string(ts, w);
-  r->bad_label = w.bad_label;
-  r->trace = std::make_shared<const WitnessTrace>(extract_trace(ts, w));
-}
-
-/// Re-derive the canonical witness of a falsified job with the native
-/// default-config BMC sweep. A witness found through another backend is
-/// shaped by that engine's model; replaying the native sweep up to the
-/// (engine-independent) minimal violation length reproduces exactly the
-/// trace a native run reports, keeping reports byte-identical across
-/// backends. Costs one sweep, paid only on falsified jobs.
-/// The replay deliberately runs without the job's budgets: the bound is
-/// known SAT, and a claimed violation whose witness cannot be read back
-/// is worse than a slightly-overspent cap.
-void canonical_witness(const JobSpec& job, unsigned length,
-                       const std::shared_ptr<smt::ConeCache>& cone_cache,
-                       JobResult* r) {
-  smt::TermManager mgr;
-  ts::TransitionSystem ts(mgr);
-  std::string build_error;
-  [[maybe_unused]] const bool built = job.build(ts, &build_error);
-  assert(built && "a job that produced a witness must rebuild");
-  // Same encoding as the job's own run, on the native backend: an
-  // external engine's model is solver-shaped, and re-deriving it here is
-  // what keeps stable reports backend-independent.
-  bmc::Bmc checker(ts, sat::SolverConfig{},
-                   job.budget.plaisted_greenbaum.value_or(false), cone_cache);
-  bmc::BmcOptions bo;
-  bo.max_bound = length;
-  const std::optional<bmc::Witness> found = checker.check(bo);
-  assert(found && found->length == length &&
-         "canonical replay must reproduce the claimed violation");
-  // Unbudgeted replay of a known-SAT bound cannot fail; still, never
-  // dereference an empty optional in Release if that invariant breaks.
-  if (found) record_witness(ts, *found, r);
-}
-
-}  // namespace
-
 JobResult run_job(const JobSpec& job,
                   const std::shared_ptr<smt::ConeCache>& cone_cache) {
   assert(job.build && "JobSpec needs a model builder");
@@ -108,7 +61,6 @@ JobResult run_job(const JobSpec& job,
   // spec-level nullopt means plain Tseitin.
   ko.plaisted_greenbaum = job.budget.plaisted_greenbaum.value_or(false);
   ko.cone_cache = cone_cache;
-  ko.backend = job.budget.backend;
   const bmc::KInductionResult kr = bmc::prove_by_k_induction(ts, ko);
 
   r.work = kr;
@@ -118,12 +70,12 @@ JobResult run_job(const JobSpec& job,
     r.verdict = Verdict::Falsified;
     r.winner = Prover::Bmc;
     r.trace_length = kr.witness->length;
-    // A native witness is canonical as found; another engine's trace is
-    // re-derived on the native stack.
-    if (job.budget.backend == sat::BackendKind::Native)
-      record_witness(ts, *kr.witness, &r);
-    else
-      canonical_witness(job, r.trace_length, cone_cache, &r);
+    r.bad_label = kr.witness->bad_label;
+    // The rendered table and the index-ordered trace (for the witness
+    // post-pass) are read now, while the job-local TransitionSystem is
+    // alive: the bmc::Witness is keyed on its TermManager.
+    r.witness = bmc::witness_to_string(ts, *kr.witness);
+    r.trace = std::make_shared<const WitnessTrace>(extract_trace(ts, *kr.witness));
   } else if (kr.status == bmc::KInductionStatus::Proved) {
     r.verdict = Verdict::Proved;
     r.winner = Prover::KInduction;
@@ -247,7 +199,8 @@ std::string CampaignReport::to_json(bool include_timing) const {
   if (shard) {
     os << ",\n  \"shard\": {\"index\": " << shard->shard.index
        << ", \"count\": " << shard->shard.count
-       << ", \"total_jobs\": " << shard->total_jobs << "}";
+       << ", \"total_jobs\": " << shard->total_jobs
+       << ", \"campaign\": \"" << shard->campaign << "\"}";
   }
   if (include_timing) {
     os << ",\n  \"threads\": " << threads;
@@ -294,10 +247,10 @@ std::string CampaignReport::to_json(bool include_timing) const {
       os << ", \"error\": ";
       json_escape(os, j.note);
     }
-    // Counters depend on the encoding, the backend and the cache (a hit
-    // zeroes them), timings on the host; keeping them out makes the
-    // no-timing report byte-stable across runs, thread counts, backends
-    // and warm or cold caches for a fixed spec.
+    // Counters depend on the encoding and the cache (a hit zeroes them),
+    // timings on the host; keeping them out makes the no-timing report
+    // byte-stable across runs, thread counts and warm or cold caches for
+    // a fixed spec.
     if (include_timing) {
       os << ", \"winner\": \"" << prover_name(j.winner) << "\"";
       os << ", \"bmc_bounds_checked\": " << j.bmc_bounds_checked;

@@ -3,8 +3,8 @@
 // The paper's headline experiments (Table 1, Fig. 3/4) are embarrassingly
 // parallel sweeps: instruction classes × QED mode {EDDI-V, EDSEP-V} ×
 // injected mutation, each cell an independent model-checking run. This
-// engine is the architectural seam those sweeps (and every future scaling
-// direction — sharding, multi-backend) plug into:
+// engine is the architectural seam those sweeps (and sharding across
+// processes, engine/shard.hpp) plug into:
 //
 //   * a CampaignSpec is a declarative list of verification jobs; where
 //     the jobs come from is a *workload family* concern (engine/
@@ -97,12 +97,6 @@ struct JobBudget {
   /// on the committed mini-corpus). Verdict-bearing report fields are
   /// encoding-independent either way.
   std::optional<bool> plaisted_greenbaum;
-  /// SAT engine behind both solvers (sat/backend.hpp). Part of the
-  /// verdict-cache key: a campaign solved by a different engine is a
-  /// different campaign. Witnesses are always
-  /// re-derived with the native default-config replay, so stable JSON is
-  /// backend-independent for definite verdicts.
-  sat::BackendKind backend = sat::BackendKind::Native;
   /// Per-solver SAT-arena memory ceiling in MiB (0 = none). A job whose
   /// solvers outgrow it degrades to Verdict::Unknown with a
   /// "resource: memory" note — a diagnosed row, never a process abort.
@@ -227,6 +221,9 @@ struct CampaignReport {
   struct ShardInfo {
     ShardSpec shard;
     std::uint64_t total_jobs = 0;  // job count of the full spec
+    /// VerdictCache::campaign_digest of the full spec: merge refuses
+    /// shards of different campaigns.
+    std::string campaign;
   };
 
   std::vector<JobResult> jobs;  // in spec order, regardless of threads
@@ -250,15 +247,16 @@ struct CampaignReport {
   /// disjoint shard set yields the same report, whose stable JSON is
   /// byte-identical to an unsharded run of the spec. Rejects (returns
   /// nullopt, sets *error) inputs that are not shard reports, disagree
-  /// on seed/count/total, overlap, or fail to cover every job id.
+  /// on campaign/seed/count/total, overlap, or fail to cover every job
+  /// id.
   static std::optional<CampaignReport> merge(const std::vector<CampaignReport>& shards,
                                              std::string* error);
 };
 
 /// Run one job on the calling thread: build its model once and run the
 /// prover loop on it. `cone_cache` (may be null) is shared by every
-/// solver stack the job spins up — BMC, the inductive step and the
-/// canonical witness replay hit the same store.
+/// solver stack the job spins up — BMC and the inductive step hit the
+/// same store.
 JobResult run_job(const JobSpec& job,
                   const std::shared_ptr<smt::ConeCache>& cone_cache = nullptr);
 

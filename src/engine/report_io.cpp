@@ -338,8 +338,8 @@ bool parse_job(const JsonValue& obj, std::size_t position, JobResult* out,
   }
 
   if (const std::string* label = get_string(obj, "bad_label")) out->bad_label = *label;
-  // Timing and counter fields are skipped: every reader (merge, the
-  // dispatcher, perfbench) consumes only the stable fields above.
+  // Timing and counter fields are skipped: every reader (merge,
+  // perfbench) consumes only the stable fields above.
   return true;
 }
 
@@ -366,6 +366,11 @@ bool parse_report(const std::string& json, CampaignReport* out, std::string* err
     if (!get_u64(*shard, "count", &n, error)) return false;
     info.shard.count = static_cast<unsigned>(n);
     if (!get_u64(*shard, "total_jobs", &info.total_jobs, error)) return false;
+    const std::string* campaign = get_string(*shard, "campaign");
+    if (!campaign || campaign->size() != 16 ||
+        campaign->find_first_not_of("0123456789abcdef") != std::string::npos)
+      return fail_field(error, "'shard' has no 16-hex-digit 'campaign' digest");
+    info.campaign = *campaign;
     if (info.shard.count == 0 || info.shard.index >= info.shard.count)
       return fail_field(error, "'shard' index/count out of range");
     report.shard = info;

@@ -1,8 +1,8 @@
 // report_io.hpp — reading campaign reports back from their JSON form.
 //
 // The scale-out seam (engine/shard.hpp) moves reports between processes
-// and hosts as JSON files: shard runs write them, `sepe-run merge` and
-// the dispatcher read them back. This is the reader side — a small
+// and hosts as JSON files: shard runs write them, `sepe-run merge` reads
+// them back. This is the reader side — a small
 // recursive-descent parser for the dialect CampaignReport::to_json
 // emits (the timing or the stable form, with or without shard
 // metadata). It reads the stable fields only: a timing report parses to

@@ -111,6 +111,11 @@ std::optional<CampaignReport> CampaignReport::merge(
 
   std::vector<bool> index_seen(first.shard.count, false);
   for (const CampaignReport& r : shards) {
+    // Hand-launched legs can mix up their flags; the campaign digest
+    // covers every job's name, budgets and provenance.
+    if (r.shard->campaign != first.campaign)
+      return reject("shard reports come from different campaigns (" + first.campaign +
+                    " vs " + r.shard->campaign + ")");
     if (r.shard->shard.count != first.shard.count ||
         r.shard->total_jobs != first.total_jobs)
       return reject("shard reports disagree on the campaign shape "
@@ -131,9 +136,8 @@ std::optional<CampaignReport> CampaignReport::merge(
   std::vector<bool> job_seen(first.total_jobs, false);
   std::unordered_set<std::string> names;
   // Collect every duplicated job id before rejecting: when a shard set
-  // overlaps (e.g. a stolen shard's report hand-merged next to the
-  // original attempt's), naming all the offending ids pinpoints which
-  // legs collided instead of forcing a re-merge per duplicate.
+  // overlaps, naming all the offending ids pinpoints which legs collided
+  // instead of forcing a re-merge per duplicate.
   std::vector<std::string> duplicated;
   for (const CampaignReport& r : shards) {
     merged.wall_seconds += r.wall_seconds;
@@ -196,10 +200,10 @@ CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& opti
   }
 
   // Journal hits are how a run resumes: every job an earlier run (an
-  // interrupted one, a crashed dispatcher attempt, an overlapping
-  // campaign) finished is served here. A hit restores the stable verdict
-  // fields with solver counters zeroed and from_cache set, and does not
-  // fire the user's on_job_done hook: the job was not solved by this run.
+  // interrupted or killed one, an overlapping campaign) finished is
+  // served here. A hit restores the stable verdict fields with solver
+  // counters zeroed and from_cache set, and does not fire the user's
+  // on_job_done hook: the job was not solved by this run.
   // An unservable entry (a FALSIFIED one without a stimulus) is a miss.
   std::vector<JobResult> results(plan.spec.jobs.size());
   if (cache) {
@@ -271,8 +275,7 @@ CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& opti
       if (user_hook) user_hook(patched.spec_index, patched);
       // Fault point "worker.job_done" (docs/ROBUSTNESS.md): fires only
       // after the finished job was journaled and reported, so an injected
-      // kill/hang/stop always leaves it in the journal for the resume —
-      // exactly the crash window the dispatcher's relaunch path covers.
+      // kill/hang/stop always leaves it in the journal for the rerun.
       if (fault::armed()) {
         if (const auto action = fault::hit("worker.job_done"))
           fault::execute_process_action(*action);
@@ -285,7 +288,10 @@ CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& opti
   CampaignReport report;
   report.seed = full.seed;
   report.threads = fresh.threads;
-  if (options.shard) report.shard = CampaignReport::ShardInfo{effective, plan.total_jobs};
+  if (options.shard) {
+    report.shard = CampaignReport::ShardInfo{effective, plan.total_jobs};
+    report.shard->campaign = VerdictCache::campaign_digest(full, options.fingerprint);
+  }
   for (std::size_t i = 0; i < fresh.jobs.size(); ++i)
     results[pending_to_plan[i]] = fresh.jobs[i];
   report.jobs = std::move(results);

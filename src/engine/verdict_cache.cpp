@@ -31,7 +31,8 @@ namespace {
 /// re-solving the job. v6: the race and sequential-prover flags left the
 /// key, and --bound became the falsification horizon (k-induction no
 /// longer falsifies past it), so a v5 verdict may mean something else.
-constexpr int kFormatVersion = 6;
+/// v7: the SAT-engine byte left the key with the subprocess backend.
+constexpr int kFormatVersion = 7;
 
 std::uint64_t fnv1a(const char* data, std::size_t n,
                     std::uint64_t h = 1469598103934665603ull) {
@@ -180,13 +181,19 @@ std::string VerdictCache::key_of(const JobSpec& job, const std::string& fingerpr
   // max_seconds deliberately not mixed: cacheable() refuses wall-capped
   // jobs outright, so every cached job has max_seconds == 0.
   mix_byte(job.budget.plaisted_greenbaum.value_or(false) ? 1 : 0);
-  // A campaign solved by a different SAT engine is a different campaign:
-  // mixing the backend makes stale entries *miss* (and re-solve) instead
-  // of presenting one engine's verdict as the other's.
-  mix_byte(static_cast<unsigned char>(job.budget.backend));
   // The memory ceiling changes what a job can conclude (campaign.hpp), so
   // capped and uncapped runs must never share a cache slot.
   mix_u64(job.budget.memory_limit_mb);
+  return hex16(h);
+}
+
+std::string VerdictCache::campaign_digest(const CampaignSpec& spec,
+                                          const std::string& fingerprint) {
+  std::uint64_t h = fnv1a("", 0);
+  for (const JobSpec& job : spec.jobs) {
+    const std::string key = key_of(job, fingerprint);
+    h = fnv1a(key.data(), key.size(), h);
+  }
   return hex16(h);
 }
 
@@ -268,9 +275,9 @@ std::unique_ptr<VerdictCache> VerdictCache::open(const std::string& dir,
   std::ifstream in(cache->path_, std::ios::binary);
   if (!in) {
     if (!std::filesystem::exists(cache->path_, ec)) return cache;  // no journal yet
-    // A concurrent writer sharing the directory (another dispatcher
-    // worker) may have created the journal since the open failed: try
-    // once more before calling it unreadable.
+    // A concurrent writer sharing the directory (another shard process)
+    // may have created the journal since the open failed: try once more
+    // before calling it unreadable.
     in.open(cache->path_, std::ios::binary);
     if (!in) {
       if (error) *error = "cannot read cache journal '" + cache->path_ + "'";
@@ -337,7 +344,7 @@ void VerdictCache::append(const std::string& key, const Entry& e) {
     }
   }
   // One O_APPEND write per line: concurrent campaigns sharing the cache
-  // directory (dispatcher workers) interleave whole entries, and a torn
+  // directory (shard processes) interleave whole entries, and a torn
   // final line from a crash fails its self-check and costs one miss.
   const int fd =
       injected_failure ? -1 : ::open(path_.c_str(), O_RDWR | O_APPEND | O_CREAT, 0644);

@@ -3,11 +3,11 @@
 // The second level of the campaign cache (the in-process first level is
 // smt/cone_cache.hpp): verdict-bearing job results keyed by a content
 // digest of everything that determines them, persisted in an on-disk
-// journal so a re-run, a dispatcher retry, or an overlapping campaign
-// skips already-solved frontiers entirely. It is the one way a run
-// persists and resumes finished jobs: an interrupted run, a crashed
-// worker or a stolen shard resumes by serving its journal hits, and any
-// campaign whose jobs digest to the same keys shares them.
+// journal so a re-run, a rerun shard, or an overlapping campaign skips
+// already-solved frontiers entirely. It is the one way a run persists
+// and resumes finished jobs: an interrupted or killed run resumes by
+// serving its journal hits, and any campaign whose jobs digest to the
+// same keys shares them.
 //
 // Key: a 64-bit FNV-1a digest (16 hex digits) over a format-version tag,
 // the caller's fingerprint (sepe-run's xlen/modes or workload=btor2),
@@ -32,8 +32,8 @@
 //     re-solved entry supersedes them.
 //
 // Journal format (docs/FORMATS.md): DIR/verdicts.jsonl, one JSON object
-// per line, appended with O_APPEND so concurrent campaigns (dispatcher
-// workers sharing --cache) interleave whole lines. Each line carries a
+// per line, appended with O_APPEND so concurrent campaigns (shard
+// processes sharing --cache) interleave whole lines. Each line carries a
 // trailing "check" field — the FNV-1a digest of everything before it —
 // making every entry independently verifiable.
 //
@@ -102,6 +102,12 @@ class VerdictCache {
   /// The cache key of `job` under the caller's campaign fingerprint
   /// (ShardRunOptions::fingerprint).
   static std::string key_of(const JobSpec& job, const std::string& fingerprint);
+
+  /// The identity of a whole campaign: FNV-1a over key_of of every job
+  /// of `spec`, in spec order (16 hex digits). Shard reports carry it, so
+  /// merge can refuse legs of different campaigns.
+  static std::string campaign_digest(const CampaignSpec& spec,
+                                     const std::string& fingerprint);
 
   /// Serialize one journal line (without trailing newline) — exposed for
   /// the corruption tests, which need to forge and truncate entries.

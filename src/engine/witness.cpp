@@ -530,8 +530,8 @@ void witness_post_pass(const JobSpec& job, const WitnessOptions& options,
   if (!options.check || result->verdict != Verdict::Falsified) return;
   const auto demote = [&](const std::string& detail) {
     // The stable note is a fixed string so demoted rows are byte-
-    // deterministic wherever the check ran (campaign, cached fill-in,
-    // dispatcher); the specific divergence goes to stderr.
+    // deterministic wherever the check ran (a solved or a journaled
+    // row); the specific divergence goes to stderr.
     result->verdict = Verdict::Unknown;
     result->note = "witness: replay mismatch";
     result->witness.clear();

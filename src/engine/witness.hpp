@@ -2,10 +2,10 @@
 // shrinking, and standalone artifacts for every FALSIFIED verdict.
 //
 // Counterexample traces come out of the blast/solve/extract chain, and
-// with caching (engine/verdict_cache.hpp) and a multi-process
-// dispatcher feeding verdicts, a bug anywhere in that
-// chain — or a tampered cache line or dispatch worker — could ship a
-// bogus trace undetected. This layer is the engine-independent backstop:
+// with caching (engine/verdict_cache.hpp) and shard reports from other
+// processes feeding verdicts, a bug anywhere in that chain — or a
+// tampered cache line — could ship a bogus trace undetected. This layer
+// is the engine-independent backstop:
 //
 //   * replay_trace re-executes the reported stimulus through the concrete
 //     transition-system simulator (sim/ts_sim.hpp — the same evaluator
@@ -18,8 +18,7 @@
 //   * render_witness_artifact emits a self-contained versioned line-JSON
 //     file (embedded BTOR2 model + stimulus + self-check digest, in the
 //     style of the verdict journal) that check_witness_text re-validates
-//     from the bytes alone — `sepe-run check-witness FILE` and the
-//     dispatcher's cross-check of retried/stolen shards both go through
+//     from the bytes alone — `sepe-run check-witness FILE` goes through
 //     it without loading the SAT stack.
 //
 // witness_post_pass wires the three into run_campaign / run_sharded as an

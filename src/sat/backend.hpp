@@ -2,11 +2,10 @@
 //
 // Everything above the SAT layer (the bit-blaster, the SMT facade, BMC,
 // k-induction, the campaign engine) talks to an abstract sat::Backend:
-// add clauses, solve under assumptions, read a model, set budgets. Two
-// engines implement it today — the native
-// CDCL solver (sat::Solver, solver.hpp) and a subprocess DIMACS bridge
-// (sat::DimacsBackend, dimacs_backend.hpp) — and the seam is what a
-// future SMT-level backend would plug into.
+// add clauses, solve under assumptions, read a model, set budgets. The
+// native CDCL solver (sat::Solver, solver.hpp) is the one engine behind
+// it; the seam keeps the six members a second, independent
+// implementation (an oracle to test the solver against) would need.
 //
 // The contract a conforming backend must honor is documented in
 // docs/SOLVER.md ("The backend seam"): deterministic verdicts for
@@ -16,16 +15,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "util/fault.hpp"
 
 namespace sepe::sat {
-
-struct SolverConfig;
 
 /// A propositional literal: variable index plus sign. Encoded as
 /// 2*var + (negated ? 1 : 0), the classic MiniSat representation.
@@ -63,15 +57,6 @@ inline Value operator^(Value v, bool sign) {
 /// Result of a solve() call.
 enum class SolveResult { Sat, Unsat, Unknown /* resource limit hit */ };
 
-/// The engines the factory can build. The kind is part of the
-/// verdict-cache key (a campaign solved by a different engine is a
-/// different campaign), so the enumerator values and names are stable.
-enum class BackendKind : std::uint8_t { Native = 0, Dimacs = 1 };
-
-/// Stable lowercase name ("native", "dimacs") — the `--backend` value.
-const char* backend_kind_name(BackendKind kind);
-std::optional<BackendKind> backend_kind_from_name(std::string_view name);
-
 /// Lifetime counters of one engine, read through Backend::stats().
 /// Deterministic for a fixed clause stream; an engine that cannot
 /// observe a counter reports 0 rather than guessing.
@@ -85,9 +70,6 @@ struct Stats {
   std::uint64_t eliminated_vars = 0;
   std::uint64_t subsumed_clauses = 0;
   std::uint64_t vivified_clauses = 0;
-  /// Transient failures absorbed by retrying (subprocess respawns, torn
-  /// model re-reads).
-  std::uint64_t retries = 0;
   /// A solve degraded to Unknown because the memory ceiling
   /// (SolverConfig::memory_limit_mb) tripped. Sticky.
   bool out_of_memory = false;
@@ -99,8 +81,7 @@ struct Stats {
 ///
 /// Budgets live in the base class so every engine inherits identical
 /// semantics; solve() implementations must poll stop_requested() often
-/// enough that a SIGTERM aborts a solve within microseconds (native) or
-/// one subprocess poll interval (DIMACS).
+/// enough that a SIGTERM aborts a solve within microseconds.
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -129,8 +110,7 @@ class Backend {
   virtual Stats stats() const = 0;
 
   /// Abort solve() with Unknown after this many conflicts (0 = no
-  /// limit). Engines that cannot meter conflicts (subprocess backends)
-  /// document the budget as best-effort.
+  /// limit).
   void set_conflict_budget(std::uint64_t budget) { conflict_budget_ = budget; }
   std::uint64_t conflict_budget() const { return conflict_budget_; }
 
@@ -148,11 +128,5 @@ class Backend {
   std::uint64_t conflict_budget_ = 0;
   double time_budget_seconds_ = 0.0;
 };
-
-/// Build an engine of the given kind. `config` tunes the native CDCL
-/// heuristics; the DIMACS backend records it but solves with the
-/// external solver's own defaults. Never fails: an unavailable DIMACS
-/// engine is still constructed, and its solves return Unknown.
-std::unique_ptr<Backend> make_backend(BackendKind kind, const SolverConfig& config);
 
 }  // namespace sepe::sat

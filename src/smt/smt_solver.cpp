@@ -6,7 +6,7 @@ namespace sepe::smt {
 
 void SmtSolver::assert_formula(TermRef t) {
   assert(mgr_.width(t) == 1);
-  sat_->add_clause(blaster_.blast_bit(t, BitBlaster::kPos));
+  sat_.add_clause(blaster_.blast_bit(t, BitBlaster::kPos));
 }
 
 Result SmtSolver::check(const std::vector<TermRef>& assumptions) {
@@ -18,7 +18,7 @@ Result SmtSolver::check(const std::vector<TermRef>& assumptions) {
   }
   evaluator_.reset();
   model_vals_.clear();
-  switch (sat_->solve(lits)) {
+  switch (sat_.solve(lits)) {
     case sat::SolveResult::Sat: last_sat_ = true; return Result::Sat;
     case sat::SolveResult::Unsat: last_sat_ = false; return Result::Unsat;
     case sat::SolveResult::Unknown: last_sat_ = false; return Result::Unknown;
@@ -27,7 +27,7 @@ Result SmtSolver::check(const std::vector<TermRef>& assumptions) {
 }
 
 Work SmtSolver::work() const {
-  const sat::Stats s = sat_->stats();
+  const sat::Stats s = sat_.stats();
   const BitBlaster::ConeStats& cone = blaster_.cone_stats();
   Work w;
   w.solver_conflicts = s.conflicts;
@@ -41,7 +41,6 @@ Work SmtSolver::work() const {
   w.eliminated_vars = s.eliminated_vars;
   w.subsumed_clauses = s.subsumed_clauses;
   w.vivified_clauses = s.vivified_clauses;
-  w.sat_retries = s.retries;
   w.hit_memory_limit = s.out_of_memory;
   return w;
 }
@@ -57,7 +56,7 @@ BitVec SmtSolver::value(TermRef t) {
       const auto& bits = blaster_.blast(v);
       std::uint64_t val = 0;
       for (std::size_t i = 0; i < bits.size(); ++i)
-        if (sat_->model_value(bits[i])) val |= 1ULL << i;
+        if (sat_.model_value(bits[i])) val |= 1ULL << i;
       model_vals_.emplace(v, BitVec(static_cast<unsigned>(bits.size()), val));
     }
     evaluator_ = std::make_unique<Evaluator>(mgr_);

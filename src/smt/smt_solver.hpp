@@ -39,15 +39,15 @@ class SmtSolver {
   /// bitblast.hpp for why full Tseitin is the default).
   /// `cone_cache`, when non-null, shares bit-blasted cones with the other
   /// solver stacks of a campaign (see cone_cache.hpp).
-  /// `backend` picks the SAT engine behind the blaster (backend.hpp);
-  /// the native CDCL is the default and the only one `config` tunes.
   explicit SmtSolver(TermManager& mgr, const sat::SolverConfig& config = {},
                      bool plaisted_greenbaum = false,
-                     std::shared_ptr<ConeCache> cone_cache = nullptr,
-                     sat::BackendKind backend = sat::BackendKind::Native)
+                     std::shared_ptr<ConeCache> cone_cache = nullptr)
       : mgr_(mgr),
-        sat_(sat::make_backend(backend, config)),
-        blaster_(mgr, *sat_, plaisted_greenbaum, std::move(cone_cache)) {}
+        sat_(config),
+        blaster_(mgr, sat_, plaisted_greenbaum, std::move(cone_cache)) {}
+  // The blaster holds a reference to sat_, so the stack stays in place.
+  SmtSolver(const SmtSolver&) = delete;
+  SmtSolver& operator=(const SmtSolver&) = delete;
 
   TermManager& mgr() { return mgr_; }
 
@@ -68,16 +68,16 @@ class SmtSolver {
   Assignment values(const std::vector<TermRef>& vars);
 
   /// Abort check() with Unknown after this many SAT conflicts (0 = off).
-  void set_conflict_budget(std::uint64_t budget) { sat_->set_conflict_budget(budget); }
-  std::uint64_t conflict_budget() const { return sat_->conflict_budget(); }
+  void set_conflict_budget(std::uint64_t budget) { sat_.set_conflict_budget(budget); }
+  std::uint64_t conflict_budget() const { return sat_.conflict_budget(); }
 
   /// Abort check() with Unknown after this many wall seconds (0 = off).
-  void set_time_budget(double seconds) { sat_->set_time_budget(seconds); }
-  double time_budget() const { return sat_->time_budget(); }
+  void set_time_budget(double seconds) { sat_.set_time_budget(seconds); }
+  double time_budget() const { return sat_.time_budget(); }
 
   /// True once the process-global crash-only stop is raised (see
   /// sat::Backend::stop_requested); check() then returns Unknown.
-  bool stop_requested() const { return sat_->stop_requested(); }
+  bool stop_requested() const { return sat_.stop_requested(); }
 
   /// This stack's lifetime work: the SAT engine's counters, the CNF
   /// size and the blaster's cone-cache traffic (zeros when uncached).
@@ -85,7 +85,7 @@ class SmtSolver {
 
  private:
   TermManager& mgr_;
-  std::unique_ptr<sat::Backend> sat_;
+  sat::Solver sat_;
   BitBlaster blaster_;
   bool last_sat_ = false;
   /// Lazily built per Sat result: model values of every blasted variable

@@ -25,7 +25,6 @@ struct Work {
   std::uint64_t eliminated_vars = 0;
   std::uint64_t subsumed_clauses = 0;
   std::uint64_t vivified_clauses = 0;
-  std::uint64_t sat_retries = 0;
   /// A SAT engine degraded to Unknown on its memory ceiling (sticky;
   /// docs/ROBUSTNESS.md).
   bool hit_memory_limit = false;
@@ -56,7 +55,6 @@ inline constexpr WorkCounter kWorkCounters[] = {
     {"eliminated_vars", &Work::eliminated_vars, true},
     {"subsumed_clauses", &Work::subsumed_clauses, true},
     {"vivified_clauses", &Work::vivified_clauses, true},
-    {"sat_retries", &Work::sat_retries, true},
 };
 
 inline Work& Work::operator+=(const Work& other) {

@@ -14,7 +14,7 @@ namespace {
 std::atomic<bool> g_armed{false};
 std::atomic<bool> g_stop{false};
 
-enum class Trigger : std::uint8_t { Always, Nth, Probability, Token };
+enum class Trigger : std::uint8_t { Always, Nth, Probability };
 
 struct PlanEntry {
   std::string point;
@@ -22,12 +22,9 @@ struct PlanEntry {
   Trigger trigger = Trigger::Always;
   std::uint64_t nth = 0;         // Trigger::Nth (1-based)
   double probability = 0.0;      // Trigger::Probability
-  std::string token_path;        // Trigger::Token
   // Mutable firing state, guarded by g_mutex.
   std::uint64_t hits = 0;
   std::uint64_t rng_state = 0;   // per-entry splitmix64 stream
-  bool token_resolved = false;   // token claim attempted
-  bool token_owned = false;      // ...and won by this process
 };
 
 struct Plan {
@@ -102,15 +99,6 @@ bool parse_point(const std::string& spec, PlanEntry* out, std::string* error) {
     out->trigger = Trigger::Always;
     return true;
   }
-  if (trigger_part.rfind("token:", 0) == 0) {
-    out->trigger = Trigger::Token;
-    out->token_path = trigger_part.substr(6);
-    if (out->token_path.empty()) {
-      if (error) *error = "fault point '" + out->point + "': empty token path";
-      return false;
-    }
-    return true;
-  }
   if (trigger_part.find('.') != std::string::npos) {
     char* end = nullptr;
     const double p = std::strtod(trigger_part.c_str(), &end);
@@ -162,13 +150,6 @@ bool parse_plan(const std::string& text, Plan* out, std::string* error) {
   return true;
 }
 
-/// Claim-once across a process fleet: atomic rename PATH -> PATH.claimed.
-/// Exactly one process (worker) in the fleet wins; everyone else finds
-/// the token already spent and behaves normally.
-bool claim_token(const std::string& path) {
-  return std::rename(path.c_str(), (path + ".claimed").c_str()) == 0;
-}
-
 bool entry_fires(PlanEntry& e) {
   ++e.hits;
   switch (e.trigger) {
@@ -181,13 +162,6 @@ bool entry_fires(PlanEntry& e) {
           static_cast<double>(splitmix64(&e.rng_state) >> 11) * 0x1.0p-53;
       return draw < e.probability;
     }
-    case Trigger::Token:
-      if (!e.token_resolved) {
-        e.token_resolved = true;
-        e.token_owned = claim_token(e.token_path);
-        return e.token_owned;
-      }
-      return false;  // one shot even for the owner
   }
   return false;
 }
@@ -238,7 +212,7 @@ void execute_process_action(Action action) {
       std::raise(SIGKILL);
       return;
     case Action::Hang: {
-      // Interruptible stall: a hung worker must still die promptly to
+      // Interruptible stall: a hung process must still die promptly to
       // SIGTERM (the handler raises the global stop flag we poll here)
       // and is bounded so a forgotten hang cannot outlive CI timeouts.
       constexpr int kMaxNaps = 12000;  // ~10 minutes at 50ms

@@ -4,15 +4,15 @@
 // A *fault plan* is parsed once from the SEPE_FAULT environment variable
 // (or installed by tests via configure()) and names injection points
 // threaded through every layer that can fail in production: solver
-// allocation, the DIMACS subprocess bridge, verdict-cache / report IO,
-// and the dispatcher's worker fleet. Production code asks
+// allocation, verdict-cache / report / witness IO, and a campaign
+// process between finished jobs. Production code asks
 // `fault::hit("point.name")` at each site; with no plan armed that is a
 // single relaxed atomic load, so the instrumentation is free in real runs.
 //
 // Plan grammar (see docs/ROBUSTNESS.md for the full contract):
 //
-//   SEPE_FAULT="seed=42;point=dimacs.write:fail@3;point=cache.append:torn;
-//               point=solver.alloc:oom@0.01;point=worker.job_done:kill@token:/tmp/t"
+//   SEPE_FAULT="seed=42;point=report.write:fail@3;point=cache.append:torn;
+//               point=solver.alloc:oom@0.01;point=worker.job_done:kill@1"
 //
 //   seed=N            seeds every probabilistic trigger (default 1)
 //   point=NAME:ACTION[@TRIGGER]   may repeat; same NAME may appear more
@@ -29,10 +29,6 @@
 //            @0.25    fire each hit with probability 0.25, drawn from a
 //                     per-entry splitmix64 stream seeded by
 //                     seed ^ fnv1a(NAME) — deterministic across runs
-//            @token:PATH  fire once per *fleet*: the first process to
-//                     claim PATH (atomic rename to PATH.claimed) arms the
-//                     entry; everyone else finds the token spent. This is
-//                     how dispatch tests kill/hang exactly one worker.
 //
 // Determinism: with a fixed plan, a fixed seed, and a fixed sequence of
 // hit() calls, the set of firing sites is a pure function of the plan.
@@ -46,7 +42,7 @@
 namespace sepe::fault {
 
 enum class Action : std::uint8_t {
-  Fail,    // the operation reports failure (spawn error, failed write, ...)
+  Fail,    // the operation reports failure (failed write, ...)
   Torn,    // a write persists only a prefix of the payload
   Short,   // a read/write transfers fewer bytes than requested
   Enospc,  // a write fails as if the device were full

@@ -305,6 +305,18 @@ TEST(BmcBudgets, WallBudgetDoesNotLeakIntoUncappedCall) {
   EXPECT_EQ(bmc.solver().time_budget(), 0.0);
 }
 
+// The solver reads a time budget of 0 as "no limit", so a cap spent
+// before the solve (say, during the unroll) must still hand it a
+// positive budget; no cap must stay 0.
+TEST(BmcBudgets, SpentWallCapStaysPositive) {
+  EXPECT_GT(remaining_seconds(0.5, 0.5), 0.0);
+  EXPECT_GT(remaining_seconds(0.5, 3.0), 0.0);
+  EXPECT_LT(remaining_seconds(0.5, 3.0), 1e-6);
+  EXPECT_DOUBLE_EQ(remaining_seconds(2.0, 0.5), 1.5);
+  EXPECT_EQ(remaining_seconds(0.0, 0.0), 0.0);
+  EXPECT_EQ(remaining_seconds(0.0, 7.0), 0.0);
+}
+
 TEST(BmcBudgets, ConflictBudgetDoesNotLeakIntoUnbudgetedCall) {
   CounterSystem sys;
   sys.ts.add_bad(sys.mgr.mk_eq(sys.cnt, sys.mgr.mk_const(8, 4)), "cnt-4");

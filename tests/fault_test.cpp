@@ -1,6 +1,6 @@
 // Tests for the unified fault-injection framework (util/fault.hpp) and
 // the crash-only execution envelope built on it: plan-grammar parsing,
-// per-point trigger determinism (Nth / probability / fleet token), the
+// per-point trigger determinism (Nth / probability), the
 // per-job memory ceiling degrading both workload families to a diagnosed
 // UNKNOWN row, an injected mid-campaign stop leaving a verdict journal
 // whose resumed run is byte-identical to an uninterrupted one, concurrent verdict-cache writers with torn appends never yielding
@@ -81,7 +81,7 @@ std::filesystem::path fresh_dir(const char* name) {
 TEST_F(FaultGrammar, FullPlanParsesAndArms) {
   std::string error;
   EXPECT_TRUE(fault::configure(
-      "seed=42;point=dimacs.write:fail@3;point=cache.append:torn;"
+      "seed=42;point=report.write:fail@3;point=cache.append:torn;"
       "point=solver.alloc:oom@0.01",
       &error))
       << error;
@@ -165,25 +165,6 @@ TEST_F(FaultTrigger, ProbabilityStreamIsDeterministicPerSeed) {
   EXPECT_NE(run1.find('0'), std::string::npos);
   const std::string other = draw("seed=6;point=p.prob:fail@0.5");
   EXPECT_NE(run1, other);  // the seed actually reaches the stream
-}
-
-TEST_F(FaultTrigger, TokenIsClaimedOncePerFleet) {
-  const auto dir = fresh_dir("fault_token_test");
-  const std::string token = (dir / "token").string();
-  std::ofstream(token) << "1\n";
-  const std::string plan = "point=p.tok:kill@token:" + token;
-
-  ASSERT_TRUE(fault::configure(plan));
-  const auto first = fault::hit("p.tok");
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(*first, fault::Action::Kill);
-  EXPECT_FALSE(fault::hit("p.tok").has_value());  // one-shot for the owner
-  EXPECT_FALSE(std::filesystem::exists(token));   // claimed by rename
-  EXPECT_TRUE(std::filesystem::exists(token + ".claimed"));
-
-  // A second "process" (re-arming the same plan) finds the token spent.
-  ASSERT_TRUE(fault::configure(plan));
-  EXPECT_FALSE(fault::hit("p.tok").has_value());
 }
 
 // --- crash-only envelope ---

@@ -68,11 +68,8 @@ expect_usage_error memory_missing    -- --memory-mb
 expect_usage_error witness_no_files         -- check-witness
 expect_usage_error witness_flag_operand     -- check-witness --frobnicate
 expect_usage_error witness_contradiction    -- --witness-dir wd --no-witness-check
-expect_usage_error witness_contra_dispatch  -- dispatch --witness-dir wd --no-witness-check
-expect_usage_error dispatch_workers_zero    -- dispatch --workers 0
-expect_usage_error dispatch_workers_bad     -- dispatch --workers abc
-expect_usage_error dispatch_owns_shard      -- dispatch --shard 0/2
-expect_usage_error dispatch_steal_after_bad -- dispatch --steal-after -1
+expect_usage_error retired_backend          -- --backend native
+expect_usage_error retired_dispatch         -- dispatch
 
 # --help and --list-bugs succeed.
 for flag in --help --list-bugs; do
@@ -124,6 +121,22 @@ for bad in "shard0.json shard1.json" "shard0.json shard0.json shard1.json"; do
     FAILURES=$((FAILURES + 1))
   fi
 done
+
+# Merge refuses a leg of another campaign: the same jobs at another
+# --bound (stable JSON carries no bound, so a merged report could not
+# show the mix) differ in the shard object's campaign digest.
+"$SEPE_RUN" "${CAMPAIGN[@]}" --bound 3 --shard 2/3 --json "$WORK/shard2-bound3.json" \
+    >/dev/null
+"$SEPE_RUN" merge "$WORK/shard0.json" "$WORK/shard1.json" "$WORK/shard2-bound3.json" \
+    >/dev/null 2>"$WORK/merge-mixed.log"
+status=$?
+if [ "$status" -eq 1 ] && grep -q "different campaigns" "$WORK/merge-mixed.log"; then
+  echo "ok: merge rejects shards of different campaigns"
+else
+  echo "FAIL: merge of shards at different --bound should exit 1, got $status"
+  cat "$WORK/merge-mixed.log"
+  FAILURES=$((FAILURES + 1))
+fi
 
 # --- the verdict journal (--cache) ---
 
@@ -188,80 +201,60 @@ else
   FAILURES=$((FAILURES + 1))
 fi
 
-# --- the multi-process dispatcher ---
+# --- scale-out with plain processes ---
 
-# Dispatching the campaign over worker processes merges byte-identically
-# to the unsharded reference.
-if ! "$SEPE_RUN" dispatch --workers 2 --shards 3 "${CAMPAIGN[@]}" \
-    --json "$WORK/dispatched.json" >/dev/null 2>"$WORK/dispatch.log"; then
-  echo "FAIL: dispatch run"
-  cat "$WORK/dispatch.log"
+# Two shard legs run at the same time on one journal; one is SIGKILLed
+# (worker.job_done:kill@1) right after journaling its first job. Rerunning
+# both legs with the same flags completes the campaign: the killed leg
+# serves its journaled job, the journal ends with one line per job, and
+# the merge is byte-identical to the unsharded reference.
+KILL_CAMPAIGN=(--bugs table1 --rows 4 --modes eddi --bound 4 --max-k 2 --stable-json)
+KILL_JOURNAL="$WORK/kill-cache/verdicts.jsonl"
+if ! "$SEPE_RUN" "${KILL_CAMPAIGN[@]}" --threads 1 --json "$WORK/kill-ref.json" \
+    >/dev/null; then
+  echo "FAIL: unsharded reference run of the kill drill"
   FAILURES=$((FAILURES + 1))
 fi
-if cmp -s "$WORK/reference.json" "$WORK/dispatched.json"; then
-  echo "ok: dispatched stable JSON is byte-identical to the unsharded run"
+SEPE_FAULT="point=worker.job_done:kill@1" "$SEPE_RUN" "${KILL_CAMPAIGN[@]}" \
+    --threads 1 --shard 0/2 --cache "$WORK/kill-cache" \
+    --json "$WORK/kill-leg0.json" >/dev/null 2>&1 &
+LEG0_PID=$!
+"$SEPE_RUN" "${KILL_CAMPAIGN[@]}" --threads 1 --shard 1/2 --cache "$WORK/kill-cache" \
+    --json "$WORK/kill-leg1.json" >/dev/null 2>&1 &
+LEG1_PID=$!
+{ wait "$LEG0_PID"; } 2>/dev/null  # no "Killed" job notice
+LEG0_STATUS=$?
+wait "$LEG1_PID"
+LEG1_STATUS=$?
+if [ "$LEG0_STATUS" -ne 137 ] || [ "$LEG1_STATUS" -ne 0 ]; then
+  echo "FAIL: the killed leg should exit 137 and the other 0," \
+       "got $LEG0_STATUS and $LEG1_STATUS"
+  FAILURES=$((FAILURES + 1))
+fi
+for i in 0 1; do
+  if ! "$SEPE_RUN" "${KILL_CAMPAIGN[@]}" --threads 1 --shard "$i/2" \
+      --cache "$WORK/kill-cache" --json "$WORK/kill-rerun$i.json" \
+      >/dev/null 2>"$WORK/kill-rerun$i.log"; then
+    echo "FAIL: rerun of leg $i/2"
+    cat "$WORK/kill-rerun$i.log"
+    FAILURES=$((FAILURES + 1))
+  fi
+done
+"$SEPE_RUN" merge --output "$WORK/kill-merged.json" \
+    "$WORK/kill-rerun1.json" "$WORK/kill-rerun0.json" 2>/dev/null
+KILL_LINES=$(wc -l < "$KILL_JOURNAL" 2>/dev/null || echo 0)
+if ! grep -q "1 of 2 job(s) served from the verdict journal" "$WORK/kill-rerun0.log"; then
+  echo "FAIL: the killed leg's rerun should serve its journaled job:"
+  cat "$WORK/kill-rerun0.log"
+  FAILURES=$((FAILURES + 1))
+elif [ "$KILL_LINES" -ne 4 ]; then
+  echo "FAIL: the shared journal should hold one line per job (4), holds $KILL_LINES"
+  FAILURES=$((FAILURES + 1))
+elif cmp -s "$WORK/kill-ref.json" "$WORK/kill-merged.json"; then
+  echo "ok: a killed shard leg reruns from the shared journal, byte-identical merge"
 else
-  echo "FAIL: dispatched JSON differs from the unsharded reference:"
-  diff "$WORK/reference.json" "$WORK/dispatched.json"
-  FAILURES=$((FAILURES + 1))
-fi
-
-# A hung worker (claim-once hang token) is out-raced: its shard is
-# stolen by the idle worker, which resumes from the shared journal, the
-# straggler is terminated, and the merge is still byte-identical.
-touch "$WORK/hang.token"
-if ! SEPE_FAULT="point=worker.job_done:hang@token:$WORK/hang.token" \
-    "$SEPE_RUN" dispatch --workers 2 --steal-after 0.2 "${CAMPAIGN[@]}" \
-    --json "$WORK/dispatched-hang.json" >/dev/null 2>"$WORK/dispatch-hang.log"; then
-  echo "FAIL: dispatch run with a hung worker"
-  cat "$WORK/dispatch-hang.log"
-  FAILURES=$((FAILURES + 1))
-fi
-if ! grep -q "steal:" "$WORK/dispatch-hang.log" \
-    || ! grep -q "terminated (shard already won)" "$WORK/dispatch-hang.log"; then
-  echo "FAIL: dispatcher log is missing the steal/termination trail:"
-  cat "$WORK/dispatch-hang.log"
-  FAILURES=$((FAILURES + 1))
-elif cmp -s "$WORK/reference.json" "$WORK/dispatched-hang.json"; then
-  echo "ok: a hung worker's shard is stolen, byte-identical merge"
-else
-  echo "FAIL: post-hang merged JSON differs from the unsharded reference:"
-  diff "$WORK/reference.json" "$WORK/dispatched-hang.json"
-  FAILURES=$((FAILURES + 1))
-fi
-
-# A worker killed mid-shard (SIGKILL after its first journaled job, via
-# the claim-once fault token) is retried; the retry serves that job from
-# the journal every attempt shares (WORK_DIR/cache by default), so the
-# journal ends with one line per job, and the merged report is still
-# byte-identical to the reference.
-touch "$WORK/kill2.token"
-if ! SEPE_FAULT="point=worker.job_done:kill@token:$WORK/kill2.token" \
-    "$SEPE_RUN" dispatch --workers 1 --shards 1 --work-dir "$WORK/kill2-work" \
-    "${CAMPAIGN[@]}" --json "$WORK/dispatched-kill2.json" \
-    >/dev/null 2>"$WORK/dispatch-kill2.log"; then
-  echo "FAIL: dispatch run with a SEPE_FAULT-killed worker"
-  cat "$WORK/dispatch-kill2.log"
-  FAILURES=$((FAILURES + 1))
-fi
-KILL2_LINES=$(wc -l < "$WORK/kill2-work/cache/verdicts.jsonl" 2>/dev/null || echo 0)
-if [ ! -e "$WORK/kill2.token.claimed" ]; then
-  echo "FAIL: no worker claimed the SEPE_FAULT kill token"
-  FAILURES=$((FAILURES + 1))
-elif ! grep -q "crashed (signal 9)" "$WORK/dispatch-kill2.log" \
-    || ! grep -q "1 of 2 job(s) served from the verdict journal" \
-      "$WORK/dispatch-kill2.log"; then
-  echo "FAIL: dispatcher log is missing the SEPE_FAULT crash/resume trail:"
-  cat "$WORK/dispatch-kill2.log"
-  FAILURES=$((FAILURES + 1))
-elif [ "$KILL2_LINES" -ne 2 ]; then
-  echo "FAIL: the shared journal should hold one line per job (2), holds $KILL2_LINES"
-  FAILURES=$((FAILURES + 1))
-elif cmp -s "$WORK/reference.json" "$WORK/dispatched-kill2.json"; then
-  echo "ok: a killed worker is retried from the shared journal, byte-identical merge"
-else
-  echo "FAIL: post-SEPE_FAULT-kill merged JSON differs from the reference:"
-  diff "$WORK/reference.json" "$WORK/dispatched-kill2.json"
+  echo "FAIL: the merge after the kill drill differs from the reference:"
+  diff "$WORK/kill-ref.json" "$WORK/kill-merged.json"
   FAILURES=$((FAILURES + 1))
 fi
 
@@ -458,24 +451,6 @@ else
   FAILURES=$((FAILURES + 1))
 fi
 
-# The dispatcher is workload-family agnostic: dispatching the corpus
-# campaign (UNKNOWN parse-error row included, hence exit 3) merges
-# byte-identically too.
-"$SEPE_RUN" dispatch --workers 2 --shards 3 "${CORPUS_RUN[@]}" \
-    --json "$WORK/corpus-dispatched.json" >/dev/null 2>&1
-status=$?
-if [ "$status" -ne 3 ]; then
-  echo "FAIL: corpus dispatch should exit 3 (UNKNOWN rows), got $status"
-  FAILURES=$((FAILURES + 1))
-fi
-if cmp -s "$WORK/corpus-ref.json" "$WORK/corpus-dispatched.json"; then
-  echo "ok: dispatched corpus campaign is byte-identical to the unsharded run"
-else
-  echo "FAIL: dispatched corpus JSON differs from the unsharded reference:"
-  diff "$WORK/corpus-ref.json" "$WORK/corpus-dispatched.json"
-  FAILURES=$((FAILURES + 1))
-fi
-
 # Editing a corpus file changes its content digest, which is part of the
 # journal key: on resume that file's job misses and is re-solved (the
 # violation moves from 5 to 4), while the other three jobs are served.
@@ -582,21 +557,22 @@ else
   FAILURES=$((FAILURES + 1))
 fi
 
-# The dispatcher forwards --witness-dir to its workers and cross-checks
-# the merged report against the artifacts; the merge stays byte-identical.
-if ! "$SEPE_RUN" dispatch --workers 2 --shards 2 "${WITRUN[@]}" \
-    --witness-dir "$WORK/wit-dispatch" \
-    --json "$WORK/wit-dispatched.json" >/dev/null 2>"$WORK/wit-dispatch.log"; then
-  echo "FAIL: dispatch run with --witness-dir"
-  cat "$WORK/wit-dispatch.log"
-  FAILURES=$((FAILURES + 1))
-fi
-if cmp -s "$WORK/wit-on.json" "$WORK/wit-dispatched.json" \
-    && "$SEPE_RUN" check-witness "$WORK"/wit-dispatch/*.witness >/dev/null 2>&1; then
-  echo "ok: dispatched witness artifacts cross-check and merge byte-identically"
+# Shard legs sharing one --witness-dir write one artifact per FALSIFIED
+# row between them; check-witness accepts every one, and the merge stays
+# byte-identical.
+for i in 0 1; do
+  "$SEPE_RUN" "${WITRUN[@]}" --shard "$i/2" --witness-dir "$WORK/wit-shards" \
+      --json "$WORK/wit-shard$i.json" >/dev/null 2>&1
+done
+"$SEPE_RUN" merge --output "$WORK/wit-merged.json" \
+    "$WORK/wit-shard0.json" "$WORK/wit-shard1.json" 2>/dev/null
+SHARD_ARTIFACTS=("$WORK"/wit-shards/*.witness)
+if [ ${#SHARD_ARTIFACTS[@]} -eq 2 ] && cmp -s "$WORK/wit-on.json" "$WORK/wit-merged.json" \
+    && "$SEPE_RUN" check-witness "${SHARD_ARTIFACTS[@]}" >/dev/null 2>&1; then
+  echo "ok: sharded witness artifacts check and merge byte-identically"
 else
-  echo "FAIL: dispatched witness run differs from the unsharded reference:"
-  diff "$WORK/wit-on.json" "$WORK/wit-dispatched.json"
+  echo "FAIL: sharded witness run differs from the unsharded reference:"
+  diff "$WORK/wit-on.json" "$WORK/wit-merged.json"
   FAILURES=$((FAILURES + 1))
 fi
 

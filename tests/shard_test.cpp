@@ -63,9 +63,9 @@ JobSpec frozen_job(const std::string& name, unsigned width, const JobBudget& bud
 /// A 14-job spec covering every verdict class, with names whose
 /// lexicographic order differs from spec order (exercising the
 /// rank-based assignment).
-CampaignSpec mixed_spec() {
+CampaignSpec mixed_spec(unsigned max_bound = 8) {
   JobBudget budget;
-  budget.max_bound = 8;
+  budget.max_bound = max_bound;
   budget.max_k = 3;
   CampaignSpec spec;
   spec.seed = 42;
@@ -249,6 +249,15 @@ TEST(ShardMerge, RejectsOverlapIncompleteAndMismatch) {
   EXPECT_FALSE(CampaignReport::merge(plain, &error).has_value());
   EXPECT_NE(error.find("shard metadata"), std::string::npos);
 
+  // A leg of another campaign: same job names, count and seed, another
+  // falsification horizon.
+  std::vector<CampaignReport> mixed = shards;
+  mixed[2] = run_all_shards(mixed_spec(/*max_bound=*/5), 3)[2];
+  EXPECT_FALSE(CampaignReport::merge(mixed, &error).has_value());
+  EXPECT_NE(error.find("different campaigns"), std::string::npos) << error;
+  EXPECT_NE(error.find(shards[0].shard->campaign), std::string::npos) << error;
+  EXPECT_NE(error.find(mixed[2].shard->campaign), std::string::npos) << error;
+
   // Seed mismatch.
   std::vector<CampaignReport> reseeded = shards;
   reseeded[2].seed = 7;
@@ -256,10 +265,10 @@ TEST(ShardMerge, RejectsOverlapIncompleteAndMismatch) {
   EXPECT_NE(error.find("seed"), std::string::npos);
 
   // Overlapping job ids despite distinct shard indices.
-  std::vector<CampaignReport> stolen = shards;
+  std::vector<CampaignReport> overlapping = shards;
   ASSERT_FALSE(shards[0].jobs.empty());
-  stolen[1].jobs.push_back(shards[0].jobs[0]);
-  EXPECT_FALSE(CampaignReport::merge(stolen, &error).has_value());
+  overlapping[1].jobs.push_back(shards[0].jobs[0]);
+  EXPECT_FALSE(CampaignReport::merge(overlapping, &error).has_value());
   EXPECT_NE(error.find("more than one report"), std::string::npos);
 
   // Empty input.
@@ -267,17 +276,16 @@ TEST(ShardMerge, RejectsOverlapIncompleteAndMismatch) {
 }
 
 TEST(ShardMerge, OverlapDiagnosticNamesEveryOffendingJobId) {
-  // Dispatcher debugging aid: when shard sets overlap (e.g. a stolen
-  // attempt's report hand-merged next to the original's), the
-  // diagnostic must name all the colliding job ids, not just the first.
+  // Debugging aid: when shard sets overlap, the diagnostic must name all
+  // the colliding job ids, not just the first.
   const CampaignSpec spec = mixed_spec();
   std::vector<CampaignReport> shards = run_all_shards(spec, 3);
   ASSERT_GE(shards[0].jobs.size(), 2u);
-  std::vector<CampaignReport> stolen = shards;
-  stolen[1].jobs.push_back(shards[0].jobs[0]);
-  stolen[2].jobs.push_back(shards[0].jobs[1]);
+  std::vector<CampaignReport> overlapping = shards;
+  overlapping[1].jobs.push_back(shards[0].jobs[0]);
+  overlapping[2].jobs.push_back(shards[0].jobs[1]);
   std::string error;
-  EXPECT_FALSE(CampaignReport::merge(stolen, &error).has_value());
+  EXPECT_FALSE(CampaignReport::merge(overlapping, &error).has_value());
   EXPECT_NE(error.find("2 job id(s)"), std::string::npos) << error;
   EXPECT_NE(error.find("'" + shards[0].jobs[0].name + "'"), std::string::npos)
       << error;
@@ -315,15 +323,16 @@ TEST(ReportIo, TimingReportParsesToTheRunsStableForm) {
   EXPECT_EQ(parsed.shard->total_jobs, spec.jobs.size());
 }
 
-// Backward compatibility: timing reports written while learnt-clause
-// sharing existed carry three counters this binary no longer knows, and
-// those written while the provers raced carry loser_cancelled. Such
-// shard reports (an older worker in the fleet) must still parse and
-// merge, with the retired keys ignored.
+// Retired timing keys: reports written while learnt-clause sharing
+// existed carry three counters this binary no longer knows, and those
+// written while the provers raced carry loser_cancelled. Shard reports
+// with such keys (plus the campaign digest every shard object now
+// needs) must still parse and merge, with the retired keys ignored.
 TEST(ReportIo, RetiredSharingCountersAreIgnored) {
   const auto shard_json = [](unsigned index, const std::string& name) {
     return "{\"seed\": 7, \"shard\": {\"index\": " + std::to_string(index) +
-           ", \"count\": 2, \"total_jobs\": 2}, \"threads\": 1, "
+           ", \"count\": 2, \"total_jobs\": 2, \"campaign\": "
+           "\"0123456789abcdef\"}, \"threads\": 1, "
            "\"wall_seconds\": 0.5, \"jobs\": [{\"name\": \"" + name +
            "\", \"spec_index\": " + std::to_string(index) +
            ", \"mode\": \"EDDI-V\", \"verdict\": \"PROVED\", \"proved_k\": 1, "
@@ -348,8 +357,8 @@ TEST(ReportIo, RetiredSharingCountersAreIgnored) {
 
 // Forward compatibility: a report written by a *newer* binary may carry
 // timing keys this one has never heard of. They must be tolerated (the
-// known fields still land), never treated as a parse error — merging a
-// mixed-version shard fleet depends on it.
+// known fields still land), never treated as a parse error — merging
+// shard legs run by different binaries depends on it.
 TEST(ReportIo, UnknownTimingKeysAreTolerated) {
   const std::string json =
       "{\"seed\": 7, \"jobs\": [{\"name\": \"s\", \"mode\": \"EDDI-V\", "
@@ -381,6 +390,21 @@ TEST(ReportIo, RejectsMalformedInput) {
       "{\"seed\": 1, \"jobs\": [{\"name\": \"x\", \"mode\": \"EDDI-V\", "
       "\"verdict\": \"FALSIFIED\", \"trace_length\": \"oops\"}]}",
       &report, &error));  // non-numeric count is a hard error
+  // A shard object must name its campaign: a 16-hex-digit digest.
+  const auto shard_report = [](const std::string& shard) {
+    return "{\"seed\": 1, \"shard\": {" + shard +
+           "}, \"jobs\": [{\"name\": \"x\", \"spec_index\": 0, \"mode\": \"EDDI-V\", "
+           "\"verdict\": \"PROVED\", \"proved_k\": 2}]}";
+  };
+  const std::string slice = "\"index\": 0, \"count\": 1, \"total_jobs\": 1";
+  const std::string bad_digest = slice + ", \"campaign\": \"xyz\"";
+  const std::string good_digest = slice + ", \"campaign\": \"00000000000000ff\"";
+  EXPECT_FALSE(parse_report(shard_report(slice), &report, &error));
+  EXPECT_NE(error.find("campaign"), std::string::npos) << error;
+  EXPECT_FALSE(parse_report(shard_report(bad_digest), &report, &error));
+  EXPECT_TRUE(parse_report(shard_report(good_digest), &report, &error)) << error;
+  ASSERT_TRUE(report.shard.has_value());
+  EXPECT_EQ(report.shard->campaign, "00000000000000ff");
   // A corrupt file cannot drive the parser into unbounded recursion.
   EXPECT_FALSE(parse_report(std::string(100000, '['), &report, &error));
   EXPECT_NE(error.find("nesting"), std::string::npos);

@@ -17,12 +17,12 @@
 // core contention) — see src/engine/campaign.hpp.
 //
 // Campaigns scale out across processes/hosts: --shard I/N runs the
-// deterministic shard I of N (see src/engine/shard.hpp), the merge
-// subcommand folds the N shard reports back into one report whose
-// stable JSON is byte-identical to an unsharded run, and the dispatch
-// subcommand schedules all N shards onto a fleet of worker processes
-// (src/engine/dispatch.hpp: retries and straggler stealing that resume
-// from one shared verdict journal, live aggregation) and merges for you.
+// deterministic shard I of N (see src/engine/shard.hpp), --cache DIR
+// lets a rerun of a failed leg resume from the verdict journal, and the
+// merge subcommand folds the N shard reports back into one report whose
+// stable JSON is byte-identical to an unsharded run. Any outside
+// scheduler (xargs -P, a CI matrix, a cluster array job) launches the
+// legs.
 //
 // Examples:
 //   sepe-run --bugs table1 --rows 8 --threads 4
@@ -30,16 +30,13 @@
 //   sepe-run --healthy --max-k 6 --bound 6
 //   sepe-run --bugs table1 --shard 2/4 --stable-json --json shard2.json
 //   sepe-run corpus tests/corpus --bound 6 --max-k 2 --stable-json --json -
-//   sepe-run dispatch --workers 4 --bugs table1 --rows 8 --json merged.json
-//   sepe-run dispatch --workers 2 corpus tests/corpus --json -
 //   sepe-run merge --output merged.json shard0.json shard1.json ...
 //
-// Exit codes: 0 success; 1 I/O, merge-input, dispatch or pinned-table
-// synthesis failure; 2 usage error; 3 campaign finished with UNKNOWN
+// Exit codes: 0 success; 1 I/O, merge-input or pinned-table synthesis
+// failure; 2 usage error; 3 campaign finished with UNKNOWN
 // verdicts (including parse-error rows). The full CLI contract lives in
 // docs/CLI.md.
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -47,20 +44,15 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "engine/campaign.hpp"
-#include "engine/dispatch.hpp"
 #include "engine/pinned_table.hpp"
 #include "engine/report_io.hpp"
 #include "engine/shard.hpp"
 #include "engine/witness.hpp"
 #include "engine/workload.hpp"
 #include "proc/mutations.hpp"
-#include "sat/dimacs_backend.hpp"
 #include "util/fault.hpp"
 #include "util/parse.hpp"
 #include "util/stopwatch.hpp"
@@ -98,7 +90,6 @@ void usage() {
       "\n"
       "usage: sepe-run [options]                 QED workload (matrix expansion)\n"
       "       sepe-run corpus DIR [options]      BTOR2 corpus workload\n"
-      "       sepe-run dispatch [options] [workload args...]\n"
       "       sepe-run merge [--output FILE] SHARD.json...\n"
       "       sepe-run check-witness FILE...\n"
       "\n"
@@ -110,9 +101,6 @@ void usage() {
       "  --encoding E     bit-blasting encoding: auto | tseitin | pg\n"
       "                   (default auto = the workload family's default:\n"
       "                   Tseitin for QED, Plaisted-Greenbaum for corpus)\n"
-      "  --backend B      SAT engine: native | dimacs (default native; dimacs\n"
-      "                   runs an external solver found via SEPE_EXTERNAL_SOLVER\n"
-      "                   or kissat/cadical on PATH — see docs/SOLVER.md)\n"
       "  --conflicts N    per-solver-call conflict budget (default none;\n"
       "                   deterministic, unlike --time-cap)\n"
       "  --time-cap SEC   per-job wall-clock cap (default none; verdicts under\n"
@@ -156,34 +144,6 @@ void usage() {
       "(multi-property files fan out; malformed files become UNKNOWN rows\n"
       "with the parse diagnostic instead of aborting the campaign).\n"
       "\n"
-      "dispatch: shard the campaign across worker processes spawned by this\n"
-      "one, retry crashed shards, re-issue stragglers to idle workers (first\n"
-      "completion wins), and merge — the merged stable JSON is byte-identical\n"
-      "to an unsharded run. Every attempt shares one verdict journal, so a\n"
-      "retry or a thief resumes instead of re-solving. Every flag not listed\n"
-      "below (and an optional leading 'corpus DIR') is forwarded to the\n"
-      "workers verbatim; --threads defaults to 1 per worker, and --shard is\n"
-      "owned by the dispatcher and rejected.\n"
-      "  --workers N      concurrent worker processes (default 2)\n"
-      "  --shards M       shard count (default: the worker count)\n"
-      "  --retries R      re-launches per shard after a failure (default 1)\n"
-      "  --no-steal       never re-issue straggler shards to idle workers\n"
-      "  --steal-after S  seconds a shard must run before an idle worker\n"
-      "                   may steal it (default 1)\n"
-      "  --work-dir D     keep per-attempt reports (and the default journal)\n"
-      "                   in D (default: a temp directory, removed on success)\n"
-      "  --cache DIR      the verdict journal every worker attempt shares\n"
-      "                   (default: WORK_DIR/cache)\n"
-      "  --witness-dir D  forwarded to the workers (they write the artifacts)\n"
-      "                   and additionally audited after the merge: every\n"
-      "                   FALSIFIED row — retried and stolen shards included —\n"
-      "                   must be backed by a valid artifact in D matching its\n"
-      "                   name, bound, and bad label, or the row is demoted to\n"
-      "                   UNKNOWN ('witness: replay mismatch'); the audit runs\n"
-      "                   on the simulator alone (no SAT stack)\n"
-      "  --json FILE      merged report destination ('-' = stdout; always\n"
-      "                   stable JSON, like merge)\n"
-      "\n"
       "merge: read N shard reports (any order), check they are disjoint and\n"
       "complete, and write the merged report as stable JSON — byte-identical\n"
       "to an unsharded --stable-json run of the same campaign.\n"
@@ -195,11 +155,11 @@ void usage() {
       "loaded. Exit 0 when every file is valid, 1 when any is rejected (each\n"
       "rejection is diagnosed on stderr), 2 on usage errors.\n"
       "\n"
-      "exit codes: 0 success; 1 I/O, merge, dispatch or pinned-table\n"
-      "synthesis failure; 2 usage error; 3 the campaign finished with\n"
-      "UNKNOWN verdicts; 130/143 the run was interrupted (SIGINT/SIGTERM)\n"
-      "after writing a partial report — with --cache, re-running with the\n"
-      "same flags resumes from the verdict journal.\n"
+      "exit codes: 0 success; 1 I/O, merge or pinned-table synthesis\n"
+      "failure; 2 usage error; 3 the campaign finished with UNKNOWN\n"
+      "verdicts; 130/143 the run was interrupted (SIGINT/SIGTERM) after\n"
+      "writing a partial report — with --cache, re-running with the same\n"
+      "flags resumes from the verdict journal.\n"
       "Fault injection (SEPE_FAULT) and the failure-mode matrix are\n"
       "documented in docs/ROBUSTNESS.md.\n");
 }
@@ -280,7 +240,6 @@ struct CommonOptions {
   std::string cache_dir;
   std::optional<engine::ShardSpec> shard;
   std::optional<bool> plaisted_greenbaum;  // nullopt = workload default
-  sat::BackendKind backend = sat::BackendKind::Native;
 
   engine::JobBudget budget() const {
     engine::JobBudget b;
@@ -290,7 +249,6 @@ struct CommonOptions {
     b.max_seconds = time_cap;
     b.memory_limit_mb = memory_mb;
     b.plaisted_greenbaum = plaisted_greenbaum;
-    b.backend = backend;
     return b;
   }
 };
@@ -321,22 +279,6 @@ bool parse_common_flag(int& i, int argc, char** argv, CommonOptions* o) {
       o->plaisted_greenbaum = true;
     else
       die_usage("--encoding", "auto | tseitin | pg", value);
-  } else if (!std::strcmp(argv[i], "--backend")) {
-    const char* value = next("--backend");
-    const auto kind = sat::backend_kind_from_name(value);
-    if (!kind) die_usage("--backend", "native | dimacs", value);
-    if (*kind == sat::BackendKind::Dimacs) {
-      // Fail the run up front with a diagnostic rather than letting every
-      // job report an unavailable engine as an UNKNOWN verdict.
-      const sat::DimacsBackend probe;
-      if (!probe.available()) {
-        std::fprintf(stderr,
-                     "sepe-run: --backend dimacs: no external solver found — "
-                     "set SEPE_EXTERNAL_SOLVER or put kissat/cadical on PATH\n");
-        std::exit(1);
-      }
-    }
-    o->backend = *kind;
   } else if (!std::strcmp(argv[i], "--conflicts"))
     o->conflicts = parse_u64_arg("--conflicts", next("--conflicts"));
   else if (!std::strcmp(argv[i], "--time-cap"))
@@ -594,164 +536,6 @@ int run_check_witness(int argc, char** argv) {
   return rejected == 0 ? 0 : 1;
 }
 
-/// The absolute path of this binary, for spawning workers that survive
-/// a changed working directory. /proc/self/exe is authoritative on
-/// Linux; argv[0] is the portable fallback.
-std::string self_exe_path(const char* argv0) {
-  std::error_code ec;
-  const std::filesystem::path exe = std::filesystem::read_symlink("/proc/self/exe", ec);
-  if (!ec) return exe.string();
-  return argv0;
-}
-
-/// `sepe-run dispatch [dispatch flags] [workload args...]` — shard the
-/// campaign over a fleet of worker processes (each one a `sepe-run
-/// --shard I/M` child sharing one verdict journal), with retries and
-/// straggler stealing; print and optionally write the merged report.
-int run_dispatch_cli(int argc, char** argv) {
-  engine::DispatchOptions options;
-  std::string json_path;
-  std::string work_dir_flag;
-  std::string witness_dir;
-  std::string cache_dir;
-  std::vector<std::string> forwarded;
-  bool forwards_threads = false;
-  bool forwards_no_witness_check = false;
-  for (int i = 2; i < argc; ++i) {
-    const auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "sepe-run: %s needs a value — try --help\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--workers"))
-      options.workers = parse_unsigned_arg("--workers", next("--workers"), 1, 256);
-    else if (!std::strcmp(argv[i], "--shards"))
-      options.shards = parse_unsigned_arg("--shards", next("--shards"), 1, 4096);
-    else if (!std::strcmp(argv[i], "--retries"))
-      options.retries = parse_unsigned_arg("--retries", next("--retries"), 0, 1000);
-    else if (!std::strcmp(argv[i], "--no-steal"))
-      options.steal = false;
-    else if (!std::strcmp(argv[i], "--steal-after"))
-      options.steal_after_seconds =
-          parse_seconds_arg("--steal-after", next("--steal-after"));
-    else if (!std::strcmp(argv[i], "--work-dir"))
-      work_dir_flag = next("--work-dir");
-    else if (!std::strcmp(argv[i], "--witness-dir")) {
-      // Shared between the fleet and the dispatcher: the workers write
-      // the artifacts (the flag is forwarded below), the dispatcher
-      // audits every merged FALSIFIED row against them.
-      witness_dir = next("--witness-dir");
-    } else if (!std::strcmp(argv[i], "--cache")) {
-      // Every attempt gets the same journal (forwarded below), so a retry
-      // or a thief resumes from what earlier attempts finished.
-      cache_dir = next("--cache");
-    } else if (!std::strcmp(argv[i], "--json"))
-      json_path = next("--json");
-    else if (!std::strcmp(argv[i], "--stable-json")) {
-      // The merged report is always stable JSON (like merge); accepted
-      // so dispatch invocations read like their single-process twins.
-    } else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
-      usage();
-      return 0;
-    } else if (!std::strcmp(argv[i], "--shard")) {
-      std::fprintf(stderr,
-                   "sepe-run: --shard is owned by the dispatcher (it plans the "
-                   "shards) — try --help\n");
-      return 2;
-    } else {
-      if (!std::strcmp(argv[i], "--threads")) forwards_threads = true;
-      if (!std::strcmp(argv[i], "--no-witness-check"))
-        forwards_no_witness_check = true;
-      forwarded.push_back(argv[i]);
-    }
-  }
-
-  options.worker_command.push_back(self_exe_path(argv[0]));
-  options.worker_command.insert(options.worker_command.end(), forwarded.begin(),
-                                forwarded.end());
-  if (!forwards_threads) {
-    // The process fleet is the parallelism; workers solve single-threaded
-    // unless the caller explicitly sizes them.
-    options.worker_command.push_back("--threads");
-    options.worker_command.push_back("1");
-  }
-  if (!witness_dir.empty()) {
-    if (forwards_no_witness_check) {
-      // The workers would write no artifacts, so the post-merge audit
-      // would demote every falsified row. Refuse the contradiction (the
-      // single-process run_and_report path does the same).
-      std::fprintf(stderr, "sepe-run: --witness-dir needs the witness post-pass "
-                           "(drop --no-witness-check) — try --help\n");
-      return 2;
-    }
-    std::error_code dir_ec;
-    std::filesystem::create_directories(witness_dir, dir_ec);
-    if (dir_ec) {
-      std::fprintf(stderr, "sepe-run: cannot create witness directory '%s': %s\n",
-                   witness_dir.c_str(), dir_ec.message().c_str());
-      return 1;
-    }
-    options.worker_command.push_back("--witness-dir");
-    options.worker_command.push_back(witness_dir);
-    options.witness_dir = witness_dir;
-  }
-
-  const bool auto_work_dir = work_dir_flag.empty();
-  std::error_code ec;
-  const std::filesystem::path work_dir =
-      auto_work_dir ? std::filesystem::temp_directory_path(ec) /
-                          ("sepe-dispatch." + std::to_string(::getpid()))
-                    : std::filesystem::path(work_dir_flag);
-  std::filesystem::create_directories(work_dir, ec);
-  if (ec) {
-    std::fprintf(stderr, "sepe-run: cannot create work directory '%s': %s\n",
-                 work_dir.string().c_str(), ec.message().c_str());
-    return 1;
-  }
-  options.work_dir = work_dir.string();
-  options.worker_command.push_back("--cache");
-  options.worker_command.push_back(cache_dir.empty() ? (work_dir / "cache").string()
-                                                     : cache_dir);
-  options.on_event = [](const std::string& line) {
-    std::fprintf(stderr, "[dispatch] %s\n", line.c_str());
-  };
-
-  const engine::DispatchResult result = engine::run_dispatch(options);
-  if (!result.ok) {
-    std::fprintf(stderr, "sepe-run: dispatch failed: %s\n", result.error.c_str());
-    // Keep the work dir of a failed dispatch — its reports (and the
-    // default journal) are the resume and the post-mortem material.
-    std::fprintf(stderr, "sepe-run: work directory kept in %s\n",
-                 options.work_dir.c_str());
-    return exit_code(1);
-  }
-  std::fprintf(stderr,
-               "[dispatch] done: %u worker launches, %u failed attempts, %u "
-               "steals, %u duplicate completions discarded\n",
-               result.launches, result.failures, result.steals, result.duplicates);
-
-  std::printf("%s", result.merged.to_table().c_str());
-  if (!json_path.empty()) {
-    const std::string json = result.merged.to_json(/*include_timing=*/false);
-    if (json_path == "-") {
-      std::printf("\n%s", json.c_str());
-    } else if (!engine::write_text_file_atomic(json_path, json, "report.write")) {
-      std::fprintf(stderr, "sepe-run: cannot write '%s'\n", json_path.c_str());
-      // The campaign itself succeeded; keep the work dir so rerunning
-      // with --work-dir serves every job from its journal.
-      std::fprintf(stderr, "sepe-run: work directory kept in %s\n",
-                   options.work_dir.c_str());
-      return 1;
-    } else {
-      std::printf("\nJSON report written to %s\n", json_path.c_str());
-    }
-  }
-  if (auto_work_dir) std::filesystem::remove_all(work_dir, ec);
-  return exit_code(result.merged.count(engine::Verdict::Unknown) == 0 ? 0 : 3);
-}
-
 /// `sepe-run corpus DIR [options]` — the BTOR2 corpus workload family.
 int run_corpus(int argc, char** argv) {
   CommonOptions common;
@@ -803,8 +587,7 @@ int run_corpus(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Crash-only envelope first: every subcommand (and every dispatched
-  // worker child, which re-enters main) stops cooperatively on
+  // Crash-only envelope first: every subcommand stops cooperatively on
   // SIGTERM/SIGINT and exits 128+signal after writing a partial report.
   std::signal(SIGTERM, handle_terminate_signal);
   std::signal(SIGINT, handle_terminate_signal);
@@ -813,7 +596,6 @@ int main(int argc, char** argv) {
 
   if (argc > 1 && !std::strcmp(argv[1], "merge")) return run_merge(argc, argv);
   if (argc > 1 && !std::strcmp(argv[1], "corpus")) return run_corpus(argc, argv);
-  if (argc > 1 && !std::strcmp(argv[1], "dispatch")) return run_dispatch_cli(argc, argv);
   if (argc > 1 && !std::strcmp(argv[1], "check-witness"))
     return run_check_witness(argc, argv);
 
