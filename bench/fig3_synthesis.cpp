@@ -5,9 +5,9 @@
 // Paper setup (§6.1): weights and α initialized to 1, increment 1;
 // early-stop once k semantically equivalent programs of >= 3 components
 // are synthesized; iterative CEGIS visits the same multisets in shuffled
-// order. The absolute times depend on the in-repo SMT core (see
-// EXPERIMENTS.md); the reported *shape* is the per-case and average
-// HPF/iterative ratio.
+// order. The absolute times depend on the in-repo SMT core (measured
+// runs are in README.md, "Performance"); the reported *shape* is the
+// per-case and average HPF/iterative ratio.
 //
 // Flags: --k N (programs per case, default 3), --cap SEC (per-case
 // per-algorithm wall cap, default 20), --cases N (first N cases only),

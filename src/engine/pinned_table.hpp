@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cassert>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,24 +22,24 @@
 
 namespace sepe::engine {
 
-/// Owns the specs the table's programs point into.
+/// Owns the specs the table's programs point into. A deque never moves
+/// its elements on push_back, so those pointers stay valid as rows grow.
 struct PinnedTable {
   std::vector<synth::Component> lib = synth::make_standard_library();
-  std::vector<synth::SynthSpec> specs;
+  std::deque<synth::SynthSpec> specs;
   synth::EquivalenceTable table;
 
-  PinnedTable() { specs.reserve(64); }
-
+  /// The library component called `name`; nullptr if there is none.
   const synth::Component* comp(const std::string& name) const {
     for (const auto& c : lib)
       if (c.name == name) return &c;
-    assert(false && "unknown component");
     return nullptr;
   }
 
   /// Synthesize one pinned equivalence via CEGIS on a fixed multiset.
-  /// Returns false, leaving the table unchanged, when CEGIS finds no
-  /// program (a budget ran out, or the SAT solver ran out of memory).
+  /// Returns false, leaving the table unchanged, when the multiset names a
+  /// component the library lacks or CEGIS finds no program (a budget ran
+  /// out, or the SAT solver ran out of memory).
   ///
   /// `synth_xlen` must equal the DUV width the table will verify:
   /// solved attribute constants (sign masks, multiplier tricks) are in
@@ -46,9 +47,12 @@ struct PinnedTable {
   /// program is re-proved at that width here.
   bool add(const std::string& key, synth::SynthSpec spec,
            const std::vector<std::string>& multiset, unsigned synth_xlen) {
-    specs.push_back(std::move(spec));
     std::vector<const synth::Component*> comps;
-    for (const std::string& name : multiset) comps.push_back(comp(name));
+    for (const std::string& name : multiset) {
+      comps.push_back(comp(name));
+      if (!comps.back()) return false;
+    }
+    specs.push_back(std::move(spec));
     synth::CegisOptions o;
     o.xlen = synth_xlen;
     // Prefer a program whose output instruction differs from the

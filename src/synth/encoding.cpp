@@ -298,12 +298,18 @@ void MultisetEncoder::build_location_variables() {
 }
 
 void MultisetEncoder::assert_wfp() {
-  // Output slots form a permutation of [m, m+n).
+  // Output slots form a permutation of [m, m+n). Lines of one component
+  // are interchangeable under every constraint this encoder asserts, so
+  // they also take their slots in reverse line order (the symmetry cut of
+  // encoding.hpp): one representative per program.
   for (unsigned j = 0; j < n_; ++j) {
     solver_.assert_formula(mgr_.mk_ule(loc_const(m_), out_loc_[j]));
     solver_.assert_formula(mgr_.mk_ult(out_loc_[j], loc_const(m_ + n_)));
-    for (unsigned j2 = j + 1; j2 < n_; ++j2)
+    for (unsigned j2 = j + 1; j2 < n_; ++j2) {
       solver_.assert_formula(mgr_.mk_ne(out_loc_[j], out_loc_[j2]));
+      if (comps_[j] == comps_[j2])
+        solver_.assert_formula(mgr_.mk_ult(out_loc_[j2], out_loc_[j]));
+    }
   }
   // Acyclicity: every data input reads a strictly earlier location.
   for (unsigned j = 0; j < n_; ++j)

@@ -9,6 +9,23 @@
 //   * ψ_wfp : slot permutation (alldiff), acyclicity (inputs read strictly
 //     earlier locations), and a no-dead-code constraint (every line's
 //     output is the program output or feeds another line);
+//   * a lex-leader symmetry cut in ψ_wfp (Crawford et al., KR 1996):
+//     lines j < j2 of the same component (the same Component pointer;
+//     multisets are drawn with replacement) also satisfy
+//     out_loc[j2] < out_loc[j], so the later line takes the earlier slot.
+//     Sound because every constraint below is stated per line through
+//     that line's component: swapping two such lines' location and
+//     attribute variables maps models to models, so each program keeps
+//     exactly one representative and a refutation stops re-proving every
+//     permutation of them. This orientation leaves the pinned table's
+//     programs where they were; the opposite one moves the SLT and SLTU
+//     programs.
+//     Deliberately not cut: commutative operand order (the §4.1 identity
+//     exclusion admits swapped-operand programs such as SUB's pinned
+//     ADD(in1, v0), so ordering operands would shrink the program space,
+//     not remove a symmetry), and examples carried across multisets
+//     (each one adds a copy of the program circuit to every query, which
+//     measured slower);
 //   * ψ_conn: value-at-location muxes tie per-example slot values to line
 //     outputs;
 //   * φ_lib : each line's output equals its component's semantics;

@@ -1,7 +1,7 @@
 // Tests for the synthesis engine: the multiset CEGIS core (encoding +
-// refinement loop), the identity-exclusion constraint, the three search
-// drivers (classical / iterative / HPF), the priority bookkeeping of
-// Algorithm 1, and the equivalence table.
+// refinement loop), the identity-exclusion constraint, the same-component
+// symmetry cut, the three search drivers (classical / iterative / HPF),
+// the priority bookkeeping of Algorithm 1, and the equivalence table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -192,6 +192,46 @@ TEST(CegisMultiset, AcceptsAboveTheSweepCapBySat) {
   ASSERT_TRUE(program.has_value());
   EXPECT_TRUE(verify_program(*program, 12));
   EXPECT_EQ(program->eval({BitVec(12, 5), BitVec(12, 7)}, 12), BitVec(12, 0xffe));
+}
+
+TEST(CegisMultiset, SameComponentCutKeepsEveryProgram) {
+  // The encoder orders the output slots of lines that share a Component
+  // pointer. A copy of the component sits at another address, so the cut
+  // cannot pair it, and [A, copy, B] searches the uncut space. Were the
+  // cut to remove programs rather than permutations, some [A, A, B] would
+  // fail where [A, copy, B] succeeds. The battery mixes refutations with
+  // the pinned table's duplicated-component programs (NOT, NOT, SUB for
+  // ADD; XORI, XORI, SLTU for SLT; ...), plus [A, A, A] against two copies.
+  const auto lib = make_standard_library();
+  const auto cases = make_figure3_cases();
+  // Each name is both a Figure-3 case and a partner component B.
+  const auto names = {"ADD", "SUB", "SLT", "SLTU", "SRA", "ADDI", "XORI", "SRAI"};
+  unsigned found = 0;
+  auto check = [&](const SynthSpec& spec, const std::vector<const Component*>& cut,
+                   const std::vector<const Component*>& uncut) {
+    const auto p_cut = cegis_multiset(spec, cut, fast_cegis());
+    const auto p_uncut = cegis_multiset(spec, uncut, fast_cegis());
+    std::string where = spec.name + ":";
+    for (const Component* c : cut) where += " " + c->name;
+    EXPECT_EQ(p_cut.has_value(), p_uncut.has_value()) << where;
+    EXPECT_TRUE(!p_cut || verify_program(*p_cut, 8)) << where;
+    EXPECT_TRUE(!p_uncut || verify_program(*p_uncut, 8)) << where;
+    found += p_cut.has_value();
+  };
+  for (const SynthSpec& spec : cases) {
+    if (std::find(names.begin(), names.end(), spec.name) == names.end()) continue;
+    for (const char* a_name : {"NOT", "XORI"}) {
+      const Component* a = by_name(lib, a_name);
+      const Component copy = *a, copy2 = *a;
+      check(spec, {a, a, a}, {a, &copy, &copy2});
+      for (const std::string b : names) {
+        if (b == a_name) continue;
+        const Component* partner = by_name(lib, b);
+        check(spec, {a, a, partner}, {a, &copy, partner});
+      }
+    }
+  }
+  EXPECT_GE(found, 8u);  // every spec above has a duplicated-NOT or -XORI program
 }
 
 TEST(CegisMultiset, LoweredProgramRunsOnTheIss) {
