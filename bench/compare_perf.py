@@ -7,7 +7,11 @@ means the prover stack changed answers, not just speed. Every other
 total is a deterministic work counter, named by the reports themselves:
 a move of more than 10% either way is reported loudly but exits 0, so a
 deliberate trade (e.g. more conflicts for less memory) can land with an
-updated baseline rather than a red CI. Wall time is ignored entirely.
+updated baseline rather than a red CI. When every counter equals the
+baseline, in the totals and in every job row, the last line says so
+("search bit-identical"): a change meant
+to be faster without changing the search shows it preserved the search.
+Wall time is ignored entirely.
 
 usage: compare_perf.py BASELINE.json CURRENT.json
 """
@@ -53,17 +57,20 @@ def main() -> int:
               "have served (advisory)")
 
     moved = False
+    identical = all(base_jobs[name] == cur_jobs[name] for name in base_jobs)
     # Baseline counters first, in their order; counters new in the
     # current report after them.
     for counter in {**base["totals"], **cur["totals"]}:
         b, c = base["totals"].get(counter), cur["totals"].get(counter)
         if b is None or c is None:
+            identical = False
             which = "baseline" if b is None else "current"
             print(f"{counter:>22}: not recorded in the {which} report — skipped")
             continue
         # A zero baseline must not mask growth: any nonzero current value
         # counts as an (infinitely large) relative move.
         delta = (c - b) / b if b else (float("inf") if c else 0.0)
+        identical = identical and b == c
         marker = ""
         if abs(delta) > THRESHOLD:
             marker = f"  <-- moved beyond {THRESHOLD:.0%} (advisory)"
@@ -74,6 +81,9 @@ def main() -> int:
             "\nadvisory: deterministic counters moved; if intentional, "
             "refresh bench/baseline.json in the same PR"
         )
+    elif identical:
+        print("\nverdicts identical, every counter equal to the baseline: "
+              "search bit-identical")
     else:
         print("\nverdicts identical, counters within threshold")
     return 0

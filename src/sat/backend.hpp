@@ -48,12 +48,6 @@ class Lit {
 
 enum class Value : std::uint8_t { False = 0, True = 1, Unknown = 2 };
 
-inline Value operator^(Value v, bool sign) {
-  if (v == Value::Unknown) return v;
-  return static_cast<Value>(static_cast<std::uint8_t>(v) ^
-                            static_cast<std::uint8_t>(sign));
-}
-
 /// Result of a solve() call.
 enum class SolveResult { Sat, Unsat, Unknown /* resource limit hit */ };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <tuple>
 #include <utility>
 
 namespace sepe::sat {
@@ -10,8 +11,9 @@ namespace sepe::sat {
 Solver::Solver(const SolverConfig& config) : config_(config) {}
 
 int Solver::new_var() {
-  const int v = static_cast<int>(assigns_.size());
-  assigns_.push_back(Value::Unknown);
+  const int v = num_vars();
+  values_.push_back(Value::Unknown);
+  values_.push_back(Value::Unknown);
   model_.push_back(Value::False);
   saved_phase_.push_back(Value::False);
   level_.push_back(0);
@@ -26,24 +28,26 @@ int Solver::new_var() {
   return v;
 }
 
-Solver::ClauseRef Solver::alloc_clause(const std::vector<Lit>& clause_lits, bool learnt) {
-  const std::size_t bytes = sizeof(ClauseHeader) + clause_lits.size() * sizeof(Lit);
+Solver::ClauseRef Solver::alloc_clause(const Lit* clause_lits, std::uint32_t size,
+                                       bool learnt) {
+  const std::size_t bytes = sizeof(ClauseHeader) + size * sizeof(Lit);
   // Keep 4-byte alignment of the arena.
   const std::size_t aligned = (bytes + 3) & ~std::size_t(3);
   const ClauseRef ref = static_cast<ClauseRef>(arena_.size());
   arena_.resize(arena_.size() + aligned);
   ClauseHeader* h = header(ref);
-  h->size = static_cast<std::uint32_t>(clause_lits.size());
+  h->size = size;
   h->lbd = learnt ? 2 : 0;
   h->activity = 0.0f;
-  std::copy(clause_lits.begin(), clause_lits.end(), lits(ref));
+  std::copy(clause_lits, clause_lits + size, lits(ref));
   return ref;
 }
 
 void Solver::attach(ClauseRef ref) {
   const Lit* c = lits(ref);
-  watches_[(~c[0]).code()].push_back({ref, c[1]});
-  watches_[(~c[1]).code()].push_back({ref, c[0]});
+  const ClauseRef tagged = ref | (header(ref)->size == 2 ? 1 : 0);
+  watches_[(~c[0]).code()].push_back({tagged, c[1]});
+  watches_[(~c[1]).code()].push_back({tagged, c[0]});
 }
 
 void Solver::detach(ClauseRef ref) {
@@ -51,7 +55,7 @@ void Solver::detach(ClauseRef ref) {
   for (Lit w : {~c[0], ~c[1]}) {
     auto& ws = watches_[w.code()];
     for (std::size_t i = 0; i < ws.size(); ++i) {
-      if (ws[i].ref == ref) {
+      if (ws[i].ref() == ref) {
         ws[i] = ws.back();
         ws.pop_back();
         break;
@@ -98,82 +102,94 @@ bool Solver::add_clause(std::vector<Lit> clause_lits) {
     }
     return true;
   }
-  const ClauseRef ref = alloc_clause(out, /*learnt=*/false);
+  const ClauseRef ref =
+      alloc_clause(out.data(), static_cast<std::uint32_t>(out.size()), /*learnt=*/false);
   clauses_.push_back(ref);
   attach(ref);
   return true;
 }
 
-void Solver::enqueue(Lit l, ClauseRef reason) {
-  assert(value(l) == Value::Unknown);
-  const int v = l.var();
-  assigns_[v] = l.sign() ? Value::False : Value::True;
-  level_[v] = decision_level();
-  reason_[v] = reason;
-  trail_.push_back(l);
-}
-
-Solver::ClauseRef Solver::propagate(bool problem_only) {
-  while (propagate_head_ < trail_.size()) {
+template <bool kProblemOnly>
+Solver::ClauseRef Solver::propagate() {
+  ClauseRef confl = kNullRef;
+  while (confl == kNullRef && propagate_head_ < trail_.size()) {
     const Lit p = trail_[propagate_head_++];
+    const Lit not_p = ~p;
     ++stats_.propagations;
-    auto& ws = watches_[p.code()];
-    std::size_t i = 0, j = 0;
-    while (i < ws.size()) {
-      const Watcher w = ws[i];
-      if (value(w.blocker) == Value::True) {
-        ws[j++] = ws[i++];
+    std::vector<Watcher>& ws = watches_[p.code()];
+    Watcher* i = ws.data();
+    Watcher* j = i;
+    Watcher* const end = i + ws.size();
+    while (i != end) {
+      const Watcher w = *i++;
+      const Value blocker_value = value(w.blocker);
+      if (blocker_value == Value::True) {
+        *j++ = w;
         continue;
       }
-      ClauseHeader* h = header(w.ref);
-      if (problem_only && h->lbd != 0) {
-        // Vivification proofs must not lean on learnt clauses: a learnt is
-        // a consequence of the *original* formula, not of the current
-        // (post-elimination) database, and reduce_learnts may drop it
-        // later — a problem clause deleted on its strength would be gone
-        // for good. Skipped watchers are left in place; the caller re-runs
-        // a full propagation afterwards to restore their watch invariants.
-        ws[j++] = ws[i++];
+      if constexpr (kProblemOnly) {
+        if (header(w.ref())->lbd != 0) {
+          // Vivification proofs must not lean on learnt clauses: a learnt
+          // is a consequence of the *original* formula, not of the
+          // current (post-elimination) database, and reduce_learnts may
+          // drop it later — a problem clause deleted on its strength
+          // would be gone for good. Skipped watchers are left in place;
+          // the caller re-runs a full propagation afterwards to restore
+          // their watch invariants.
+          *j++ = w;
+          continue;
+        }
+      }
+      if (w.binary()) {
+        *j++ = w;
+        if (blocker_value == Value::False) {
+          // Lay the clause out as [other, ~p]: conflict analysis reads a
+          // conflicting clause in arena order.
+          Lit* c = lits(w.ref());
+          c[0] = w.blocker;
+          c[1] = not_p;
+          confl = w.ref();
+          break;
+        }
+        enqueue(w.blocker, w.ref());
         continue;
       }
-      Lit* c = lits(w.ref);
+      const ClauseRef ref = w.tagged;
+      Lit* c = lits(ref);
       // Ensure the false literal ~p is at position 1.
-      const Lit not_p = ~p;
       if (c[0] == not_p) std::swap(c[0], c[1]);
       assert(c[1] == not_p);
-      if (value(c[0]) == Value::True) {
-        ws[j++] = {w.ref, c[0]};
-        ++i;
+      const Lit first = c[0];
+      if (first != w.blocker && value(first) == Value::True) {
+        *j++ = {ref, first};
         continue;
       }
       // Look for a new watch.
+      const std::uint32_t size = header(ref)->size;
       bool found = false;
-      for (std::uint32_t k = 2; k < h->size; ++k) {
+      for (std::uint32_t k = 2; k < size; ++k) {
         if (value(c[k]) != Value::False) {
-          std::swap(c[1], c[k]);
-          watches_[(~c[1]).code()].push_back({w.ref, c[0]});
+          c[1] = c[k];
+          c[k] = not_p;
+          watches_[(~c[1]).code()].push_back({ref, first});
           found = true;
           break;
         }
       }
-      if (found) {
-        ++i;  // watcher moved elsewhere; do not keep
-        continue;
-      }
+      if (found) continue;  // watcher moved elsewhere; do not keep
       // Clause is unit or conflicting.
-      if (value(c[0]) == Value::False) {
-        // Conflict: keep remaining watchers, return.
-        while (i < ws.size()) ws[j++] = ws[i++];
-        ws.resize(j);
-        return w.ref;
+      if (value(first) == Value::False) {
+        *j++ = w;  // a conflict keeps the watcher as it was
+        confl = ref;
+        break;
       }
-      enqueue(c[0], w.ref);
-      ws[j++] = {w.ref, c[0]};
-      ++i;
+      enqueue(first, ref);
+      *j++ = {ref, first};
     }
-    ws.resize(j);
+    while (i != end) *j++ = *i++;
+    ws.resize(static_cast<std::size_t>(j - ws.data()));
   }
-  return kNullRef;
+  return confl;
 }
 
 std::uint32_t Solver::compute_lbd(const std::vector<Lit>& clause) {
@@ -206,6 +222,10 @@ void Solver::rescale_var_activity() {
 
 void Solver::bump_clause(ClauseRef ref) {
   ClauseHeader* h = header(ref);
+  // Only learnt activities are ever read (reduce_learnts) or rescaled: a
+  // problem clause bumped past the limit would rescale every learnt on
+  // each later bump and drive clause_inc_ to 0.
+  if (h->lbd == 0) return;
   h->activity += static_cast<float>(clause_inc_);
   if (h->activity > 1e20f) {
     for (ClauseRef r : learnts_) header(r)->activity *= 1e-20f;
@@ -225,13 +245,16 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
   do {
     assert(confl != kNullRef);
     bump_clause(confl);
-    const ClauseHeader* h = header(confl);
-    const Lit* c = lits(confl);
-    for (std::uint32_t k = first ? 0 : 1; k < h->size; ++k) {
-      const Lit q = c[k];
+    // The conflicting clause contributes every literal, in arena order;
+    // a reason clause every literal but the one it implied.
+    const auto [begin, end] = first ? std::pair<const Lit*, const Lit*>{
+                                          lits(confl), lits(confl) + header(confl)->size}
+                                    : antecedents(confl, p);
+    for (const Lit* it = begin; it != end; ++it) {
+      const Lit q = *it;
       const int v = q.var();
       if (!seen_[v] && level_[v] > 0) {
-        seen_[v] = 1;
+        seen_[v] = kSource;
         bump_var(v);
         if (level_[v] >= decision_level()) {
           ++counter;
@@ -244,7 +267,7 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
     while (!seen_[trail_[--index].var()]) {}
     p = trail_[index];
     confl = reason_[p.var()];
-    seen_[p.var()] = 0;
+    seen_[p.var()] = kUnseen;
     --counter;
     first = false;
   } while (counter > 0);
@@ -252,7 +275,8 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
 
   // Clause minimization: drop literals implied by the rest of the clause.
   // Remember every var marked seen_ so far: literals dropped below still
-  // need their marks cleared at the end (stale marks corrupt later calls).
+  // need their marks cleared at the end (stale marks corrupt later calls);
+  // literal_redundant appends the variables it marks.
   analyze_toclear_.clear();
   for (Lit l : out_learnt) analyze_toclear_.push_back(l.var());
   std::uint32_t abstract_levels = 0;
@@ -278,43 +302,58 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
   }
   out_lbd = compute_lbd(out_learnt);
 
-  for (int v : analyze_toclear_) seen_[v] = 0;
-  for (int v : minimize_marked_) seen_[v] = 0;
-  minimize_marked_.clear();
+  for (int v : analyze_toclear_) seen_[v] = kUnseen;
 }
 
 bool Solver::literal_redundant(Lit l, std::uint32_t abstract_levels) {
-  analyze_stack_.clear();
-  analyze_stack_.push_back(l);
-  std::vector<int> to_clear;
-  while (!analyze_stack_.empty()) {
-    const Lit q = analyze_stack_.back();
-    analyze_stack_.pop_back();
-    const ClauseRef r = reason_[q.var()];
-    if (r == kNullRef) {
-      for (int v : to_clear) seen_[v] = 0;
-      return false;
-    }
-    const ClauseHeader* h = header(r);
-    const Lit* c = lits(r);
-    for (std::uint32_t k = 1; k < h->size; ++k) {
-      const Lit p = c[k];
-      const int v = p.var();
-      if (seen_[v] || level_[v] == 0) continue;
-      if (reason_[v] == kNullRef || !((1u << (level_[v] & 31)) & abstract_levels)) {
-        for (int u : to_clear) seen_[u] = 0;
+  // `l` is redundant when no implication path from it reaches a decision
+  // or a level outside the clause's levels without first meeting a clause
+  // literal (kSource), a root literal or a literal already proven
+  // redundant (kRemovable). A depth-first walk of the implication graph
+  // keeps the current path on minimize_stack_: a literal whose antecedents
+  // are all exhausted is kRemovable; when the walk fails, every literal on
+  // the path depends on the failure and becomes kPoison, so later calls
+  // in the same analysis stop there at once. Both marks only record what
+  // a fresh walk would find again, so the answer is the same as an
+  // unmemoized search.
+  assert(seen_[l.var()] == kSource && reason_[l.var()] != kNullRef);
+  minimize_stack_.clear();
+  Lit p = l;
+  // Clause literals are false; a reason clause implied the negation.
+  auto [next, end] = antecedents(reason_[l.var()], ~l);
+  for (;;) {
+    if (next != end) {
+      const Lit q = *next++;
+      const int v = q.var();
+      const std::uint8_t mark = seen_[v];
+      if (mark == kSource || mark == kRemovable || level_[v] == 0) continue;
+      if (mark == kPoison || reason_[v] == kNullRef ||
+          !((1u << (level_[v] & 31)) & abstract_levels)) {
+        minimize_stack_.push_back({p, next, end});
+        for (const MinimizeFrame& f : minimize_stack_) {
+          if (seen_[f.lit.var()] == kUnseen) {
+            seen_[f.lit.var()] = kPoison;
+            analyze_toclear_.push_back(f.lit.var());
+          }
+        }
         return false;
       }
-      seen_[v] = 1;
-      to_clear.push_back(v);
-      analyze_stack_.push_back(p);
+      minimize_stack_.push_back({p, next, end});
+      p = q;
+      std::tie(next, end) = antecedents(reason_[v], ~q);
+    } else {
+      if (seen_[p.var()] == kUnseen) {
+        seen_[p.var()] = kRemovable;
+        analyze_toclear_.push_back(p.var());
+      }
+      if (minimize_stack_.empty()) return true;
+      const MinimizeFrame& f = minimize_stack_.back();
+      p = f.lit;
+      next = f.next;
+      end = f.end;
+      minimize_stack_.pop_back();
     }
   }
-  // Redundant: keep the marks so sibling redundancy checks can reuse them;
-  // they are recorded in minimize_marked_ and cleared at the end of
-  // analyze() together with the clause's own marks.
-  minimize_marked_.insert(minimize_marked_.end(), to_clear.begin(), to_clear.end());
-  return true;
 }
 
 void Solver::backtrack(int target) {
@@ -322,8 +361,8 @@ void Solver::backtrack(int target) {
   for (std::size_t i = trail_.size();
        i-- > static_cast<std::size_t>(trail_lim_[target]);) {
     const int v = trail_[i].var();
-    saved_phase_[v] = assigns_[v];
-    assigns_[v] = Value::Unknown;
+    saved_phase_[v] = values_[2 * v];
+    values_[2 * v] = values_[2 * v + 1] = Value::Unknown;
     reason_[v] = kNullRef;
     if (!heap_contains(v)) heap_insert(v);
   }
@@ -357,29 +396,44 @@ std::uint64_t Solver::luby(std::uint64_t i) {
 }
 
 void Solver::reduce_learnts() {
-  // Keep low-LBD ("glue") clauses; drop the worse half of the rest.
-  std::vector<ClauseRef> sorted = learnts_;
-  std::sort(sorted.begin(), sorted.end(), [this](ClauseRef a, ClauseRef b) {
-    const ClauseHeader *ha = header(a), *hb = header(b);
-    if (ha->lbd != hb->lbd) return ha->lbd < hb->lbd;
-    return ha->activity > hb->activity;
+  // Keep low-LBD ("glue") clauses; drop the worse half of the rest. The
+  // sort runs over flat keys copied out of the headers; its comparator
+  // ignores `ref`, so ties keep exactly the order a sort of the refs
+  // themselves would give.
+  struct Key {
+    std::uint32_t lbd;
+    float activity;
+    ClauseRef ref;
+  };
+  std::vector<Key> keys;
+  keys.reserve(learnts_.size());
+  for (const ClauseRef r : learnts_) {
+    const ClauseHeader* h = header(r);
+    keys.push_back({h->lbd, h->activity, r});
+  }
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.lbd != b.lbd) return a.lbd < b.lbd;
+    return a.activity > b.activity;
   });
-  const std::size_t keep_count = sorted.size() / 2;
-  std::vector<ClauseRef> kept;
-  kept.reserve(keep_count + 16);
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const ClauseRef r = sorted[i];
+  // A reason's implied literal is c[0] for a long clause and either
+  // literal for a binary (propagate() does not order binaries).
+  const auto locked = [this](ClauseRef r) {
+    const Lit* c = lits(r);
+    if (value(c[0]) == Value::True && reason_[c[0].var()] == r) return true;
+    return header(r)->size == 2 && value(c[1]) == Value::True && reason_[c[1].var()] == r;
+  };
+  const std::size_t keep_count = keys.size() / 2;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const Key& key = keys[i];
     // Never drop clauses that are reasons for current assignments or glue.
-    bool locked = false;
-    const Lit first = lits(r)[0];
-    if (value(first) == Value::True && reason_[first.var()] == r) locked = true;
-    if (i < keep_count || header(r)->lbd <= 3 || locked) {
-      kept.push_back(r);
+    if (i < keep_count || key.lbd <= 3 || locked(key.ref)) {
+      learnts_[kept++] = key.ref;
     } else {
-      detach(r);
+      detach(key.ref);
     }
   }
-  learnts_ = std::move(kept);
+  learnts_.resize(kept);
 }
 
 // --- inprocessing -----------------------------------------------------
@@ -387,8 +441,9 @@ void Solver::reduce_learnts() {
 // The pipeline runs between restarts at decision level 0, bounded so a
 // round costs a small fraction of the search it interleaves with:
 //
-//   1. copy-out      arena -> plain literal vectors; root-satisfied
-//                    clauses dropped, root-false literals stripped
+//   1. copy-out      arena -> spans of one flat literal pool;
+//                    root-satisfied clauses dropped, root-false
+//                    literals stripped
 //   2. subsumption   forward subsumption + self-subsuming resolution
 //                    over the problem clauses
 //   3. elimination   bounded variable elimination (occurrence- and
@@ -412,12 +467,12 @@ namespace {
 /// that negated literal's code in `big` (self-subsuming resolution), or
 /// -1 when `small` subsumes `big` outright. The flipped code is reported
 /// out-of-band because code 0 is a valid literal (variable 0, positive).
-bool subsume_check(const std::vector<Lit>& small, const std::vector<Lit>& big,
-                   int* flipped) {
+bool subsume_check(const Lit* small, std::uint32_t small_size, const Lit* big,
+                   std::uint32_t big_size, int* flipped) {
   *flipped = -1;
-  std::size_t i = 0, j = 0;
-  while (i < small.size()) {
-    if (j == big.size()) return false;
+  std::uint32_t i = 0, j = 0;
+  while (i < small_size) {
+    if (j == big_size) return false;
     const int a = small[i].code(), b = big[j].code();
     if (a == b) {
       ++i;
@@ -436,6 +491,68 @@ bool subsume_check(const std::vector<Lit>& small, const std::vector<Lit>& big,
   return true;
 }
 
+/// A clause copied out of the arena for inprocessing: a span of the
+/// round's flat literal pool.
+struct PoolClause {
+  std::uint32_t begin;
+  std::uint32_t size;
+  std::uint32_t lbd;  // learnts only
+};
+
+/// Occurrence lists over an inprocessing clause database: per literal, the
+/// indices of the clauses containing it, in increasing order. The lists
+/// of the clauses present at construction sit in one flat array; a clause
+/// appended later (a BVE resolvent) goes on per-literal chains behind it,
+/// so every list stays in index order.
+class OccLists {
+ public:
+  OccLists(int num_vars, const std::vector<Lit>& pool, const std::vector<PoolClause>& db)
+      : begin_(2 * static_cast<std::size_t>(num_vars) + 1, 0),
+        head_(2 * static_cast<std::size_t>(num_vars), kNone),
+        tail_(head_) {
+    for (const PoolClause& c : db)
+      for (std::uint32_t k = 0; k < c.size; ++k) ++begin_[pool[c.begin + k].code() + 1];
+    for (std::size_t i = 1; i < begin_.size(); ++i) begin_[i] += begin_[i - 1];
+    flat_.resize(begin_.back());
+    std::vector<std::uint32_t> next(begin_.begin(), begin_.end() - 1);
+    for (std::size_t i = 0; i < db.size(); ++i)
+      for (std::uint32_t k = 0; k < db[i].size; ++k)
+        flat_[next[pool[db[i].begin + k].code()]++] = static_cast<std::uint32_t>(i);
+  }
+
+  /// The flat part of `l`'s list: every entry while nothing is appended.
+  std::pair<const std::uint32_t*, const std::uint32_t*> flat(Lit l) const {
+    return {flat_.data() + begin_[l.code()], flat_.data() + begin_[l.code() + 1]};
+  }
+
+  void append(Lit l, std::uint32_t clause) {
+    const auto node = static_cast<std::uint32_t>(chain_.size());
+    chain_.push_back({clause, kNone});
+    std::uint32_t& tail = tail_[l.code()];
+    (tail == kNone ? head_[l.code()] : chain_[tail].next) = node;
+    tail = node;
+  }
+
+  template <class F>
+  void for_each(Lit l, F&& f) const {
+    const auto [first, last] = flat(l);
+    for (const std::uint32_t* it = first; it != last; ++it) f(*it);
+    for (std::uint32_t n = head_[l.code()]; n != kNone; n = chain_[n].next)
+      f(chain_[n].clause);
+  }
+
+ private:
+  static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  struct Node {
+    std::uint32_t clause;
+    std::uint32_t next;
+  };
+  std::vector<std::uint32_t> begin_;  // per literal code, offset into flat_
+  std::vector<std::uint32_t> flat_;
+  std::vector<std::uint32_t> head_, tail_;  // per literal code, chain_ nodes
+  std::vector<Node> chain_;
+};
+
 }  // namespace
 
 void Solver::inprocess(const std::vector<Lit>& assumptions) {
@@ -444,76 +561,82 @@ void Solver::inprocess(const std::vector<Lit>& assumptions) {
   // arena be rebuilt without dangling clause references.
   for (Lit l : trail_) reason_[l.var()] = kNullRef;
 
-  std::vector<std::uint8_t> frozen(assigns_.size(), 0);
+  std::vector<std::uint8_t> frozen(num_vars(), 0);
   for (Lit a : assumptions) frozen[a.var()] = 1;
 
-  // 1. Copy-out. Surviving clauses have >= 2 unassigned literals
-  // (propagation is complete), sorted by code.
-  std::vector<std::vector<Lit>> problem;
+  // Steps 1-5 work on spans into one flat literal pool and on flat
+  // occurrence lists: a round makes a few allocations, not one per
+  // clause.
+  std::vector<Lit> pool;
+  std::vector<PoolClause> problem, learnt_db;
   problem.reserve(clauses_.size());
-  for (const ClauseRef ref : clauses_) {
-    const ClauseHeader* h = header(ref);
-    const Lit* c = lits(ref);
-    std::vector<Lit> out;
-    out.reserve(h->size);
-    bool satisfied = false;
-    for (std::uint32_t k = 0; k < h->size && !satisfied; ++k) {
-      if (value(c[k]) == Value::True) satisfied = true;
-      else if (value(c[k]) == Value::Unknown) out.push_back(c[k]);
-    }
-    if (satisfied) continue;
-    assert(out.size() >= 2);
-    std::sort(out.begin(), out.end(), [](Lit a, Lit b) { return a.code() < b.code(); });
-    problem.push_back(std::move(out));
-  }
-  std::vector<std::pair<std::vector<Lit>, std::uint32_t>> learnt_db;
   learnt_db.reserve(learnts_.size());
-  for (const ClauseRef ref : learnts_) {
+  const auto lits_of = [&pool](const PoolClause& c) { return pool.data() + c.begin; };
+
+  // 1. Copy-out. Surviving clauses have >= 2 unassigned literals
+  // (propagation is complete); problem clauses are sorted by code.
+  const auto copy_out = [&](ClauseRef ref, std::vector<PoolClause>& db) -> PoolClause* {
     const ClauseHeader* h = header(ref);
     const Lit* c = lits(ref);
-    std::vector<Lit> out;
-    out.reserve(h->size);
-    bool satisfied = false;
-    for (std::uint32_t k = 0; k < h->size && !satisfied; ++k) {
-      if (value(c[k]) == Value::True) satisfied = true;
-      else if (value(c[k]) == Value::Unknown) out.push_back(c[k]);
+    const auto begin = static_cast<std::uint32_t>(pool.size());
+    for (std::uint32_t k = 0; k < h->size; ++k) {
+      const Value v = value(c[k]);
+      if (v == Value::True) {
+        pool.resize(begin);
+        return nullptr;
+      }
+      if (v == Value::Unknown) pool.push_back(c[k]);
     }
-    if (satisfied) continue;
-    assert(out.size() >= 2);
-    learnt_db.emplace_back(std::move(out), h->lbd);
+    const auto size = static_cast<std::uint32_t>(pool.size() - begin);
+    assert(size >= 2);
+    db.push_back({begin, size, h->lbd});
+    return &db.back();
+  };
+  for (const ClauseRef ref : clauses_) {
+    if (const PoolClause* c = copy_out(ref, problem)) {
+      Lit* first = pool.data() + c->begin;
+      std::sort(first, first + c->size, [](Lit a, Lit b) { return a.code() < b.code(); });
+    }
   }
+  for (const ClauseRef ref : learnts_) copy_out(ref, learnt_db);
 
   // 2. Forward subsumption + self-subsuming resolution over the problem
   // clauses, driven by occurrence lists of the least-frequent literal.
-  std::vector<std::uint8_t> alive(problem.size(), 1);
   {
-    std::vector<std::vector<std::uint32_t>> occ(2 * assigns_.size());
-    for (std::size_t i = 0; i < problem.size(); ++i)
-      for (Lit l : problem[i]) occ[l.code()].push_back(static_cast<std::uint32_t>(i));
+    std::vector<std::uint8_t> alive(problem.size(), 1);
+    const OccLists occ(num_vars(), pool, problem);
+    const auto occurrences = [&occ](Lit l) {
+      const auto [first, last] = occ.flat(l);
+      return static_cast<std::size_t>(last - first);
+    };
     constexpr std::size_t kOccSkip = 64;  // skip super-frequent pivot literals
     for (std::size_t i = 0; i < problem.size(); ++i) {
       if (!alive[i]) continue;
-      const std::vector<Lit>& c = problem[i];
+      const PoolClause& c = problem[i];
+      const Lit* cl = lits_of(c);
       // Pivot on the literal with the fewest occurrences; a flipped pivot
       // also finds the self-subsumption cases on the pivot literal.
-      std::size_t best = occ[c[0].code()].size();
-      Lit pivot = c[0];
-      for (Lit l : c) {
-        const std::size_t n = occ[l.code()].size();
+      std::size_t best = occurrences(cl[0]);
+      Lit pivot = cl[0];
+      for (std::uint32_t k = 0; k < c.size; ++k) {
+        const std::size_t n = occurrences(cl[k]);
         if (n < best) {
           best = n;
-          pivot = l;
+          pivot = cl[k];
         }
       }
       if (best > kOccSkip) continue;
       for (int side = 0; side < 2; ++side) {
         const Lit probe = side == 0 ? pivot : ~pivot;
-        for (const std::uint32_t j : occ[probe.code()]) {
+        const auto [first, last] = occ.flat(probe);
+        for (const std::uint32_t* it = first; it != last; ++it) {
+          const std::uint32_t j = *it;
           if (j == i || !alive[j]) continue;
-          std::vector<Lit>& d = problem[j];
-          if (d.size() < c.size()) continue;
+          PoolClause& d = problem[j];
+          if (d.size < c.size) continue;
+          Lit* dl = pool.data() + d.begin;
           int flipped_code;
-          if (!subsume_check(c, d, &flipped_code)) continue;
+          if (!subsume_check(cl, c.size, dl, d.size, &flipped_code)) continue;
           if (flipped_code < 0) {
             // c subsumes d outright.
             alive[j] = 0;
@@ -523,26 +646,27 @@ void Solver::inprocess(const std::vector<Lit>& assumptions) {
             // from d. occ entries for d go stale; the alive/membership
             // checks above tolerate that.
             const Lit flipped = Lit::from_code(flipped_code);
-            d.erase(std::remove(d.begin(), d.end(), flipped), d.end());
+            d.size =
+                static_cast<std::uint32_t>(std::remove(dl, dl + d.size, flipped) - dl);
             ++stats_.subsumed_clauses;
-            if (d.size() <= 1) alive[j] = 0;  // re-added as a unit below
+            if (d.size <= 1) alive[j] = 0;  // re-added as a unit below
           }
         }
       }
     }
-    // Units produced by strengthening: queue them for the fixpoint pass.
-    std::vector<std::vector<Lit>> compacted;
-    compacted.reserve(problem.size());
-    std::vector<std::vector<Lit>> units;
+    // Survivors in order, then the units produced by strengthening, which
+    // the fixpoint pass absorbs.
+    std::vector<PoolClause> units;
+    std::size_t kept = 0;
     for (std::size_t i = 0; i < problem.size(); ++i) {
       if (alive[i]) {
-        compacted.push_back(std::move(problem[i]));
-      } else if (problem[i].size() == 1) {
-        units.push_back(std::move(problem[i]));
+        problem[kept++] = problem[i];
+      } else if (problem[i].size == 1) {
+        units.push_back(problem[i]);
       }
     }
-    problem = std::move(compacted);
-    for (auto& u : units) problem.push_back(std::move(u));
+    problem.resize(kept);
+    problem.insert(problem.end(), units.begin(), units.end());
   }
 
   // 3. Bounded variable elimination. A candidate variable must be
@@ -550,21 +674,23 @@ void Solver::inprocess(const std::vector<Lit>& assumptions) {
   // each polarity; elimination must not grow the clause count.
   if (config_.bve_occurrence_limit != 0 && !root_unsat_) {
     constexpr std::size_t kMaxResolventLits = 24;
-    std::vector<std::vector<std::uint32_t>> occ(2 * assigns_.size());
-    for (std::size_t i = 0; i < problem.size(); ++i)
-      for (Lit l : problem[i]) occ[l.code()].push_back(static_cast<std::uint32_t>(i));
+    OccLists occ(num_vars(), pool, problem);
     std::vector<std::uint8_t> live(problem.size(), 1);
+    const auto contains = [&](const PoolClause& c, Lit l) {
+      const Lit* cl = lits_of(c);
+      return std::find(cl, cl + c.size, l) != cl + c.size;
+    };
     const auto gather = [&](Lit l, std::vector<std::uint32_t>* out) {
       out->clear();
-      for (const std::uint32_t i : occ[l.code()]) {
-        if (!live[i]) continue;
-        if (std::find(problem[i].begin(), problem[i].end(), l) == problem[i].end())
-          continue;  // stale entry (clause strengthened elsewhere)
-        out->push_back(i);
-      }
+      occ.for_each(l, [&](std::uint32_t i) {
+        // Skip dead clauses and stale entries (clause strengthened elsewhere).
+        if (live[i] && contains(problem[i], l)) out->push_back(i);
+      });
     };
     std::vector<std::uint32_t> pos, neg;
-    for (int v = 0; v < static_cast<int>(assigns_.size()); ++v) {
+    std::vector<Lit> resolvent_lits;  // the current candidate's resolvents
+    std::vector<PoolClause> resolvents;
+    for (int v = 0; v < num_vars(); ++v) {
       if (frozen[v] || eliminated(v) || value(v) != Value::Unknown) continue;
       const Lit pl(v, false), nl(v, true);
       gather(pl, &pos);
@@ -574,30 +700,40 @@ void Solver::inprocess(const std::vector<Lit>& assumptions) {
           neg.size() > config_.bve_occurrence_limit)
         continue;
       // Build the resolvents; give up on growth.
-      std::vector<std::vector<Lit>> resolvents;
+      resolvent_lits.clear();
+      resolvents.clear();
       bool aborted = false;
       for (const std::uint32_t pi : pos) {
         for (const std::uint32_t ni : neg) {
-          std::vector<Lit> r;
+          const auto begin = static_cast<std::uint32_t>(resolvent_lits.size());
           bool tautology = false;
-          for (Lit l : problem[pi])
-            if (l != pl) r.push_back(l);
-          for (Lit l : problem[ni]) {
+          const Lit* pc = lits_of(problem[pi]);
+          for (std::uint32_t k = 0; k < problem[pi].size; ++k)
+            if (pc[k] != pl) resolvent_lits.push_back(pc[k]);
+          const Lit* nc = lits_of(problem[ni]);
+          for (std::uint32_t k = 0; k < problem[ni].size; ++k) {
+            const Lit l = nc[k];
             if (l == nl) continue;
-            if (std::find(r.begin(), r.end(), ~l) != r.end()) {
+            const auto r_begin = resolvent_lits.begin() + begin;
+            if (std::find(r_begin, resolvent_lits.end(), ~l) != resolvent_lits.end()) {
               tautology = true;
               break;
             }
-            if (std::find(r.begin(), r.end(), l) == r.end()) r.push_back(l);
+            if (std::find(r_begin, resolvent_lits.end(), l) == resolvent_lits.end())
+              resolvent_lits.push_back(l);
           }
-          if (tautology) continue;
-          if (r.size() > kMaxResolventLits) {
+          const auto size = static_cast<std::uint32_t>(resolvent_lits.size() - begin);
+          if (tautology) {
+            resolvent_lits.resize(begin);
+            continue;
+          }
+          if (size > kMaxResolventLits) {
             aborted = true;
             break;
           }
-          std::sort(r.begin(), r.end(),
+          std::sort(resolvent_lits.begin() + begin, resolvent_lits.end(),
                     [](Lit a, Lit b) { return a.code() < b.code(); });
-          resolvents.push_back(std::move(r));
+          resolvents.push_back({begin, size, 0});
           if (resolvents.size() > pos.size() + neg.size()) {
             aborted = true;
             break;
@@ -610,76 +746,79 @@ void Solver::inprocess(const std::vector<Lit>& assumptions) {
       // reactivation, splice in the resolvents.
       ElimRecord record;
       record.var = v;
-      for (const std::uint32_t i : pos) {
-        record.clauses.push_back(problem[i]);
-        live[i] = 0;
-      }
-      for (const std::uint32_t i : neg) {
-        record.clauses.push_back(problem[i]);
-        live[i] = 0;
+      for (const auto* side : {&pos, &neg}) {
+        for (const std::uint32_t i : *side) {
+          const Lit* c = lits_of(problem[i]);
+          record.clauses.emplace_back(c, c + problem[i].size);
+          live[i] = 0;
+        }
       }
       elim_stack_.push_back(std::move(record));
       eliminated_[v] = 1;
       ++stats_.eliminated_vars;
-      for (auto& r : resolvents) {
-        const std::uint32_t idx = static_cast<std::uint32_t>(problem.size());
-        for (Lit l : r) occ[l.code()].push_back(idx);
-        problem.push_back(std::move(r));
+      for (const PoolClause& r : resolvents) {
+        const auto idx = static_cast<std::uint32_t>(problem.size());
+        const auto begin = static_cast<std::uint32_t>(pool.size());
+        const Lit* rl = resolvent_lits.data() + r.begin;
+        pool.insert(pool.end(), rl, rl + r.size);
+        for (std::uint32_t k = 0; k < r.size; ++k) occ.append(rl[k], idx);
+        problem.push_back({begin, r.size, 0});
         live.push_back(1);
       }
     }
-    std::vector<std::vector<Lit>> compacted;
-    compacted.reserve(problem.size());
+    std::size_t kept = 0;
     for (std::size_t i = 0; i < problem.size(); ++i)
-      if (live[i]) compacted.push_back(std::move(problem[i]));
-    problem = std::move(compacted);
+      if (live[i]) problem[kept++] = problem[i];
+    problem.resize(kept);
     // Learnt clauses over an eliminated variable are dropped (they are
     // implied; keeping them would resurrect the variable).
-    std::erase_if(learnt_db, [this](const auto& entry) {
-      for (Lit l : entry.first)
-        if (eliminated(l.var())) return true;
+    std::erase_if(learnt_db, [&](const PoolClause& c) {
+      const Lit* cl = lits_of(c);
+      for (std::uint32_t k = 0; k < c.size; ++k)
+        if (eliminated(cl[k].var())) return true;
       return false;
     });
   }
 
   // 4. Unit fixpoint: apply units produced above at the root level until
-  // the vector database is stable. A contradiction makes the solver
+  // the pooled database is stable. A contradiction makes the solver
   // root-unsat (the arena is left untouched in that case — it is never
   // consulted again).
   for (bool changed = true; changed && !root_unsat_;) {
     changed = false;
-    const auto simplify_one = [&](std::vector<Lit>& c) -> int {
+    const auto simplify_one = [&](PoolClause& c) -> int {
       // Returns -1 drop clause, 0 keep, 1 clause changed (re-check).
-      std::size_t keep = 0;
-      for (const Lit l : c) {
-        if (value(l) == Value::True) return -1;
-        if (value(l) == Value::Unknown) c[keep++] = l;
+      Lit* cl = pool.data() + c.begin;
+      std::uint32_t keep = 0;
+      for (std::uint32_t k = 0; k < c.size; ++k) {
+        const Value v = value(cl[k]);
+        if (v == Value::True) return -1;
+        if (v == Value::Unknown) cl[keep++] = cl[k];
       }
-      const bool shrunk = keep != c.size();
-      c.resize(keep);
-      if (c.empty()) {
+      const bool shrunk = keep != c.size;
+      c.size = keep;
+      if (keep == 0) {
         root_unsat_ = true;
         return -1;
       }
-      if (c.size() == 1) {
-        enqueue(c[0], kNullRef);
+      if (keep == 1) {
+        enqueue(cl[0], kNullRef);
         return -1;  // absorbed into the trail
       }
       return shrunk ? 1 : 0;
     };
-    std::vector<std::vector<Lit>> next;
-    next.reserve(problem.size());
-    for (auto& c : problem) {
-      const int r = simplify_one(c);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < problem.size(); ++i) {
+      const int r = simplify_one(problem[i]);
       if (root_unsat_) break;
-      if (r >= 0) next.push_back(std::move(c));
+      if (r >= 0) problem[kept++] = problem[i];
       if (r != 0) changed = true;
     }
-    problem = std::move(next);
+    problem.resize(kept);
     if (root_unsat_) break;
-    std::erase_if(learnt_db, [&](auto& entry) {
+    std::erase_if(learnt_db, [&](PoolClause& c) {
       if (root_unsat_) return false;
-      const int r = simplify_one(entry.first);
+      const int r = simplify_one(c);
       if (r != 0) changed = true;
       return r < 0;
     });
@@ -687,7 +826,21 @@ void Solver::inprocess(const std::vector<Lit>& assumptions) {
   if (root_unsat_) return;
 
   // 5. Rebuild the arena compactly and re-anchor propagation.
-  rebuild_clause_db(problem, learnt_db);
+  arena_.clear();
+  clauses_.clear();
+  learnts_.clear();
+  for (auto& ws : watches_) ws.clear();
+  for (const PoolClause& c : problem) {
+    const ClauseRef ref = alloc_clause(pool.data() + c.begin, c.size, /*learnt=*/false);
+    clauses_.push_back(ref);
+    attach(ref);
+  }
+  for (const PoolClause& c : learnt_db) {
+    const ClauseRef ref = alloc_clause(pool.data() + c.begin, c.size, /*learnt=*/true);
+    header(ref)->lbd = c.lbd;
+    learnts_.push_back(ref);
+    attach(ref);
+  }
   propagate_head_ = 0;
   if (propagate() != kNullRef) {
     root_unsat_ = true;
@@ -697,32 +850,12 @@ void Solver::inprocess(const std::vector<Lit>& assumptions) {
   // 6. Vivification over the rebuilt database. Its problem-only
   // propagation leaves learnt watchers unrepaired for any root units it
   // derives, so finish with one full re-propagation of the trail.
-  if (config_.vivify && !root_unsat_) {
+  if (config_.vivify) {
     vivify_round();
     if (!root_unsat_) {
       propagate_head_ = 0;
       if (propagate() != kNullRef) root_unsat_ = true;
     }
-  }
-}
-
-void Solver::rebuild_clause_db(
-    const std::vector<std::vector<Lit>>& problem,
-    const std::vector<std::pair<std::vector<Lit>, std::uint32_t>>& learnts) {
-  arena_.clear();
-  clauses_.clear();
-  learnts_.clear();
-  for (auto& ws : watches_) ws.clear();
-  for (const auto& c : problem) {
-    const ClauseRef ref = alloc_clause(c, /*learnt=*/false);
-    clauses_.push_back(ref);
-    attach(ref);
-  }
-  for (const auto& [c, lbd] : learnts) {
-    const ClauseRef ref = alloc_clause(c, /*learnt=*/true);
-    header(ref)->lbd = lbd;
-    learnts_.push_back(ref);
-    attach(ref);
   }
 }
 
@@ -760,7 +893,7 @@ void Solver::vivify_round() {
       keep.push_back(l);
       trail_lim_.push_back(static_cast<int>(trail_.size()));
       enqueue(~l, kNullRef);
-      if (propagate(/*problem_only=*/true) != kNullRef) {
+      if (propagate</*kProblemOnly=*/true>() != kNullRef) {
         conflicted = true;  // the kept prefix alone is contradictory
         break;
       }
@@ -789,14 +922,15 @@ void Solver::vivify_round() {
       }
       if (value(keep[0]) == Value::Unknown) {
         enqueue(keep[0], kNullRef);
-        if (propagate(/*problem_only=*/true) != kNullRef) {
+        if (propagate</*kProblemOnly=*/true>() != kNullRef) {
           root_unsat_ = true;
           return;
         }
       }
       continue;
     }
-    const ClauseRef shorter = alloc_clause(keep, /*learnt=*/false);
+    const ClauseRef shorter = alloc_clause(
+        keep.data(), static_cast<std::uint32_t>(keep.size()), /*learnt=*/false);
     clauses_.push_back(shorter);
     attach(shorter);
   }
@@ -932,7 +1066,8 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
           return SolveResult::Unsat;
         }
       } else {
-        const ClauseRef ref = alloc_clause(learnt, /*learnt=*/true);
+        const ClauseRef ref = alloc_clause(
+            learnt.data(), static_cast<std::uint32_t>(learnt.size()), /*learnt=*/true);
         header(ref)->lbd = lbd;
         learnts_.push_back(ref);
         attach(ref);
@@ -1006,7 +1141,7 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
       if (next == Lit()) {
         // Full assignment: record the model, then extend it over
         // eliminated variables from their saved clauses.
-        model_ = assigns_;
+        for (int v = 0; v < num_vars(); ++v) model_[v] = value(v);
         backtrack(0);
         repair_model();
         return SolveResult::Sat;
@@ -1026,32 +1161,49 @@ void Solver::heap_insert(int var) {
 }
 
 void Solver::heap_percolate_up(int i) {
-  const int v = heap_[i];
+  int* const heap = heap_.data();
+  int* const index = heap_index_.data();
+  const double* const activity = activity_.data();
+  const int v = heap[i];
+  const double act = activity[v];
   while (i > 0) {
     const int parent = (i - 1) / 2;
-    if (activity_[heap_[parent]] >= activity_[v]) break;
-    heap_[i] = heap_[parent];
-    heap_index_[heap_[i]] = i;
+    const int u = heap[parent];
+    if (activity[u] >= act) break;
+    heap[i] = u;
+    index[u] = i;
     i = parent;
   }
-  heap_[i] = v;
-  heap_index_[v] = i;
+  heap[i] = v;
+  index[v] = i;
 }
 
 void Solver::heap_percolate_down(int i) {
-  const int v = heap_[i];
+  int* const heap = heap_.data();
+  int* const index = heap_index_.data();
+  const double* const activity = activity_.data();
+  const int v = heap[i];
+  const double act = activity[v];
   const int n = static_cast<int>(heap_.size());
   for (;;) {
     int child = 2 * i + 1;
     if (child >= n) break;
-    if (child + 1 < n && activity_[heap_[child + 1]] > activity_[heap_[child]]) ++child;
-    if (activity_[heap_[child]] <= activity_[v]) break;
-    heap_[i] = heap_[child];
-    heap_index_[heap_[i]] = i;
+    double child_act = activity[heap[child]];
+    if (child + 1 < n) {
+      const double right_act = activity[heap[child + 1]];
+      if (right_act > child_act) {
+        ++child;
+        child_act = right_act;
+      }
+    }
+    if (child_act <= act) break;
+    const int u = heap[child];
+    heap[i] = u;
+    index[u] = i;
     i = child;
   }
-  heap_[i] = v;
-  heap_index_[v] = i;
+  heap[i] = v;
+  index[v] = i;
 }
 
 int Solver::heap_pop() {

@@ -6,16 +6,26 @@
 // solves unrolled transition systems on it — all through the abstract
 // sat::Backend seam (backend.hpp).
 //
-// Features: two-watched-literal propagation, first-UIP conflict analysis
-// with clause minimization, VSIDS branching with exponential decay, phase
-// saving, Luby restarts, LBD-based learnt-clause reduction, solving under
-// assumptions (the incremental interface CEGIS relies on), and bounded
-// inprocessing between restarts (variable elimination, subsumption,
-// vivification — see docs/SOLVER.md).
+// Features: two-watched-literal propagation with implicit binary watchers
+// over a literal-indexed value array, first-UIP conflict analysis with
+// allocation-free clause minimization (path DFS with removable/poison
+// marks), VSIDS branching with exponential decay, phase saving, Luby
+// restarts, LBD-based learnt-clause reduction (only learnts are bumped),
+// solving under assumptions (the incremental interface CEGIS relies on),
+// and bounded inprocessing between restarts (variable elimination,
+// subsumption, vivification — see docs/SOLVER.md).
+//
+// Hot-path invariant: propagate() keeps a long reason's implied literal
+// at c[0] but leaves the arena order of a binary clause alone, so no
+// reader may take c[0] as a binary reason's implied literal (use
+// antecedents()). A binary conflict is written out as [other, ~p], the
+// order analyze() reads it in.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "sat/backend.hpp"
@@ -80,7 +90,7 @@ class Solver final : public Backend {
 
   Stats stats() const override {
     Stats s = stats_;
-    s.vars = assigns_.size();
+    s.vars = level_.size();
     s.clauses = clauses_.size();
     return s;
   }
@@ -97,9 +107,15 @@ class Solver final : public Backend {
     // literals follow inline in the arena
   };
 
+  /// A watch-list entry. Clause offsets are 4-aligned, so bit 0 of
+  /// `tagged` is free: it marks a size-2 clause, whose blocker is its
+  /// other literal — propagate() settles a binary from the watcher alone
+  /// and never reads the arena unless the clause conflicts.
   struct Watcher {
-    ClauseRef ref;
-    Lit blocker;  // quick check to skip clause traversal
+    ClauseRef tagged;  // clause offset | 1 for a binary clause
+    Lit blocker;       // quick check to skip clause traversal
+    ClauseRef ref() const { return tagged & ~ClauseRef(1); }
+    bool binary() const { return tagged & 1; }
   };
 
   ClauseHeader* header(ClauseRef r) {
@@ -115,15 +131,39 @@ class Solver final : public Backend {
     return reinterpret_cast<const Lit*>(&arena_[r + sizeof(ClauseHeader)]);
   }
 
-  ClauseRef alloc_clause(const std::vector<Lit>& lits, bool learnt);
+  ClauseRef alloc_clause(const Lit* lits, std::uint32_t size, bool learnt);
   void attach(ClauseRef ref);
   void detach(ClauseRef ref);
 
-  Value value(int var) const { return assigns_[var]; }
-  Value value(Lit l) const { return assigns_[l.var()] ^ l.sign(); }
+  int num_vars() const { return static_cast<int>(level_.size()); }
+  Value value(int var) const { return values_[2 * var]; }
+  Value value(Lit l) const { return values_[l.code()]; }
 
-  void enqueue(Lit l, ClauseRef reason);
-  ClauseRef propagate(bool problem_only = false);
+  void enqueue(Lit l, ClauseRef reason) {
+    assert(value(l) == Value::Unknown);
+    values_[l.code()] = Value::True;
+    values_[l.code() ^ 1] = Value::False;
+    level_[l.var()] = decision_level();
+    reason_[l.var()] = reason;
+    trail_.push_back(l);
+  }
+  /// Unit propagation to fixpoint; returns the conflicting clause or
+  /// kNullRef. kProblemOnly (vivification) skips learnt clauses.
+  template <bool kProblemOnly = false>
+  ClauseRef propagate();
+  /// The literals of reason clause `r` other than its implied literal
+  /// `p`: c[1..size) for a long clause, whose implied literal propagate()
+  /// keeps at c[0]; for a binary, whichever literal is not `p` (the
+  /// arena order of a binary is not maintained).
+  std::pair<const Lit*, const Lit*> antecedents(ClauseRef r, Lit p) const {
+    const Lit* c = lits(r);
+    const std::uint32_t n = header(r)->size;
+    if (n == 2) {
+      const Lit* other = c + (c[0] == p ? 1 : 0);
+      return {other, other + 1};
+    }
+    return {c + 1, c + n};
+  }
   void analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btlevel,
                std::uint32_t& out_lbd);
   bool literal_redundant(Lit l, std::uint32_t abstract_levels);
@@ -139,17 +179,14 @@ class Solver final : public Backend {
   // --- inprocessing (between restarts, at decision level 0) ---
   //
   // The pipeline copies the clause database out of the arena, simplifies
-  // it as plain literal vectors (root simplification, subsumption and
-  // self-subsuming resolution, bounded variable elimination), rebuilds
-  // the arena compactly, then vivifies in place using the solver's own
-  // propagation. Eliminated variables carry their removed clauses on
-  // elim_stack_ so models can be repaired and the variables reactivated
-  // if a later add_clause() or assumption mentions them (the incremental
-  // soundness story — see docs/SOLVER.md).
+  // it as spans of one flat literal pool (root simplification,
+  // subsumption and self-subsuming resolution, bounded variable
+  // elimination), rebuilds the arena compactly, then vivifies in place
+  // using the solver's own propagation. Eliminated variables carry their
+  // removed clauses on elim_stack_ so models can be repaired and the
+  // variables reactivated if a later add_clause() or assumption mentions
+  // them (the incremental soundness story — see docs/SOLVER.md).
   void inprocess(const std::vector<Lit>& assumptions);
-  void rebuild_clause_db(const std::vector<std::vector<Lit>>& problem,
-                         const std::vector<std::pair<std::vector<Lit>, std::uint32_t>>&
-                             learnts);
   void vivify_round();
   void reactivate(int var);
   void repair_model();
@@ -191,7 +228,7 @@ class Solver final : public Backend {
   std::vector<ClauseRef> learnts_;
   std::vector<std::vector<Watcher>> watches_;  // indexed by literal code
 
-  std::vector<Value> assigns_;
+  std::vector<Value> values_;  // indexed by literal code
   std::vector<Value> model_;
   std::vector<Value> saved_phase_;
   std::vector<int> level_;
@@ -222,10 +259,16 @@ class Solver final : public Backend {
   std::uint64_t next_inprocess_ = 0;
   std::size_t vivify_cursor_ = 0;
 
-  // scratch for analyze()
+  // scratch for analyze(): seen_ marks per variable, cleared from
+  // analyze_toclear_ at the end of every analysis.
+  enum : std::uint8_t { kUnseen = 0, kSource = 1, kRemovable = 2, kPoison = 3 };
   std::vector<std::uint8_t> seen_;
-  std::vector<Lit> analyze_stack_;
-  std::vector<int> minimize_marked_;
+  struct MinimizeFrame {
+    Lit lit;
+    const Lit* next;
+    const Lit* end;
+  };
+  std::vector<MinimizeFrame> minimize_stack_;
   std::vector<int> analyze_toclear_;
 
   /// Search counters; stats() fills in vars and clauses.

@@ -1,6 +1,7 @@
 // Unit and property tests for the CDCL SAT solver.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sat/solver.hpp"
@@ -269,6 +270,68 @@ TEST(SolverConfig, AllConfigsAgreeOnRandom3Sat) {
       }
     }
   }
+}
+
+// --- search fingerprint ---
+//
+// Exact search counters on fixed instances. A change meant to make the
+// solver faster without changing its search (data layout, allocation,
+// inlining) must leave every number here untouched; a change that moves
+// one changed decisions, learnt clauses or inprocessing, and re-pins it
+// on purpose. Each instance stays far below the ~40K conflicts at which
+// clause-activity rescaling starts to matter.
+
+struct Fingerprint {
+  std::uint64_t conflicts, decisions, propagations;
+  std::uint64_t eliminated_vars, subsumed_clauses, vivified_clauses;
+};
+
+void expect_fingerprint(const Stats& s, const Fingerprint& want) {
+  EXPECT_EQ(s.conflicts, want.conflicts);
+  EXPECT_EQ(s.decisions, want.decisions);
+  EXPECT_EQ(s.propagations, want.propagations);
+  EXPECT_EQ(s.eliminated_vars, want.eliminated_vars);
+  EXPECT_EQ(s.subsumed_clauses, want.subsumed_clauses);
+  EXPECT_EQ(s.vivified_clauses, want.vivified_clauses);
+}
+
+TEST(SearchFingerprint, Pigeonhole9Into8) {
+  // Binary-heavy UNSAT at the default config: enough conflicts for two
+  // learnt-DB reductions and for inprocessing to fire.
+  Solver s;
+  add_pigeonhole(s, 8);
+  EXPECT_EQ(s.solve(), SolveResult::Unsat);
+  expect_fingerprint(s.stats(), {27001, 33976, 363034, 9, 0, 0});
+}
+
+TEST(SearchFingerprint, IncrementalMixedCnfUnderAssumptions) {
+  // 150 variables, one clause in six binary, added in 16 batches with
+  // three solves under a random assumption after each; inprocessing
+  // fires every 10 conflicts, so elimination, subsumption and
+  // vivification all run between incremental calls.
+  SolverConfig config;
+  config.restart_base = 5;
+  config.inprocess_interval = 10;
+  Solver s(config);
+  constexpr int kVars = 150;
+  for (int v = 0; v < kVars; ++v) s.new_var();
+  Rng rng(0x5e9e5ced);
+  std::string verdicts;
+  for (int batch = 0; batch < 16; ++batch) {
+    for (int i = 0; i < 40; ++i) {
+      const int width = rng.below(6) == 0 ? 2 : 3;
+      std::vector<Lit> c;
+      for (int k = 0; k < width; ++k)
+        c.emplace_back(static_cast<int>(rng.below(kVars)), rng.flip());
+      s.add_clause(c);
+    }
+    for (int solve = 0; solve < 3; ++solve) {
+      const Lit assumption(static_cast<int>(rng.below(kVars)), rng.flip());
+      verdicts += s.solve({assumption}) == SolveResult::Sat ? 'S' : 'U';
+    }
+  }
+  EXPECT_EQ(verdicts, "SSSSSSSSSSSSSSSSSSSSUSSSSSSSSSSSSSSSUUUUUUUUUUUU");
+  expect_fingerprint(s.stats(), {77, 3010, 22092, 32, 27, 321});
 }
 
 }  // namespace
