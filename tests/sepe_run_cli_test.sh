@@ -594,6 +594,39 @@ if [ -n "$COMMITTED_CORPUS" ] && [ -d "$COMMITTED_CORPUS" ]; then
   fi
 fi
 
+# --- the on-disk bytes (tests/golden) ---
+
+# A journal and an artifact written by the journal-v7 / witness-v1
+# binary. A copy of the journal must serve every committed-corpus job
+# (keys, content digests and seals unchanged) with the cold run's stable
+# JSON, and append nothing; the artifact must still check.
+GOLDEN=${COMMITTED_CORPUS:+$(dirname "$COMMITTED_CORPUS")/golden}
+if [ -n "$GOLDEN" ] && [ -d "$GOLDEN" ]; then
+  GOLDEN_RUN=(corpus "$COMMITTED_CORPUS" --bound 6 --max-k 2 --threads 2 --stable-json)
+  mkdir -p "$WORK/golden-cache"
+  cp "$GOLDEN/corpus_verdicts.jsonl" "$WORK/golden-cache/verdicts.jsonl"
+  "$SEPE_RUN" "${GOLDEN_RUN[@]}" --json "$WORK/golden-cold.json" >/dev/null 2>&1
+  "$SEPE_RUN" "${GOLDEN_RUN[@]}" --cache "$WORK/golden-cache" \
+      --json "$WORK/golden-warm.json" >/dev/null 2>"$WORK/golden-warm.log"
+  if grep -q "7 of 7 job(s) served from the verdict journal" "$WORK/golden-warm.log" \
+      && cmp -s "$WORK/golden-cold.json" "$WORK/golden-warm.json" \
+      && cmp -s "$GOLDEN/corpus_verdicts.jsonl" "$WORK/golden-cache/verdicts.jsonl"; then
+    echo "ok: the committed journal serves every corpus job with the cold bytes"
+  else
+    echo "FAIL: the committed journal no longer serves the corpus campaign:"
+    cat "$WORK/golden-warm.log"
+    diff "$WORK/golden-cold.json" "$WORK/golden-warm.json"
+    FAILURES=$((FAILURES + 1))
+  fi
+  if "$SEPE_RUN" check-witness "$GOLDEN/counter_sat.witness" >"$WORK/golden-check.out" 2>&1; then
+    echo "ok: the committed witness artifact checks"
+  else
+    echo "FAIL: check-witness rejects the committed artifact:"
+    cat "$WORK/golden-check.out"
+    FAILURES=$((FAILURES + 1))
+  fi
+fi
+
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES CLI check(s) failed"
   exit 1

@@ -203,6 +203,21 @@ TEST(VerdictCacheFormat, KeySeparatesEveryVerdictDeterminant) {
   EXPECT_EQ(VerdictCache::key_of(explicit_default, "fp"), k0);
 }
 
+// The on-disk values, as the journal-v7 binary writes them: a key, a
+// campaign digest or a seal that moves would re-key (or invalidate) every
+// journal users hold. tests/golden/corpus_verdicts.jsonl pins a whole
+// journal through sepe_run_cli_test.sh.
+TEST(VerdictCacheFormat, KeysDigestsAndSealsArePinned) {
+  EXPECT_EQ(VerdictCache::key_of(sample_job(), "fp"), "45b83e660fb11e43");
+  CampaignSpec spec;
+  spec.jobs = {sample_job(), sample_job()};
+  spec.jobs[1].name = "job-b";
+  EXPECT_EQ(VerdictCache::campaign_digest(spec, "fp"), "e21585b22eb50dbb");
+  const std::string line =
+      VerdictCache::format_line("0123456789abcdef", falsified_entry());
+  EXPECT_EQ(line.substr(line.size() - 18), "6e466ccac5eb9fef\"}");
+}
+
 TEST(VerdictCacheFormat, WallCappedJobsAreNotCacheable) {
   JobSpec job = sample_job();
   EXPECT_TRUE(VerdictCache::cacheable(job));
