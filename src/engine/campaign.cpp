@@ -22,6 +22,13 @@ const char* verdict_name(Verdict v) {
   return "?";
 }
 
+std::optional<Verdict> parse_verdict(const std::string& name) {
+  for (Verdict v : {Verdict::Falsified, Verdict::Proved, Verdict::BoundClean,
+                    Verdict::Unknown})
+    if (name == verdict_name(v)) return v;
+  return std::nullopt;
+}
+
 const char* prover_name(Prover p) {
   switch (p) {
     case Prover::None: return "none";

@@ -53,6 +53,8 @@ enum class Verdict {
                // the model itself failed to build (JobResult::note)
 };
 const char* verdict_name(Verdict v);
+/// Inverse of verdict_name; nullopt for any other string.
+std::optional<Verdict> parse_verdict(const std::string& name);
 
 /// Which prover delivered the verdict: BMC for FALSIFIED rows,
 /// k-induction for PROVED rows, none otherwise.

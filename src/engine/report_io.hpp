@@ -2,12 +2,12 @@
 //
 // The scale-out seam (engine/shard.hpp) moves reports between processes
 // and hosts as JSON files: shard runs write them, `sepe-run merge` reads
-// them back. This is the reader side — a small
-// recursive-descent parser for the dialect CampaignReport::to_json
-// emits (the timing or the stable form, with or without shard
-// metadata). It reads the stable fields only: a timing report parses to
-// its run's stable form. Unknown fields are skipped so newer writers
-// stay readable by older readers.
+// them back. This is the reader side: it parses with the shared JSON
+// reader (util/json.hpp) and takes the fields of the dialect
+// CampaignReport::to_json emits (the timing or the stable form, with or
+// without shard metadata). It reads the stable fields only: a timing
+// report parses to its run's stable form. Unknown fields are skipped so
+// newer writers stay readable by older readers.
 #pragma once
 
 #include <optional>
@@ -20,7 +20,8 @@ namespace sepe::engine {
 /// Parse a report previously produced by CampaignReport::to_json.
 /// Returns false and sets *error (with a byte offset) on malformed
 /// input or on values outside the report schema (unknown verdict names,
-/// non-numeric counts, a jobs entry without a name, ...).
+/// non-numeric counts, counts above their 32-bit fields, a jobs entry
+/// without a name, ...).
 bool parse_report(const std::string& json, CampaignReport* out, std::string* error);
 
 /// Slurp a file; nullopt when it cannot be opened/read.

@@ -5,15 +5,14 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
+#include "util/digest.hpp"
 #include "util/fault.hpp"
 #include "util/json.hpp"
-#include "util/parse.hpp"
 
 namespace sepe::engine {
 
@@ -34,109 +33,6 @@ namespace {
 /// v7: the SAT-engine byte left the key with the subprocess backend.
 constexpr int kFormatVersion = 7;
 
-std::uint64_t fnv1a(const char* data, std::size_t n,
-                    std::uint64_t h = 1469598103934665603ull) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-/// Inverse of sepe::json_escape for the exact dialect it emits (plus the
-/// standard short escapes, for forward compatibility). Returns false on
-/// malformed input — a hand-edited line that de-syncs the quoting.
-bool unescape(const std::string& s, std::size_t* pos, std::string* out) {
-  std::size_t i = *pos;
-  if (i >= s.size() || s[i] != '"') return false;
-  ++i;
-  out->clear();
-  while (i < s.size()) {
-    const char c = s[i++];
-    if (c == '"') {
-      *pos = i;
-      return true;
-    }
-    if (c != '\\') {
-      out->push_back(c);
-      continue;
-    }
-    if (i >= s.size()) return false;
-    const char esc = s[i++];
-    switch (esc) {
-      case '"': out->push_back('"'); break;
-      case '\\': out->push_back('\\'); break;
-      case '/': out->push_back('/'); break;
-      case 'b': out->push_back('\b'); break;
-      case 'f': out->push_back('\f'); break;
-      case 'n': out->push_back('\n'); break;
-      case 'r': out->push_back('\r'); break;
-      case 't': out->push_back('\t'); break;
-      case 'u': {
-        if (i + 4 > s.size()) return false;
-        unsigned code = 0;
-        for (int k = 0; k < 4; ++k) {
-          const char h = s[i++];
-          code <<= 4;
-          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-          else return false;
-        }
-        if (code > 0x7f) return false;  // the writer only escapes control bytes
-        out->push_back(static_cast<char>(code));
-        break;
-      }
-      default: return false;
-    }
-  }
-  return false;  // unterminated string
-}
-
-/// Positional scanner over a journal-line payload. The self-check digest
-/// already guarantees the bytes are exactly what format_line emitted, so
-/// the scan is strict: any deviation is corruption, not dialect drift.
-struct Scanner {
-  const std::string& s;
-  std::size_t pos = 0;
-
-  bool expect(const char* lit) {
-    const std::size_t n = std::strlen(lit);
-    if (s.compare(pos, n, lit) != 0) return false;
-    pos += n;
-    return true;
-  }
-  bool string_field(const char* name, std::string* out) {
-    return expect(",\"") && expect(name) && expect("\":") && unescape(s, &pos, out);
-  }
-  bool u64_field(const char* name, std::uint64_t* out) {
-    if (!expect(",\"") || !expect(name) || !expect("\":")) return false;
-    const std::size_t start = pos;
-    while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') ++pos;
-    const auto v = parse_u64_strict(s.substr(start, pos - start));
-    if (!v) return false;
-    *out = *v;
-    return true;
-  }
-};
-
-bool verdict_by_name(const std::string& name, Verdict* out) {
-  for (Verdict v : {Verdict::Falsified, Verdict::Proved, Verdict::BoundClean,
-                    Verdict::Unknown}) {
-    if (name == verdict_name(v)) {
-      *out = v;
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 std::string VerdictCache::journal_path(const std::string& dir) {
@@ -155,17 +51,15 @@ std::string VerdictCache::key_of(const JobSpec& job, const std::string& fingerpr
   // FNV-1a over everything that determines the job's verdict, with the
   // encoding tri-state *resolved*: nullopt and an explicit request for
   // the family default blast identically, so they share verdicts.
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix_byte = [&](unsigned char b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  };
+  std::uint64_t h = fnv1a({});
   const auto mix_u64 = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) mix_byte(static_cast<unsigned char>(v >> (8 * i)));
+    char le[8];
+    for (int i = 0; i < 8; ++i) le[i] = static_cast<char>(v >> (8 * i));
+    h = fnv1a({le, sizeof le}, h);
   };
   const auto mix_string = [&](const std::string& s) {
     mix_u64(s.size());
-    for (char c : s) mix_byte(static_cast<unsigned char>(c));
+    h = fnv1a(s, h);
   };
   mix_string("sepe-verdict-v" + std::to_string(kFormatVersion));
   mix_string(fingerprint);
@@ -180,7 +74,8 @@ std::string VerdictCache::key_of(const JobSpec& job, const std::string& fingerpr
   mix_u64(job.budget.conflict_budget);
   // max_seconds deliberately not mixed: cacheable() refuses wall-capped
   // jobs outright, so every cached job has max_seconds == 0.
-  mix_byte(job.budget.plaisted_greenbaum.value_or(false) ? 1 : 0);
+  const char pg = job.budget.plaisted_greenbaum.value_or(false) ? 1 : 0;
+  h = fnv1a({&pg, 1}, h);
   // The memory ceiling changes what a job can conclude (campaign.hpp), so
   // capped and uncapped runs must never share a cache slot.
   mix_u64(job.budget.memory_limit_mb);
@@ -189,11 +84,8 @@ std::string VerdictCache::key_of(const JobSpec& job, const std::string& fingerpr
 
 std::string VerdictCache::campaign_digest(const CampaignSpec& spec,
                                           const std::string& fingerprint) {
-  std::uint64_t h = fnv1a("", 0);
-  for (const JobSpec& job : spec.jobs) {
-    const std::string key = key_of(job, fingerprint);
-    h = fnv1a(key.data(), key.size(), h);
-  }
+  std::uint64_t h = fnv1a({});
+  for (const JobSpec& job : spec.jobs) h = fnv1a(key_of(job, fingerprint), h);
   return hex16(h);
 }
 
@@ -208,53 +100,37 @@ std::string VerdictCache::format_line(const std::string& key, const Entry& e) {
   json_escape(os, e.bad_label);
   os << ",\"note\":";
   json_escape(os, e.note);
-  // Last, so the reader can take it verbatim: the cache never interprets
-  // the stimulus (witness.hpp owns its grammar).
+  // Journaled verbatim: the cache never interprets the stimulus
+  // (witness.hpp owns its grammar).
   if (!e.stimulus.empty()) os << ",\"stimulus\":" << e.stimulus;
   const std::string payload = os.str();
-  const std::string check = hex16(fnv1a(payload.data(), payload.size()));
-  return payload + ",\"check\":\"" + check + "\"}";
+  return payload + ",\"check\":\"" + hex16(fnv1a(payload)) + "\"}";
 }
 
 std::optional<std::pair<std::string, VerdictCache::Entry>> VerdictCache::parse_line(
     const std::string& line) {
-  // Split off the trailing self-check. rfind, not find: an escaped note
-  // could legitimately contain the delimiter bytes, the real check field
-  // is always last.
-  static constexpr char kCheck[] = ",\"check\":\"";
-  constexpr std::size_t kCheckLen = sizeof kCheck - 1;
-  const std::size_t at = line.rfind(kCheck);
-  if (at == std::string::npos || line.size() != at + kCheckLen + 16 + 2 ||
-      line.compare(line.size() - 2, 2, "\"}") != 0)
-    return std::nullopt;
-  const std::string recorded = line.substr(at + kCheckLen, 16);
-  if (recorded != hex16(fnv1a(line.data(), at))) return std::nullopt;
-
-  // The digest matched, so the payload is byte-exact format_line output;
-  // parse it positionally and treat any surprise as corruption.
-  const std::string payload = line.substr(0, at);
-  Scanner sc{payload};
-  std::uint64_t n = 0;
+  JsonValue root;
   std::string key, verdict;
   Entry e;
-  if (!sc.expect("{\"v\":") ||
-      !sc.expect(std::to_string(kFormatVersion).c_str()) ||
-      !sc.string_field("key", &key) || key.size() != 16 ||
-      !sc.string_field("verdict", &verdict) || !verdict_by_name(verdict, &e.verdict) ||
-      !sc.u64_field("trace_length", &n))
+  if (!parse_json(line, &root, nullptr) || !read_string(root, "key", &key) ||
+      key.size() != 16 || !read_string(root, "verdict", &verdict) ||
+      !read_uint(root, "trace_length", &e.trace_length) ||
+      !read_uint(root, "proved_k", &e.proved_k) ||
+      !read_string(root, "bad_label", &e.bad_label) ||
+      !read_string(root, "note", &e.note))
     return std::nullopt;
-  e.trace_length = static_cast<unsigned>(n);
-  if (!sc.u64_field("proved_k", &n)) return std::nullopt;
-  e.proved_k = static_cast<unsigned>(n);
-  if (!sc.string_field("bad_label", &e.bad_label) || !sc.string_field("note", &e.note))
-    return std::nullopt;
-  // Only a FALSIFIED line may carry a stimulus, and it runs to the end.
-  if (e.verdict == Verdict::Falsified && sc.expect(",\"stimulus\":")) {
-    if (sc.pos == payload.size()) return std::nullopt;
-    e.stimulus = payload.substr(sc.pos);
-  } else if (sc.pos != payload.size()) {
-    return std::nullopt;
+  const std::optional<Verdict> v = parse_verdict(verdict);
+  if (!v) return std::nullopt;
+  e.verdict = *v;
+  // Only a FALSIFIED line may carry a stimulus; its bytes are kept as is.
+  if (const JsonValue* stimulus = root.find("stimulus")) {
+    if (e.verdict != Verdict::Falsified) return std::nullopt;
+    e.stimulus = line.substr(stimulus->begin, stimulus->end - stimulus->begin);
   }
+  // Accept only the writer's exact bytes. Rendering what was read covers
+  // the version, the field order and the "check" seal: a truncated,
+  // edited or torn line, or one from another format version, is corrupt.
+  if (format_line(key, e) != line) return std::nullopt;
   return std::make_pair(std::move(key), std::move(e));
 }
 
@@ -296,7 +172,7 @@ std::unique_ptr<VerdictCache> VerdictCache::open(const std::string& dir,
       // re-appended) by the run it would have served.
       std::fprintf(stderr,
                    "sepe: verdict cache: ignoring corrupt entry at %s:%zu "
-                   "(self-check digest mismatch or truncated line)\n",
+                   "(truncated, edited or torn: not its writer's bytes)\n",
                    cache->path_.c_str(), lineno);
       ++cache->stats_.corrupt_lines;
       continue;

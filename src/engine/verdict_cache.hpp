@@ -9,23 +9,26 @@
 // serving its journal hits, and any campaign whose jobs digest to the
 // same keys shares them.
 //
-// Key: a 64-bit FNV-1a digest (16 hex digits) over a format-version tag,
-// the caller's fingerprint (sepe-run's xlen/modes or workload=btor2),
-// the full job provenance (family, source, property index, per-file
-// content digest, QED mode), the job name, and every budget knob with
-// the encoding *resolved* (the tri-state plaisted_greenbaum collapses to
-// the encoding the job actually runs). Anything that could change the
-// verdict changes the key, so stale entries are unreachable rather than
-// refused — the journal never rejects a run.
+// Key: the engine's 64-bit digest (util/digest.hpp; 16 hex digits) over
+// a format-version tag, the caller's fingerprint (sepe-run's xlen/modes
+// or workload=btor2), the full job provenance (family, source, property
+// index, per-file content digest, QED mode), the job name, and every
+// budget knob with the encoding *resolved* (the tri-state
+// plaisted_greenbaum collapses to the encoding the job actually runs).
+// Anything that could change the verdict changes the key, so stale
+// entries are unreachable rather than refused — the journal never
+// rejects a run.
 //
 // Refusal rules (what is never cached):
 //   * jobs with a wall-clock cap (max_seconds > 0): wall-capped verdicts
 //     vary with machine load, so replaying one as fresh would launder a
 //     nondeterministic answer into a deterministic-looking report;
-//   * journal lines whose self-check digest does not match (truncation,
-//     hand-editing, torn concurrent appends): diagnosed on stderr and
-//     treated as a miss — never a wrong verdict. Every append starts on a
-//     fresh line, so a torn line costs only its own entry;
+//   * journal lines that are not exactly what format_line writes for
+//     the fields they parse to (truncation, hand-editing, a stale "check"
+//     seal, torn concurrent appends, a stimulus that is not JSON):
+//     diagnosed on stderr and treated as a miss — never a wrong verdict.
+//     Every append starts on a fresh line, so a torn line costs only its
+//     own entry;
 //   * FALSIFIED entries without a stimulus (Entry::servable): they load
 //     and lookup returns them, but run_sharded re-solves the job instead
 //     of serving a counterexample its check could not replay, and the
@@ -34,8 +37,8 @@
 // Journal format (docs/FORMATS.md): DIR/verdicts.jsonl, one JSON object
 // per line, appended with O_APPEND so concurrent campaigns (shard
 // processes sharing --cache) interleave whole lines. Each line carries a
-// trailing "check" field — the FNV-1a digest of everything before it —
-// making every entry independently verifiable.
+// trailing "check" field — the digest of everything before it — making
+// every entry independently verifiable.
 //
 // What a hit restores: the stable verdict-bearing fields (verdict,
 // trace_length, bad_label, proved_k, note) and, on a FALSIFIED row, the
@@ -112,7 +115,9 @@ class VerdictCache {
   /// Serialize one journal line (without trailing newline) — exposed for
   /// the corruption tests, which need to forge and truncate entries.
   static std::string format_line(const std::string& key, const Entry& e);
-  /// Parse + self-check one journal line. Nullopt on any corruption.
+  /// Parse one journal line with the shared JSON reader. Nullopt on any
+  /// corruption: the line must be exactly what format_line renders from
+  /// the fields it parsed to, version and "check" seal included.
   static std::optional<std::pair<std::string, Entry>> parse_line(
       const std::string& line);
 

@@ -1,7 +1,6 @@
 #include "engine/witness.hpp"
 
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <sstream>
 
@@ -9,8 +8,8 @@
 #include "sim/ts_sim.hpp"
 #include "smt/eval.hpp"
 #include "ts/btor2_parser.hpp"
+#include "util/digest.hpp"
 #include "util/json.hpp"
-#include "util/parse.hpp"
 
 namespace sepe::engine {
 
@@ -19,102 +18,6 @@ namespace {
 /// Artifact format version: bump whenever the line layout changes, so
 /// files written by an older binary are refused instead of misread.
 constexpr int kWitnessVersion = 1;
-
-std::uint64_t fnv1a(const char* data, std::size_t n,
-                    std::uint64_t h = 1469598103934665603ull) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-/// Inverse of sepe::json_escape for the exact dialect it emits (same
-/// contract as the verdict-journal reader): returns false on malformed
-/// input — a hand-edited line that de-syncs the quoting.
-bool unescape(const std::string& s, std::size_t* pos, std::string* out) {
-  std::size_t i = *pos;
-  if (i >= s.size() || s[i] != '"') return false;
-  ++i;
-  out->clear();
-  while (i < s.size()) {
-    const char c = s[i++];
-    if (c == '"') {
-      *pos = i;
-      return true;
-    }
-    if (c != '\\') {
-      out->push_back(c);
-      continue;
-    }
-    if (i >= s.size()) return false;
-    const char esc = s[i++];
-    switch (esc) {
-      case '"': out->push_back('"'); break;
-      case '\\': out->push_back('\\'); break;
-      case '/': out->push_back('/'); break;
-      case 'b': out->push_back('\b'); break;
-      case 'f': out->push_back('\f'); break;
-      case 'n': out->push_back('\n'); break;
-      case 'r': out->push_back('\r'); break;
-      case 't': out->push_back('\t'); break;
-      case 'u': {
-        if (i + 4 > s.size()) return false;
-        unsigned code = 0;
-        for (int k = 0; k < 4; ++k) {
-          const char h = s[i++];
-          code <<= 4;
-          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-          else return false;
-        }
-        if (code > 0x7f) return false;  // the writer only escapes control bytes
-        out->push_back(static_cast<char>(code));
-        break;
-      }
-      default: return false;
-    }
-  }
-  return false;  // unterminated string
-}
-
-/// Positional scanner over one artifact line. The self-check digest
-/// already guarantees the bytes are exactly what the renderer emitted,
-/// so the scan is strict: any deviation is corruption, not dialect
-/// drift (verdict-journal style).
-struct Scanner {
-  const std::string& s;
-  std::size_t pos = 0;
-
-  bool expect(const char* lit) {
-    const std::size_t n = std::strlen(lit);
-    if (s.compare(pos, n, lit) != 0) return false;
-    pos += n;
-    return true;
-  }
-  bool number(std::uint64_t* out) {
-    const std::size_t start = pos;
-    while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') ++pos;
-    const auto v = parse_u64_strict(s.substr(start, pos - start));
-    if (!v) return false;
-    *out = *v;
-    return true;
-  }
-  bool string_field(const char* name, std::string* out) {
-    return expect(",\"") && expect(name) && expect("\":") && unescape(s, &pos, out);
-  }
-  bool u64_field(const char* name, std::uint64_t* out) {
-    return expect(",\"") && expect(name) && expect("\":") && number(out);
-  }
-  bool done() const { return pos == s.size(); }
-};
 
 /// Strict inverse of BitVec::to_hex: "0x" + exactly (width+3)/4
 /// lowercase nibbles whose value fits the width.
@@ -163,34 +66,32 @@ void render_step_row(std::ostream& os, const WitnessTrace& trace, unsigned t) {
   os << "}";
 }
 
-/// Inverse of render_step_row at sc.pos: exactly `inputs` input values
-/// and, when `states` is set, a state row of exactly that many values,
-/// each parsed against `model`'s declared width. Appends to *trace.
-bool parse_step_row(Scanner& sc, unsigned t, const ts::TransitionSystem& model,
-                    std::size_t inputs, std::optional<std::size_t> states,
-                    WitnessTrace* trace) {
-  const auto values = [&](const std::vector<smt::TermRef>& vars, std::size_t n,
-                          std::vector<BitVec>* row) {
+/// Inverse of render_step_row for one parsed row: step `t` with exactly
+/// `inputs` input values and, when `states` is set, a state row of
+/// exactly that many values, each read against `model`'s declared width.
+/// Appends to *trace.
+bool read_step_row(const JsonValue& row, unsigned t, const ts::TransitionSystem& model,
+                   std::size_t inputs, std::optional<std::size_t> states,
+                   WitnessTrace* trace) {
+  const auto values = [&](const char* key, const std::vector<smt::TermRef>& vars,
+                          std::size_t n, std::vector<std::vector<BitVec>>* rows) {
+    const JsonValue* list = row.find(key);
+    if (!list || list->kind != JsonValue::Kind::Array || list->items.size() != n)
+      return false;
+    rows->emplace_back();
     for (std::size_t i = 0; i < n; ++i) {
-      std::string hex;
       BitVec v;
-      if ((i && !sc.expect(",")) || !unescape(sc.s, &sc.pos, &hex) ||
-          !parse_hex_value(hex, model.mgr().width(vars[i]), &v))
+      if (list->items[i].kind != JsonValue::Kind::String ||
+          !parse_hex_value(list->items[i].text, model.mgr().width(vars[i]), &v))
         return false;
-      row->push_back(v);
+      rows->back().push_back(v);
     }
-    return sc.expect("]");
+    return true;
   };
-  if (!sc.expect(("{\"step\":" + std::to_string(t) + ",\"in\":[").c_str()))
-    return false;
-  trace->inputs.emplace_back();
-  if (!values(model.inputs(), inputs, &trace->inputs.back())) return false;
-  if (states) {
-    if (!sc.expect(",\"st\":[")) return false;
-    trace->states.emplace_back();
-    if (!values(model.states(), *states, &trace->states.back())) return false;
-  }
-  return sc.expect("}");
+  unsigned step = 0;
+  return read_uint(row, "step", &step) && step == t &&
+         values("in", model.inputs(), inputs, &trace->inputs) &&
+         (!states || values("st", model.states(), *states, &trace->states));
 }
 
 }  // namespace
@@ -338,57 +239,57 @@ bool parse_stimulus(const ts::TransitionSystem& ts, const std::string& text,
     if (error) *error = std::move(what);
     return false;
   };
-  Scanner sc{text};
+  JsonValue root;
+  std::string why;
+  if (!parse_json(text, &root, &why)) return fail("malformed stimulus: " + why);
   WitnessTrace trace;
   std::string form;
-  std::uint64_t bad = 0;
-  if (!sc.expect("{\"form\":") || !unescape(text, &sc.pos, &form) ||
-      (form != "shrunk" && form != "raw"))
+  if (!read_string(root, "form", &form) || (form != "shrunk" && form != "raw"))
     return fail("malformed stimulus marker");
   trace.shrunk = form == "shrunk";
-  if (!sc.u64_field("bad", &bad) || !sc.expect(",\"steps\":["))
+  const JsonValue* steps = root.find("steps");
+  if (!read_uint(root, "bad", &trace.bad_index) || !steps ||
+      steps->kind != JsonValue::Kind::Array || steps->items.empty())
     return fail("malformed stimulus header");
-  trace.bad_index = static_cast<std::size_t>(bad);
   // A shrunk trace records the step-0 state row only, a raw one every row.
-  for (unsigned t = 0; t == 0 || !sc.expect("]"); ++t) {
-    const std::optional<std::size_t> states =
-        t == 0 || !trace.shrunk ? std::optional(ts.states().size()) : std::nullopt;
-    if ((t && !sc.expect(",")) ||
-        !parse_step_row(sc, t, ts, ts.inputs().size(), states, &trace))
+  for (unsigned t = 0; t < steps->items.size(); ++t) {
+    std::optional<std::size_t> states;
+    if (t == 0 || !trace.shrunk) states = ts.states().size();
+    if (!read_step_row(steps->items[t], t, ts, ts.inputs().size(), states, &trace))
       return fail("malformed stimulus step " + std::to_string(t));
   }
-  if (!sc.expect("}") || !sc.done()) return fail("trailing bytes after the stimulus");
   trace.length = static_cast<unsigned>(trace.inputs.size() - 1);
+  if (render_stimulus(trace) != text)
+    return fail("stimulus is not in the exact form render_stimulus writes");
   *out = std::move(trace);
   if (error) error->clear();
   return true;
 }
 
-std::string render_witness_artifact(const ts::TransitionSystem& ts,
-                                    const std::string& job_name,
-                                    const JobProvenance& provenance,
-                                    const WitnessTrace& trace, unsigned shrunk) {
+std::string render_witness_artifact(const WitnessArtifact& artifact) {
+  const WitnessHeader& h = artifact.header;
+  const WitnessTrace& trace = artifact.trace;
   std::ostringstream os;
   os << "{\"sepe_witness\":" << kWitnessVersion;
   os << ",\"name\":";
-  json_escape(os, job_name);
+  json_escape(os, h.name);
   os << ",\"family\":";
-  json_escape(os, provenance.family);
+  json_escape(os, h.family);
   os << ",\"source\":";
-  json_escape(os, provenance.source);
-  os << ",\"property\":" << provenance.property;
+  json_escape(os, h.source);
+  os << ",\"property\":" << h.property;
   os << ",\"mode\":";
-  json_escape(os, provenance.mode);
-  os << ",\"length\":" << trace.length;
-  os << ",\"shrunk\":" << shrunk;
-  os << ",\"bad\":" << trace.bad_index;
+  json_escape(os, h.mode);
+  os << ",\"length\":" << h.length;
+  os << ",\"shrunk\":" << h.shrunk;
+  os << ",\"bad\":" << h.bad_index;
   os << ",\"bad_label\":";
-  json_escape(os, trace.bad_label);
-  os << ",\"inputs\":" << ts.inputs().size();
+  json_escape(os, h.bad_label);
+  os << ",\"inputs\":" << (trace.inputs.empty() ? 0 : trace.inputs[0].size());
   os << ",\"states\":" << (trace.states.empty() ? 0 : trace.states[0].size());
   os << "}\n";
   os << "{\"model\":";
-  json_escape(os, to_btor2(ts));
+  json_escape(os, artifact.model);
   os << "}\n";
   for (unsigned t = 0; t < trace.inputs.size(); ++t) {
     render_step_row(os, trace, t);
@@ -398,81 +299,77 @@ std::string render_witness_artifact(const ts::TransitionSystem& ts,
   return payload + "{\"check\":\"" + witness_self_check(payload) + "\"}\n";
 }
 
-std::string witness_self_check(const std::string& payload) {
-  return hex16(fnv1a(payload.data(), payload.size()));
+std::string render_witness_artifact(const ts::TransitionSystem& ts,
+                                    const std::string& job_name,
+                                    const JobProvenance& provenance,
+                                    const WitnessTrace& trace, unsigned shrunk) {
+  const WitnessHeader header{job_name, provenance.family, provenance.source,
+                             provenance.property, provenance.mode, trace.length, shrunk,
+                             trace.bad_index, trace.bad_label};
+  return render_witness_artifact(WitnessArtifact{header, to_btor2(ts), trace});
 }
 
-bool check_witness_text(const std::string& text, WitnessHeader* header,
+std::string witness_self_check(const std::string& payload) {
+  return hex16(fnv1a(payload));
+}
+
+bool check_witness_text(const std::string& text, WitnessArtifact* artifact,
                         std::string* error) {
   const auto fail = [&](std::string what) {
     if (error) *error = std::move(what);
     return false;
   };
 
-  // 1. The trailing self-check seals everything above it. rfind, not
-  // find: an escaped model line could legitimately contain the marker.
-  static constexpr char kCheck[] = "{\"check\":\"";
-  constexpr std::size_t kCheckLen = sizeof kCheck - 1;
-  const std::size_t at = text.rfind(kCheck);
-  if (at == std::string::npos || at == 0 || text[at - 1] != '\n' ||
-      text.size() != at + kCheckLen + 16 + 3 ||
-      text.compare(text.size() - 3, 3, "\"}\n") != 0)
-    return fail("missing or malformed self-check trailer");
-  const std::string recorded = text.substr(at + kCheckLen, 16);
-  if (recorded != witness_self_check(text.substr(0, at)))
-    return fail("self-check digest mismatch (truncated or edited artifact)");
+  // 1. The last line, {"check":"<16 hex>"}, seals everything above it.
+  constexpr std::size_t kTrailer = 29;
+  const std::size_t at = text.size() > kTrailer ? text.size() - kTrailer : 0;
+  const std::string seal = witness_self_check(text.substr(0, at));
+  if (at == 0 || text[at - 1] != '\n' ||
+      text.compare(at, kTrailer, "{\"check\":\"" + seal + "\"}\n") != 0)
+    return fail("missing or stale self-check trailer (truncated or edited artifact)");
 
-  // 2. Split the sealed payload into its lines.
-  std::vector<std::string> lines;
+  // 2. Split the sealed payload into its lines, each one JSON value.
+  std::vector<JsonValue> lines;
   for (std::size_t pos = 0; pos < at;) {
     const std::size_t nl = text.find('\n', pos);
     if (nl == std::string::npos || nl >= at) return fail("unterminated line");
-    lines.push_back(text.substr(pos, nl - pos));
+    lines.emplace_back();
+    if (!parse_json(std::string_view(text).substr(pos, nl - pos), &lines.back(), nullptr))
+      lines.back() = JsonValue{};  // a null: every read below refuses it
     pos = nl + 1;
   }
   if (lines.size() < 3) return fail("artifact too short (header, model, steps)");
 
-  // 3. Header line — strict positional parse.
-  WitnessHeader h;
-  std::uint64_t n = 0, input_count = 0, state_count = 0;
-  {
-    Scanner sc{lines[0]};
-    if (!sc.expect("{\"sepe_witness\":")) return fail("not a witness artifact");
-    if (!sc.number(&n)) return fail("malformed header");
-    if (n != static_cast<std::uint64_t>(kWitnessVersion))
-      return fail("unsupported witness format version " + std::to_string(n));
-    if (!sc.string_field("name", &h.name) ||
-        !sc.string_field("family", &h.family) ||
-        !sc.string_field("source", &h.source) || !sc.u64_field("property", &n))
-      return fail("malformed header");
-    h.property = static_cast<unsigned>(n);
-    if (!sc.string_field("mode", &h.mode) || !sc.u64_field("length", &n))
-      return fail("malformed header");
-    h.length = static_cast<unsigned>(n);
-    if (!sc.u64_field("shrunk", &n)) return fail("malformed header");
-    h.shrunk = static_cast<unsigned>(n);
-    if (!sc.u64_field("bad", &n)) return fail("malformed header");
-    h.bad_index = static_cast<std::size_t>(n);
-    if (!sc.string_field("bad_label", &h.bad_label) ||
-        !sc.u64_field("inputs", &input_count) ||
-        !sc.u64_field("states", &state_count) || !sc.expect("}") || !sc.done())
-      return fail("malformed header");
-  }
+  // 3. Header line.
+  WitnessArtifact a;
+  WitnessHeader& h = a.header;
+  std::uint64_t version = 0;
+  std::size_t input_count = 0, state_count = 0;
+  if (!read_uint(lines[0], "sepe_witness", &version))
+    return fail("not a witness artifact");
+  if (version != static_cast<std::uint64_t>(kWitnessVersion))
+    return fail("unsupported witness format version " + std::to_string(version));
+  if (!read_string(lines[0], "name", &h.name) ||
+      !read_string(lines[0], "family", &h.family) ||
+      !read_string(lines[0], "source", &h.source) ||
+      !read_uint(lines[0], "property", &h.property) ||
+      !read_string(lines[0], "mode", &h.mode) ||
+      !read_uint(lines[0], "length", &h.length) ||
+      !read_uint(lines[0], "shrunk", &h.shrunk) ||
+      !read_uint(lines[0], "bad", &h.bad_index) ||
+      !read_string(lines[0], "bad_label", &h.bad_label) ||
+      !read_uint(lines[0], "inputs", &input_count) ||
+      !read_uint(lines[0], "states", &state_count))
+    return fail("malformed header");
   if (h.shrunk > h.length) return fail("recorded shrunk length exceeds the bound");
   if (lines.size() != 2 + static_cast<std::size_t>(h.length) + 1)
     return fail("step count disagrees with the recorded length");
 
   // 4. Embedded model.
-  std::string model_text;
-  {
-    Scanner sc{lines[1]};
-    if (!sc.expect("{\"model\":") || !unescape(lines[1], &sc.pos, &model_text) ||
-        !sc.expect("}") || !sc.done())
-      return fail("malformed model line");
-  }
+  if (!read_string(lines[1], "model", &a.model)) return fail("malformed model line");
   smt::TermManager mgr;
   ts::TransitionSystem model(mgr);
-  const ts::Btor2ParseResult parsed = parse_btor2(model_text, model);
+  const ts::Btor2ParseResult parsed = parse_btor2(a.model, model);
   if (!parsed.ok) return fail("embedded model: " + parsed.error);
   // The recorded rows may cover a prefix of the parsed declarations (the
   // round-tripped dump appends the writer's at-init flag state), never
@@ -481,23 +378,27 @@ bool check_witness_text(const std::string& text, WitnessHeader* header,
     return fail("header declares more inputs than the embedded model");
   if (state_count > model.states().size())
     return fail("header declares more states than the embedded model");
-  if (h.bad_index >= model.bads().size())
-    return fail("header bad index outside the embedded model");
 
-  // 5. Step lines.
-  WitnessTrace trace;
+  // 5. Step lines; step 0 records the state row when the trace has one.
+  WitnessTrace& trace = a.trace;
   trace.length = h.length;
   trace.bad_index = h.bad_index;
   trace.bad_label = h.bad_label;
   for (unsigned t = 0; t <= h.length; ++t) {
-    Scanner sc{lines[2 + t]};
-    const std::optional<std::size_t> states =
-        t == 0 && state_count > 0 ? std::optional(state_count) : std::nullopt;
-    if (!parse_step_row(sc, t, model, input_count, states, &trace) || !sc.done())
+    const JsonValue& row = lines[2 + t];
+    std::optional<std::size_t> states;
+    if (t == 0 && row.find("st")) states = state_count;
+    if (!read_step_row(row, t, model, input_count, states, &trace))
       return fail("malformed step line " + std::to_string(t));
   }
 
-  // 6. Replay with the simulator only, then recompute the shrunk length
+  // 6. Only the writer's exact bytes: what was read must render back to
+  // the text, seal included, so a re-sealed edit that reorders, respaces
+  // or re-escapes anything is refused.
+  if (render_witness_artifact(a) != text)
+    return fail("not the exact bytes the artifact writer renders");
+
+  // 7. Replay with the simulator only, then recompute the shrunk length
   // the header claims — an edited stimulus that still falsifies but
   // disagrees with its own metadata is rejected too.
   const WitnessReplay replay = replay_trace(model, trace);
@@ -505,7 +406,7 @@ bool check_witness_text(const std::string& text, WitnessHeader* header,
   if (effective_length(trace) != h.shrunk)
     return fail("recorded shrunk length disagrees with the stimulus");
 
-  if (header) *header = h;
+  if (artifact) *artifact = std::move(a);
   if (error) error->clear();
   return true;
 }
@@ -518,11 +419,8 @@ std::string witness_artifact_filename(const std::string& job_name) {
                     (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
     safe.push_back(ok ? c : '_');
   }
-  char digest[9];
-  std::snprintf(digest, sizeof digest, "%08llx",
-                static_cast<unsigned long long>(
-                    fnv1a(job_name.data(), job_name.size()) & 0xffffffffull));
-  return safe + "-" + digest + ".witness";
+  // The digest's low 32 bits: its last 8 hex digits.
+  return safe + "-" + hex16(fnv1a(job_name)).substr(8) + ".witness";
 }
 
 void witness_post_pass(const JobSpec& job, const WitnessOptions& options,

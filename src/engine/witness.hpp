@@ -19,7 +19,9 @@
 //     file (embedded BTOR2 model + stimulus + self-check digest, in the
 //     style of the verdict journal) that check_witness_text re-validates
 //     from the bytes alone — `sepe-run check-witness FILE` goes through
-//     it without loading the SAT stack.
+//     it without loading the SAT stack. Both readers here parse with the
+//     shared JSON reader (util/json.hpp) and accept only what their
+//     writer renders back to the identical bytes.
 //
 // witness_post_pass wires the three into run_campaign / run_sharded as an
 // opt-out post-pass: a FALSIFIED job whose trace does not replay is
@@ -96,23 +98,16 @@ unsigned shrink_trace(const ts::TransitionSystem& ts, WitnessTrace* trace);
 std::string render_stimulus(const WitnessTrace& trace);
 
 /// Inverse of render_stimulus, strict, against `ts`'s declared widths:
-/// every input row and every state row must cover the whole model. The
+/// every input row and every state row must cover the whole model, and
+/// render_stimulus of what was read must give back `text` exactly. The
 /// length is the step count minus one; the bad label is left empty (the
 /// journal line carries it). False with a diagnostic in *error on any
 /// deviation.
 bool parse_stimulus(const ts::TransitionSystem& ts, const std::string& text,
                     WitnessTrace* out, std::string* error);
 
-/// Render the standalone artifact for a checked + shrunk trace:
-/// header line, embedded BTOR2 model line, one line per stimulus step,
-/// and a trailing self-check digest over everything before it.
-std::string render_witness_artifact(const ts::TransitionSystem& ts,
-                                    const std::string& job_name,
-                                    const JobProvenance& provenance,
-                                    const WitnessTrace& trace, unsigned shrunk);
-
-/// Parsed artifact header (line 1), returned by check_witness_text so
-/// callers can cross-check it against the report row it claims to back.
+/// An artifact's header line (line 1), less the row widths ("inputs",
+/// "states"), which the writer takes from the trace's rows.
 struct WitnessHeader {
   std::string name;
   std::string family;
@@ -125,13 +120,32 @@ struct WitnessHeader {
   std::string bad_label;
 };
 
-/// Re-validate an artifact from its bytes alone: self-check digest,
-/// strict line grammar, embedded-model parse, full simulator replay, and
-/// the recorded shrunk length recomputed from the stimulus. No SAT stack
-/// is ever loaded. Returns false with a diagnostic in *error (never
-/// null-checked away: tampering is always loud); on success *header
-/// (optional) receives the parsed header.
-bool check_witness_text(const std::string& text, WitnessHeader* header,
+/// An artifact's parts, as the writer renders them and check_witness_text
+/// reads them back (callers cross-check the header against the report row
+/// it claims to back).
+struct WitnessArtifact {
+  WitnessHeader header;
+  std::string model;   // the embedded BTOR2 text, verbatim
+  WitnessTrace trace;  // step rows; states holds the step-0 row, if any
+};
+
+/// The one artifact writer: header line, embedded BTOR2 model line, one
+/// line per stimulus step, and a self-check digest over everything above.
+std::string render_witness_artifact(const WitnessArtifact& artifact);
+
+/// Render the standalone artifact for a checked + shrunk trace of `ts`.
+std::string render_witness_artifact(const ts::TransitionSystem& ts,
+                                    const std::string& job_name,
+                                    const JobProvenance& provenance,
+                                    const WitnessTrace& trace, unsigned shrunk);
+
+/// Re-validate an artifact from its bytes alone: self-check digest, each
+/// line parsed by the shared JSON reader, embedded-model parse, the
+/// writer's exact bytes, full simulator replay, and the recorded shrunk
+/// length recomputed from the stimulus. No SAT stack is ever loaded.
+/// False with a diagnostic in *error (tampering is always loud); on
+/// success *artifact (optional) receives what was read.
+bool check_witness_text(const std::string& text, WitnessArtifact* artifact,
                         std::string* error);
 
 /// Artifact file name for a job: the sanitized job name plus a short
@@ -139,7 +153,8 @@ bool check_witness_text(const std::string& text, WitnessHeader* header,
 /// identically), ending in ".witness".
 std::string witness_artifact_filename(const std::string& job_name);
 
-/// The artifact self-check: FNV-1a over `payload`, as 16 hex digits.
+/// The artifact self-check: the engine digest (util/digest.hpp) of
+/// `payload`, as 16 hex digits.
 /// Exposed so tamper tests can re-seal a corrupted payload and prove the
 /// *replay* (not just the digest) rejects it.
 std::string witness_self_check(const std::string& payload);

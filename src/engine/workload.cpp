@@ -10,6 +10,7 @@
 #include "engine/report_io.hpp"
 #include "synth/encoding.hpp"
 #include "ts/btor2_parser.hpp"
+#include "util/digest.hpp"
 
 namespace sepe::engine {
 
@@ -130,19 +131,6 @@ CampaignSpec expand(const CampaignMatrix& matrix, std::uint64_t seed) {
 
 namespace {
 
-/// FNV-1a of the file bytes, as 16 hex digits. The per-file content
-/// fingerprint the verdict-journal key covers.
-std::string content_digest_of(const std::string& text) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
-  return hex;
-}
-
 /// Count `<id> bad <cond>` lines with the parser's own tokenization
 /// (comment stripped first), so the fan-out matches what parse_btor2
 /// will see. Garbled files just miscount into >= 1 job whose build then
@@ -197,7 +185,8 @@ bool Btor2CorpusSource::expand(std::vector<JobSpec>* out, std::string* error) co
     // without the bytes there is nothing to hash, so the verdict journal
     // could not tell this corpus from an edited one.
     if (!text) return fail("cannot read corpus file '" + rel + "'");
-    const std::string digest = content_digest_of(*text);
+    // The per-file content fingerprint the verdict-journal key covers.
+    const std::string digest = hex16(fnv1a(*text));
     const unsigned properties = std::max(1u, count_bad_properties(*text));
     for (unsigned p = 0; p < properties; ++p) {
       JobSpec job;
@@ -225,7 +214,7 @@ bool Btor2CorpusSource::expand(std::vector<JobSpec>* out, std::string* error) co
           *build_error = "corpus file vanished or became unreadable";
           return false;
         }
-        if (content_digest_of(*bytes) != digest) {
+        if (hex16(fnv1a(*bytes)) != digest) {
           *build_error = "corpus file changed since campaign expansion "
                          "(content digest mismatch)";
           return false;

@@ -618,7 +618,8 @@ if [ -n "$GOLDEN" ] && [ -d "$GOLDEN" ]; then
     diff "$WORK/golden-cold.json" "$WORK/golden-warm.json"
     FAILURES=$((FAILURES + 1))
   fi
-  if "$SEPE_RUN" check-witness "$GOLDEN/counter_sat.witness" >"$WORK/golden-check.out" 2>&1; then
+  if "$SEPE_RUN" check-witness "$GOLDEN/counter_sat.witness" \
+      >"$WORK/golden-check.out" 2>&1; then
     echo "ok: the committed witness artifact checks"
   else
     echo "FAIL: check-witness rejects the committed artifact:"

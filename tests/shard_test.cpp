@@ -405,6 +405,31 @@ TEST(ReportIo, RejectsMalformedInput) {
   EXPECT_TRUE(parse_report(shard_report(good_digest), &report, &error)) << error;
   ASSERT_TRUE(report.shard.has_value());
   EXPECT_EQ(report.shard->campaign, "00000000000000ff");
+  // A 32-bit field refuses a value above UINT32_MAX instead of truncating
+  // it: a shard count of 2^32 + 1 must not read as a complete 1-shard set,
+  // nor a trace length of 2^32 + 6 as 6.
+  const auto out_of_range = [&](const std::string& field, const std::string& json) {
+    return !parse_report(json, &report, &error) &&
+           error.find("'" + field + "' is out of range") != std::string::npos;
+  };
+  const auto job_report = [](const std::string& fields) {
+    return "{\"seed\": 1, \"jobs\": [{\"name\": \"x\", \"workload\": \"btor2\", "
+           "\"verdict\": \"FALSIFIED\", " + fields + "}]}";
+  };
+  const std::string big = "4294967297";
+  const std::string rest = ", \"total_jobs\": 1, \"campaign\": \"00000000000000ff\"";
+  const std::string count_big = "\"index\": 0, \"count\": " + big + rest;
+  const std::string index_big = "\"count\": 2, \"index\": " + big + rest;
+  const std::string threads_big = "{\"seed\": 1, \"jobs\": [], \"threads\": " + big + "}";
+  EXPECT_TRUE(out_of_range("count", shard_report(count_big)));
+  EXPECT_TRUE(out_of_range("index", shard_report(index_big)));
+  EXPECT_TRUE(out_of_range("threads", threads_big));
+  EXPECT_TRUE(out_of_range("trace_length", job_report("\"trace_length\": 4294967302")));
+  EXPECT_TRUE(out_of_range("proved_k", job_report("\"proved_k\": " + big)));
+  EXPECT_TRUE(out_of_range("property", job_report("\"property\": " + big)));
+  EXPECT_TRUE(parse_report(job_report("\"trace_length\": 4294967295"), &report, &error))
+      << error;
+  EXPECT_EQ(report.jobs[0].trace_length, 4294967295u);
   // A corrupt file cannot drive the parser into unbounded recursion.
   EXPECT_FALSE(parse_report(std::string(100000, '['), &report, &error));
   EXPECT_NE(error.find("nesting"), std::string::npos);

@@ -19,6 +19,7 @@
 #include "engine/shard.hpp"
 #include "engine/verdict_cache.hpp"
 #include "engine/witness.hpp"
+#include "util/digest.hpp"
 #include "util/fault.hpp"
 #include "util/stopwatch.hpp"
 
@@ -100,6 +101,39 @@ TEST(VerdictCacheFormat, DetectsTruncationAndTampering) {
 
   EXPECT_FALSE(VerdictCache::parse_line("").has_value());
   EXPECT_FALSE(VerdictCache::parse_line(line + "x").has_value());
+}
+
+// A line is accepted only as the writer's exact bytes. Every edit below
+// is resealed, so its "check" digest matches and only the comparison with
+// format_line's rendering of what was read can refuse it.
+TEST(VerdictCacheFormat, ResealedLinesAreAcceptedOnlyAsTheWritersBytes) {
+  const std::string line =
+      VerdictCache::format_line("0123456789abcdef", falsified_entry());
+  const auto resealed = [&](const std::string& from, const std::string& to) {
+    std::string s = line.substr(0, line.rfind(",\"check\":\""));
+    const std::size_t at = s.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) s.replace(at, from.size(), to);
+    return s + ",\"check\":\"" + hex16(fnv1a(s)) + "\"}";
+  };
+  const auto refused = [&](const std::string& from, const std::string& to) {
+    return !VerdictCache::parse_line(resealed(from, to)).has_value();
+  };
+  ASSERT_EQ(resealed("{", "{"), line);
+  // Another format version, a space, a re-escaped byte, a leading zero.
+  EXPECT_TRUE(refused("{\"v\":7", "{\"v\":6"));
+  EXPECT_TRUE(refused(",\"proved_k\"", ", \"proved_k\""));
+  EXPECT_TRUE(refused("\"note\":\"\"", "\"note\":\"\\u0041\""));
+  EXPECT_TRUE(refused("\"trace_length\":6", "\"trace_length\":06"));
+  // Above 32 bits: read as 6, it would have served a length-6 row.
+  EXPECT_TRUE(refused("\"trace_length\":6", "\"trace_length\":4294967302"));
+  // A stimulus that is not JSON makes the line corrupt (a miss, re-solved).
+  EXPECT_TRUE(refused("\"steps\":[", "\"steps\":[["));
+  // A stimulus that is JSON is kept verbatim, whatever it holds: the
+  // witness post-pass parses it against the model and demotes the row.
+  const auto odd = VerdictCache::parse_line(resealed("{\"form\"", "{\"x\":1,\"form\""));
+  ASSERT_TRUE(odd.has_value());
+  EXPECT_EQ(odd->second.stimulus.find("{\"x\":1,\"form\":"), 0u);
 }
 
 TEST(VerdictCacheFormat, ShrunkAndRawStimuliRoundTrip) {

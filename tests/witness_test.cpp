@@ -183,9 +183,10 @@ TEST(WitnessArtifactTest, RoundTripsThroughCheck) {
   const std::string text =
       render_witness_artifact(ts, "cnt5", JobProvenance{}, trace, shrunk);
 
-  WitnessHeader header;
+  WitnessArtifact artifact;
   std::string why;
-  ASSERT_TRUE(check_witness_text(text, &header, &why)) << why;
+  ASSERT_TRUE(check_witness_text(text, &artifact, &why)) << why;
+  const WitnessHeader& header = artifact.header;
   EXPECT_EQ(header.name, "cnt5");
   EXPECT_EQ(header.length, 5u);
   EXPECT_EQ(header.shrunk, 4u);
@@ -268,6 +269,46 @@ TEST(WitnessTamperTest, EveryCorruptionIsRejectedWithADiagnostic) {
   versioned[v_at + 16] = '9';
   EXPECT_FALSE(check_witness_text(reseal(versioned), nullptr, &why));
   EXPECT_NE(why.find("version"), std::string::npos);
+
+  // Re-sealed edits that parse to the very same fields are still refused
+  // (a space, a re-escaped byte, a leading zero): only the writer's exact
+  // bytes are an artifact.
+  const auto respelled = [&](const std::string& from, const std::string& to) {
+    std::string edited = payload;
+    const std::size_t edit_at = edited.find(from);
+    EXPECT_NE(edit_at, std::string::npos) << from;
+    if (edit_at != std::string::npos) edited.replace(edit_at, from.size(), to);
+    return !check_witness_text(reseal(edited), nullptr, &why) &&
+           why.find("exact bytes") != std::string::npos;
+  };
+  EXPECT_TRUE(respelled("\"length\":5", "\"length\": 5"));
+  EXPECT_TRUE(respelled("\"name\":\"cnt5\"", "\"name\":\"cnt\\u0035\""));
+  EXPECT_TRUE(respelled("\"shrunk\":4", "\"shrunk\":04"));
+}
+
+// A model without states records an empty step-0 state row; the checker
+// reads it back like any other and accepts its writer's artifact.
+TEST(WitnessArtifactTest, StatelessModelRoundTripsThroughCheck) {
+  smt::TermManager mgr;
+  ts::TransitionSystem ts(mgr);
+  const TermRef x = ts.add_input("x", 2);
+  ts.add_bad(mgr.mk_eq(x, mgr.mk_const(2, 3)), "x-is-three");
+  bmc::Bmc checker(ts);
+  bmc::BmcOptions bo;
+  bo.max_bound = 2;
+  const std::optional<bmc::Witness> w = checker.check(bo);
+  ASSERT_TRUE(w.has_value());
+  WitnessTrace trace = extract_trace(ts, *w);
+  const unsigned shrunk = shrink_trace(ts, &trace);
+  const std::string text =
+      render_witness_artifact(ts, "only-input", JobProvenance{}, trace, shrunk);
+  EXPECT_NE(text.find("{\"step\":0,\"in\":[\"0x3\"],\"st\":[]}"), std::string::npos)
+      << text;
+  WitnessArtifact artifact;
+  std::string why;
+  ASSERT_TRUE(check_witness_text(text, &artifact, &why)) << why;
+  EXPECT_EQ(artifact.header.length, 0u);
+  EXPECT_EQ(render_witness_artifact(artifact), text);
 }
 
 // --- the journaled stimulus ---
@@ -303,6 +344,9 @@ TEST(WitnessStimulusTest, ParseRejectsEveryShapeError) {
   EXPECT_TRUE(rejected(edit("\"shrunk\"", "\"raw\"")));   // raw needs every state row
   EXPECT_TRUE(rejected(edit("\"step\":1", "\"step\":2")));  // steps out of order
   EXPECT_TRUE(rejected(text + " "));
+  // Parsed, but not the writer's bytes: a space, an unknown field.
+  EXPECT_TRUE(rejected(edit("{\"step\":1", "{ \"step\":1")));
+  EXPECT_TRUE(rejected(edit("\"bad\":0", "\"bad\":0,\"extra\":1")));
   EXPECT_TRUE(rejected(text.substr(0, text.size() - 1)));
   EXPECT_TRUE(rejected("{\"form\":\"shrunk\",\"bad\":0,\"steps\":[]}"));
 }
@@ -331,9 +375,10 @@ TEST(WitnessPostPassTest, StampsChecksAndWritesArtifact) {
   const auto text =
       read_text_file(dir.path + "/" + witness_artifact_filename("cnt5"));
   ASSERT_TRUE(text.has_value());
-  WitnessHeader header;
+  WitnessArtifact artifact;
   std::string why;
-  EXPECT_TRUE(check_witness_text(*text, &header, &why)) << why;
+  EXPECT_TRUE(check_witness_text(*text, &artifact, &why)) << why;
+  const WitnessHeader& header = artifact.header;
   EXPECT_EQ(header.name, "cnt5");
   EXPECT_EQ(header.shrunk, 4u);
 }
@@ -674,9 +719,10 @@ TEST(WitnessGridTest, EveryFalsifiedTable1RowYieldsAValidArtifact) {
     const auto text =
         read_text_file(dir.path + "/" + witness_artifact_filename(r.name));
     ASSERT_TRUE(text.has_value()) << r.name;
-    WitnessHeader header;
+    WitnessArtifact artifact;
     std::string why;
-    ASSERT_TRUE(check_witness_text(*text, &header, &why)) << r.name << ": " << why;
+    ASSERT_TRUE(check_witness_text(*text, &artifact, &why)) << r.name << ": " << why;
+    const WitnessHeader& header = artifact.header;
     EXPECT_EQ(header.name, r.name);
     EXPECT_EQ(header.length, r.trace_length) << r.name;
     EXPECT_EQ(header.shrunk, r.trace_length_shrunk) << r.name;
@@ -726,9 +772,10 @@ TEST(WitnessCorpusTest, FalsifiedCorpusJobsRoundTripThroughArtifacts) {
     const auto text =
         read_text_file(dir.path + "/" + witness_artifact_filename(r.name));
     ASSERT_TRUE(text.has_value()) << r.name;
-    WitnessHeader header;
+    WitnessArtifact artifact;
     std::string why;
-    ASSERT_TRUE(check_witness_text(*text, &header, &why)) << r.name << ": " << why;
+    ASSERT_TRUE(check_witness_text(*text, &artifact, &why)) << r.name << ": " << why;
+    const WitnessHeader& header = artifact.header;
     EXPECT_EQ(header.name, r.name);
     EXPECT_EQ(header.family, kBtor2Family);
     EXPECT_EQ(header.length, r.trace_length);

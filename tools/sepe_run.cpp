@@ -516,14 +516,15 @@ int run_check_witness(int argc, char** argv) {
       ++rejected;
       continue;
     }
-    engine::WitnessHeader header;
+    engine::WitnessArtifact artifact;
     std::string why;
-    if (!engine::check_witness_text(*text, &header, &why)) {
+    if (!engine::check_witness_text(*text, &artifact, &why)) {
       std::fprintf(stderr, "sepe-run: '%s' REJECTED: %s\n", path.c_str(),
                    why.c_str());
       ++rejected;
       continue;
     }
+    const engine::WitnessHeader& header = artifact.header;
     std::printf("%s: valid witness for job '%s' (%s): bad '%s' fires at bound "
                 "%u, effective stimulus %u step(s)\n",
                 path.c_str(), header.name.c_str(),
