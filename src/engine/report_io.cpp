@@ -37,11 +37,6 @@ bool get_uint(const JsonValue& obj, const char* key, T* out, std::string* error,
   return true;
 }
 
-const std::string* get_string(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.find(key);
-  return v && v->kind == JsonValue::Kind::String ? &v->text : nullptr;
-}
-
 /// The QED report dialect's two mode tags (engine::mode_tag). Kept as
 /// literals so the reader stays decoupled from the QED module itself.
 bool known_mode_tag(const std::string& tag) {
@@ -52,35 +47,31 @@ bool parse_job(const JsonValue& obj, std::size_t position, JobResult* out,
                std::string* error) {
   if (obj.kind != JsonValue::Kind::Object)
     return fail_field(error, "jobs entry is not an object");
-  const std::string* name = get_string(obj, "name");
-  if (!name || name->empty())
+  if (!read_string(obj, "name", &out->name) || out->name.empty())
     return fail_field(error, "jobs entry without a name");
-  out->name = *name;
 
-  const std::string* verdict = get_string(obj, "verdict");
-  const std::optional<Verdict> parsed = verdict ? parse_verdict(*verdict) : std::nullopt;
+  std::string verdict;
+  read_string(obj, "verdict", &verdict);
+  const std::optional<Verdict> parsed = parse_verdict(verdict);
   if (!parsed) return fail_field(error, "job '" + out->name + "' has no valid verdict");
   out->verdict = *parsed;
 
   // Provenance: non-QED rows carry workload/source/property columns;
   // QED rows keep the original dialect's "mode" column, which stays
   // strictly validated.
-  if (const std::string* workload = get_string(obj, "workload")) {
-    if (workload->empty() || *workload == kQedFamily)
+  JobProvenance& provenance = out->provenance;
+  if (read_string(obj, "workload", &provenance.family)) {
+    if (provenance.family.empty() || provenance.family == kQedFamily)
       return fail_field(error, "job '" + out->name + "' has an invalid workload");
-    out->provenance.family = *workload;
-    out->provenance.mode.clear();
-    if (const std::string* source = get_string(obj, "source"))
-      out->provenance.source = *source;
-    if (!get_uint(obj, "property", &out->provenance.property, error, false)) return false;
+    provenance.mode.clear();
+    read_string(obj, "source", &provenance.source);  // optional
+    if (!get_uint(obj, "property", &provenance.property, error, false)) return false;
   } else {
-    const std::string* mode = get_string(obj, "mode");
-    if (!mode || !known_mode_tag(*mode))
+    if (!read_string(obj, "mode", &provenance.mode) || !known_mode_tag(provenance.mode))
       return fail_field(error, "job '" + out->name + "' has no valid mode");
-    out->provenance.family = kQedFamily;
-    out->provenance.mode = *mode;
+    provenance.family = kQedFamily;
   }
-  if (const std::string* note = get_string(obj, "error")) out->note = *note;
+  read_string(obj, "error", &out->note);  // optional
 
   out->spec_index = position;  // unsharded reports omit spec_index
   if (!get_uint(obj, "spec_index", &out->spec_index, error, false) ||
@@ -88,7 +79,7 @@ bool parse_job(const JsonValue& obj, std::size_t position, JobResult* out,
       !get_uint(obj, "proved_k", &out->proved_k, error, false))
     return false;
 
-  if (const std::string* label = get_string(obj, "bad_label")) out->bad_label = *label;
+  read_string(obj, "bad_label", &out->bad_label);  // optional
   // Timing and counter fields are skipped: every reader (merge,
   // perfbench) consumes only the stable fields above.
   return true;
@@ -114,11 +105,9 @@ bool parse_report(const std::string& json, CampaignReport* out, std::string* err
         !get_uint(*shard, "count", &info.shard.count, error) ||
         !get_uint(*shard, "total_jobs", &info.total_jobs, error))
       return false;
-    const std::string* campaign = get_string(*shard, "campaign");
-    if (!campaign || campaign->size() != 16 ||
-        campaign->find_first_not_of("0123456789abcdef") != std::string::npos)
+    if (!read_string(*shard, "campaign", &info.campaign) || info.campaign.size() != 16 ||
+        info.campaign.find_first_not_of("0123456789abcdef") != std::string::npos)
       return fail_field(error, "'shard' has no 16-hex-digit 'campaign' digest");
-    info.campaign = *campaign;
     if (info.shard.count == 0 || info.shard.index >= info.shard.count)
       return fail_field(error, "'shard' index/count out of range");
     report.shard = info;
