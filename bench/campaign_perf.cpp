@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::fprintf(stderr, "synthesizing the pinned equivalence table (xlen=4)...\n");
+  std::fprintf(stderr, "loading the pinned equivalence table (xlen=4)...\n");
   const auto pinned = bench::make_bench_table(4);
 
   engine::CampaignMatrix matrix;

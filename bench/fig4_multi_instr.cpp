@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
 
   std::printf("Figure 4 — multiple-instruction bugs (xlen=%u, bound=%u, cap=%.0fs)\n",
               xlen, bound, cap);
-  std::printf("synthesizing the pinned equivalence table...\n");
+  std::printf("%s the pinned equivalence table...\n",
+              xlen == engine::kPinnedTextXlen ? "loading" : "synthesizing");
   auto pinned = make_bench_table(xlen);
   // MUL equivalence (negation conjugation) for the MUL-consumer bug.
   pinned->add("MUL", synth::make_spec(Opcode::MUL), {"NEG", "MUL_C", "NEG"}, xlen);

@@ -53,7 +53,8 @@ int main(int argc, char** argv) {
 
   std::printf("Table 1 — injected single-instruction bugs (xlen=%u, bound=%u)\n", xlen,
               bound);
-  std::printf("synthesizing the pinned equivalence table...\n");
+  std::printf("%s the pinned equivalence table...\n",
+              xlen == engine::kPinnedTextXlen ? "loading" : "synthesizing");
   const auto pinned = make_bench_table(xlen);
 
   auto bugs = proc::table1_single_instruction_bugs();

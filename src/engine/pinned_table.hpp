@@ -1,12 +1,21 @@
 // pinned_table.hpp — the pinned EDSEP-V equivalence table.
 //
 // The equivalence programs here are the ones HPF-CEGIS finds (see
-// bench/fig3_synthesis); pinning the multisets makes every
-// verification-side campaign deterministic and avoids re-paying the
-// synthesis cost per run. Each program transforms the operand data path
-// (different wiring or different opcodes), which is what lets EDSEP-V
-// separate a single-instruction bug's effect on the original instruction
-// from its effect on the replay (paper §5).
+// bench/fig3_synthesis) on a fixed multiset per instruction; pinning the
+// multisets makes every verification-side campaign deterministic. Each
+// program transforms the operand data path (different wiring or different
+// opcodes), which is what lets EDSEP-V separate a single-instruction bug's
+// effect on the original instruction from its effect on the replay (paper
+// §5).
+//
+// At xlen 4, the default width of sepe-run and the benches, the 15
+// programs are compiled in as the text EquivalenceTable::to_string() prints
+// (pinned_table.cpp), so a campaign does not re-pay the synthesis cost
+// per run: make_pinned_table loads that text and re-checks every program
+// at the DUV width by the exhaustive sweep of smt/flat_eval.hpp, which
+// starts no SAT solver. Other widths synthesize the table by CEGIS.
+// pinned_table_test re-synthesizes the xlen-4 table and diffs it against
+// the compiled-in text.
 //
 // Shared by the campaign engine's CLI driver (tools/sepe-run) and the
 // Table-1 / Figure-4 benches.
@@ -16,6 +25,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "synth/cegis.hpp"
@@ -71,50 +81,36 @@ struct PinnedTable {
   }
 };
 
+/// The DUV width whose table is compiled in.
+constexpr unsigned kPinnedTextXlen = 4;
+
+/// The compiled-in table for kPinnedTextXlen, as
+/// EquivalenceTable::to_string() prints it.
+std::string_view pinned_table_text();
+
 /// The equivalence table covering every instruction the Table-1 and
 /// Figure-4 campaigns stream. Every program reshapes the operands, so a
 /// uniform corruption of the original instruction diverges from the
 /// replay (even for the rows whose equivalent reuses the opcode, e.g.
 /// SRA == NOT(SRA(NOT(a), b))).
 ///
-/// Returns nullptr when an equivalence fails to synthesize, and names its
-/// key in `*failed` when that is non-null.
-inline std::unique_ptr<PinnedTable> make_pinned_table(unsigned duv_xlen,
-                                                      std::string* failed = nullptr) {
-  using isa::Opcode;
-  struct Row {
-    const char* key;
-    synth::SynthSpec spec;
-    std::vector<std::string> multiset;
-  };
-  auto spec = [](Opcode op) { return synth::make_spec(op); };
-  Row rows[] = {
-      {"ADD", spec(Opcode::ADD), {"NOT", "SUB", "NOT"}},
-      {"SUB", spec(Opcode::SUB), {"NOT", "ADD", "NOT"}},     // Listing 1
-      {"XOR", spec(Opcode::XOR), {"OR", "AND", "SUB"}},
-      {"OR", spec(Opcode::OR), {"ADD", "AND", "SUB"}},       // a+b-(a&b)
-      {"AND", spec(Opcode::AND), {"ADD", "OR", "SUB"}},      // a+b-(a|b)
-      {"SLT", spec(Opcode::SLT), {"XORI", "XORI", "SLTU"}},  // sign-flip
-      {"SLTU", spec(Opcode::SLTU), {"XORI", "XORI", "SLT"}},
-      // complement conjugation
-      {"SRA", spec(Opcode::SRA), {"NOT", "SRA", "NOT"}},
-      {"MULH", spec(Opcode::MULH), {"MULHSU_C", "SIGNSEL", "SUB"}},
-      {"XORI", spec(Opcode::XORI), {"NOT", "XORI", "NOT"}},
-      {"SLLI", spec(Opcode::SLLI), {"XOR", "ADDI", "SLL"}},  // materialized shamt
-      {"SRAI", spec(Opcode::SRAI), {"NOT", "SRAI", "NOT"}},
-      // conjugated passthrough
-      {"ADDI", spec(Opcode::ADDI), {"NOT", "NOT", "ADDI"}},
-      {"LW_ADDR", synth::make_address_spec(Opcode::LW), {"NOT", "NOT", "ADDI"}},
-      {"SW_ADDR", synth::make_address_spec(Opcode::SW), {"NOT", "NOT", "ADDI"}},
-  };
-  auto t = std::make_unique<PinnedTable>();
-  for (Row& r : rows) {
-    if (!t->add(r.key, std::move(r.spec), r.multiset, duv_xlen)) {
-      if (failed) *failed = r.key;
-      return nullptr;
-    }
-  }
-  return t;
-}
+/// At kPinnedTextXlen this is load_pinned_table(pinned_table_text()); at
+/// any other width, synthesize_pinned_table. Returns nullptr when a row
+/// fails, and names its key in `*failed` when that is non-null.
+std::unique_ptr<PinnedTable> make_pinned_table(unsigned duv_xlen,
+                                               std::string* failed = nullptr);
+
+/// The same rows synthesized by CEGIS, each from its pinned multiset
+/// (PinnedTable::add). nullptr when an equivalence fails to synthesize.
+std::unique_ptr<PinnedTable> synthesize_pinned_table(unsigned duv_xlen,
+                                                     std::string* failed = nullptr);
+
+/// The same rows read from `text` (EquivalenceTable::parse), each program
+/// then swept at `duv_xlen` (synth::sweep_proves_equivalent); runs no
+/// CEGIS and starts no SAT solver. nullptr when the text does not render
+/// back byte for byte, lacks a row or holds an unknown one, or a program
+/// fails the sweep.
+std::unique_ptr<PinnedTable> load_pinned_table(std::string_view text, unsigned duv_xlen,
+                                               std::string* failed = nullptr);
 
 }  // namespace sepe::engine

@@ -288,10 +288,10 @@ CampaignReport run_sharded(const CampaignSpec& full, const ShardRunOptions& opti
   CampaignReport report;
   report.seed = full.seed;
   report.threads = fresh.threads;
-  if (options.shard) {
-    report.shard = CampaignReport::ShardInfo{effective, plan.total_jobs};
-    report.shard->campaign = VerdictCache::campaign_digest(full, options.fingerprint);
-  }
+  if (options.shard)
+    report.shard = CampaignReport::ShardInfo{
+        effective, plan.total_jobs,
+        VerdictCache::campaign_digest(full, options.fingerprint)};
   for (std::size_t i = 0; i < fresh.jobs.size(); ++i)
     results[pending_to_plan[i]] = fresh.jobs[i];
   report.jobs = std::move(results);

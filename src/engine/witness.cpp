@@ -116,7 +116,9 @@ WitnessTrace extract_trace(const ts::TransitionSystem& ts, const bmc::Witness& w
 }
 
 WitnessReplay replay_trace(const ts::TransitionSystem& ts, const WitnessTrace& trace) {
-  const auto fail = [](std::string what) { return WitnessReplay{false, std::move(what)}; };
+  const auto fail = [](std::string what) {
+    return WitnessReplay{false, std::move(what)};
+  };
   const auto at = [](unsigned t) { return " at step " + std::to_string(t); };
   const std::vector<smt::TermRef>& ins = ts.inputs();
   const std::vector<smt::TermRef>& sts = ts.states();

@@ -2,12 +2,91 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
+#include <iterator>
 #include <set>
 #include <sstream>
 
+#include "util/parse.hpp"
 #include "util/stopwatch.hpp"
 
 namespace sepe::synth {
+
+namespace {
+
+/// One row of EquivalenceTable::to_string(): a header, then each
+/// program's lines indented four spaces, each program closed by "--".
+std::string render_row(const std::string& name,
+                       const std::vector<SynthProgram>& programs) {
+  std::ostringstream os;
+  os << "# " << name << " (" << programs.size() << " equivalent program"
+     << (programs.size() == 1 ? "" : "s") << ")\n";
+  for (const SynthProgram& p : programs) {
+    std::istringstream lines(p.to_string());
+    std::string line;
+    while (std::getline(lines, line)) os << "    " << line << "\n";
+    os << "    --\n";
+  }
+  return os.str();
+}
+
+/// Reads line `index` of a program over `spec`, as SynthProgram::to_string
+/// prints it ("SLTU v2, v0, v1", "ADDI v1, v0, imm[1]", "XORI v0, in0,
+/// 0x008"). False when the component is unknown, an operand is missing
+/// or malformed, or an input reads a later line. The spelling is left to
+/// the caller's re-rendering, so the destination is not read.
+bool parse_line(std::string_view text, const SynthSpec& spec,
+                const std::vector<Component>& lib, unsigned index, SynthLine* out) {
+  std::string fields(text);
+  std::replace(fields.begin(), fields.end(), ',', ' ');
+  std::istringstream is(fields);
+  const std::vector<std::string> tok{std::istream_iterator<std::string>(is), {}};
+  if (tok.empty()) return false;
+  const auto comp = std::find_if(lib.begin(), lib.end(),
+                                 [&](const Component& c) { return c.name == tok[0]; });
+  if (comp == lib.end() || tok.size() != 2 + comp->num_inputs + comp->attrs.size())
+    return false;
+  out->comp = &*comp;
+
+  const unsigned m = spec.num_reg_inputs();
+  const auto number_after = [](const std::string& t, std::string_view prefix) {
+    return t.starts_with(prefix) ? parse_u64_strict(t.substr(prefix.size()))
+                                 : std::nullopt;
+  };
+  for (unsigned k = 0; k < comp->num_inputs; ++k) {
+    const std::string& t = tok[2 + k];
+    if (const auto in = number_after(t, "in"); in && *in < m)
+      out->input_locs.push_back(static_cast<unsigned>(*in));
+    else if (const auto v = number_after(t, "v"); v && *v < index)
+      out->input_locs.push_back(m + static_cast<unsigned>(*v));
+    else
+      return false;
+  }
+  for (unsigned a = 0; a < comp->attrs.size(); ++a) {
+    const std::string& t = tok[2 + comp->num_inputs + a];
+    const unsigned width = attr_class_width(comp->attrs[a]);
+    AttrBinding ab;
+    if (t.starts_with("imm[") && t.ends_with("]")) {
+      // A passthrough reads an immediate input no wider than the
+      // attribute (immediate widths do not depend on xlen).
+      const auto i = parse_u64_strict(t.substr(4, t.size() - 5));
+      if (!i || *i >= spec.inputs.size() || spec.inputs[*i] == InputClass::Reg ||
+          input_class_width(spec.inputs[*i], 0) > width)
+        return false;
+      ab.passthrough = true;
+      ab.input_index = static_cast<unsigned>(*i);
+    } else {
+      char* end = nullptr;
+      const std::uint64_t value = std::strtoull(t.c_str(), &end, 16);
+      if (!t.starts_with("0x") || end != t.c_str() + t.size()) return false;
+      ab.constant = BitVec(width, value);
+    }
+    out->attrs.push_back(ab);
+  }
+  return true;
+}
+
+}  // namespace
 
 std::vector<std::vector<unsigned>> combinations_with_replacement(unsigned lib_size,
                                                                  unsigned n) {
@@ -208,18 +287,55 @@ EquivalenceTable EquivalenceTable::select_distinct() const {
 }
 
 std::string EquivalenceTable::to_string() const {
-  std::ostringstream os;
-  for (const auto& [name, programs] : table_) {
-    os << "# " << name << " (" << programs.size() << " equivalent program"
-       << (programs.size() == 1 ? "" : "s") << ")\n";
-    for (const SynthProgram& p : programs) {
-      std::istringstream lines(p.to_string());
-      std::string line;
-      while (std::getline(lines, line)) os << "    " << line << "\n";
-      os << "    --\n";
+  std::string out;
+  for (const auto& [name, programs] : table_) out += render_row(name, programs);
+  return out;
+}
+
+std::optional<EquivalenceTable> EquivalenceTable::parse(
+    std::string_view text,
+    const std::function<const SynthSpec*(const std::string&)>& spec_of,
+    const std::vector<Component>& lib, std::string* failed) {
+  EquivalenceTable table;
+  std::string key;
+  const auto refuse = [&]() -> std::optional<EquivalenceTable> {
+    if (failed) *failed = key;
+    return std::nullopt;
+  };
+  // Each row is checked on its own: its re-rendering must equal its text,
+  // and its key must follow the previous one in to_string()'s ascending
+  // order. Together that is the whole text rendered back byte for byte.
+  while (!text.empty()) {
+    const std::size_t next = text.find("\n# ");
+    const std::string_view row = text.substr(0, next == text.npos ? next : next + 1);
+    text.remove_prefix(row.size());
+    if (!row.starts_with("# ")) return refuse();
+    key = row.substr(2, row.find_first_of(" \n", 2) - 2);
+    const SynthSpec* spec = spec_of(key);
+    const std::size_t header_end = row.find('\n');
+    if (!spec || header_end == row.npos ||
+        (!table.table_.empty() && key <= table.table_.rbegin()->first))
+      return refuse();
+
+    std::vector<SynthProgram> programs;
+    SynthProgram program{spec, {}};
+    for (std::string_view body = row.substr(header_end + 1); !body.empty();) {
+      const std::string_view line = body.substr(0, body.find('\n'));
+      body.remove_prefix(std::min(body.size(), line.size() + 1));
+      SynthLine parsed;
+      if (line == "    --" && !program.lines.empty()) {
+        programs.push_back(std::move(program));
+        program = SynthProgram{spec, {}};
+      } else if (parse_line(line, *spec, lib, program.lines.size(), &parsed)) {
+        program.lines.push_back(std::move(parsed));
+      } else {
+        return refuse();
+      }
     }
+    if (!program.lines.empty() || render_row(key, programs) != row) return refuse();
+    table.table_.emplace(key, std::move(programs));
   }
-  return os.str();
+  return table;
 }
 
 EquivalenceTable build_equivalence_table(const std::vector<SynthSpec>& specs,

@@ -17,9 +17,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "synth/component.hpp"
@@ -116,6 +118,18 @@ class EquivalenceTable {
   std::size_t size() const { return table_.size(); }
 
   std::string to_string() const;
+
+  /// Reads back the text to_string() prints. Each row key resolves
+  /// through `spec_of` to the spec its programs implement (nullptr
+  /// refuses the key; the spec must outlive the table), and each
+  /// component name resolves in `lib`. Accepts only text that the loaded
+  /// table renders back byte for byte. Otherwise returns nullopt and names
+  /// the refused row's key in `*failed`, empty when the text does not
+  /// open with a row header.
+  static std::optional<EquivalenceTable> parse(
+      std::string_view text,
+      const std::function<const SynthSpec*(const std::string&)>& spec_of,
+      const std::vector<Component>& lib, std::string* failed = nullptr);
 
  private:
   std::map<std::string, std::vector<SynthProgram>> table_;

@@ -57,6 +57,19 @@ unsigned bits_for(unsigned values) {
   return b;
 }
 
+/// The miter program != spec over fresh variables, one per spec input,
+/// which land in `inputs`.
+TermRef build_miter(TermManager& mgr, const SynthProgram& program, unsigned xlen,
+                    std::vector<TermRef>& inputs) {
+  const SynthSpec& spec = *program.spec;
+  for (unsigned i = 0; i < spec.inputs.size(); ++i)
+    inputs.push_back(mgr.mk_var("vin" + std::to_string(i),
+                                input_class_width(spec.inputs[i], xlen)));
+  const TermRef prog_out = program.to_term(mgr, inputs, xlen);
+  const TermRef spec_out = spec.semantics(mgr, inputs, xlen);
+  return mgr.mk_ne(prog_out, spec_out);
+}
+
 }  // namespace
 
 unsigned SynthProgram::instruction_count() const {
@@ -199,15 +212,16 @@ bool verify_program(const SynthProgram& program, unsigned xlen,
   TermManager mgr;
   SmtSolver solver(mgr);
   std::vector<TermRef> inputs;
-  for (unsigned i = 0; i < program.spec->inputs.size(); ++i) {
-    inputs.push_back(mgr.mk_var("vin" + std::to_string(i),
-                                input_class_width(program.spec->inputs[i], xlen)));
-  }
-  const TermRef prog_out = program.to_term(mgr, inputs, xlen);
-  const TermRef spec_out = program.spec->semantics(mgr, inputs, xlen);
-  solver.assert_formula(mgr.mk_ne(prog_out, spec_out));
+  solver.assert_formula(build_miter(mgr, program, xlen, inputs));
   solver.set_conflict_budget(conflict_budget);
   return solver.check() == Result::Unsat;
+}
+
+bool sweep_proves_equivalent(const SynthProgram& program, unsigned xlen) {
+  TermManager mgr;
+  std::vector<TermRef> inputs;
+  const TermRef miter = build_miter(mgr, program, xlen, inputs);
+  return smt::sweep_proves_false(mgr, miter, inputs);
 }
 
 namespace {
@@ -501,12 +515,7 @@ std::optional<SynthProgram> cegis_multiset(const SynthSpec& spec,
     // over the cap, goes to SAT, which also supplies the counterexample.
     TermManager vmgr;
     std::vector<TermRef> vins;
-    for (unsigned i = 0; i < spec.inputs.size(); ++i)
-      vins.push_back(vmgr.mk_var("vin" + std::to_string(i),
-                                 input_class_width(spec.inputs[i], xlen)));
-    const TermRef prog_out = candidate->to_term(vmgr, vins, xlen);
-    const TermRef spec_out = spec.semantics(vmgr, vins, xlen);
-    const TermRef miter = vmgr.mk_ne(prog_out, spec_out);
+    const TermRef miter = build_miter(vmgr, *candidate, xlen, vins);
     if (smt::sweep_proves_false(vmgr, miter, vins)) return candidate;
     SmtSolver vsolver(vmgr);
     vsolver.assert_formula(miter);

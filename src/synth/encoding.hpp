@@ -164,4 +164,9 @@ std::optional<SynthProgram> cegis_multiset(const SynthSpec& spec,
 bool verify_program(const SynthProgram& program, unsigned xlen,
                     std::uint64_t conflict_budget = 0);
 
+/// The same check by the exhaustive sweep alone, without a SAT solver.
+/// True only when the spec's inputs total at most smt::kSweepMaxInputBits
+/// bits and the program agrees with its spec at every input point.
+bool sweep_proves_equivalent(const SynthProgram& program, unsigned xlen);
+
 }  // namespace sepe::synth

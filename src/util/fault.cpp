@@ -92,7 +92,8 @@ bool parse_point(const std::string& spec, PlanEntry* out, std::string* error) {
     action_part = action_part.substr(0, at);
   }
   if (!parse_action(action_part, &out->action)) {
-    if (error) *error = "fault point '" + out->point + "': unknown action '" + action_part + "'";
+    if (error)
+      *error = "fault point '" + out->point + "': unknown action '" + action_part + "'";
     return false;
   }
   if (at == std::string::npos) {
@@ -104,7 +105,8 @@ bool parse_point(const std::string& spec, PlanEntry* out, std::string* error) {
     const double p = std::strtod(trigger_part.c_str(), &end);
     if (end == nullptr || *end != '\0' || !(p >= 0.0 && p <= 1.0)) {
       if (error)
-        *error = "fault point '" + out->point + "': bad probability '" + trigger_part + "'";
+        *error =
+            "fault point '" + out->point + "': bad probability '" + trigger_part + "'";
       return false;
     }
     out->trigger = Trigger::Probability;
@@ -112,7 +114,8 @@ bool parse_point(const std::string& spec, PlanEntry* out, std::string* error) {
     return true;
   }
   if (!parse_u64(trigger_part, &out->nth) || out->nth == 0) {
-    if (error) *error = "fault point '" + out->point + "': bad trigger '" + trigger_part + "'";
+    if (error)
+      *error = "fault point '" + out->point + "': bad trigger '" + trigger_part + "'";
     return false;
   }
   out->trigger = Trigger::Nth;

@@ -3,9 +3,9 @@
 // per-point trigger determinism (Nth / probability), the
 // per-job memory ceiling degrading both workload families to a diagnosed
 // UNKNOWN row, an injected mid-campaign stop leaving a verdict journal
-// whose resumed run is byte-identical to an uninterrupted one, concurrent verdict-cache writers with torn appends never yielding
-// a wrong verdict, and the retrying atomic report writer masking
-// transient write faults.
+// whose resumed run is byte-identical to an uninterrupted one, concurrent
+// verdict-cache writers with torn appends never yielding a wrong verdict,
+// and the retrying atomic report writer masking transient write faults.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -1,38 +1,33 @@
 // Tests for the pinned EDSEP-V equivalence table (engine/pinned_table.hpp).
 //
-// The golden file tests/pinned_table_xlen4.txt holds the 15 programs
-// make_pinned_table(4) synthesizes, as EquivalenceTable::to_string()
-// prints them. A synthesis change that moves a pinned program fails
-// here, and the new table is written to pinned_table_xlen4.actual.txt in
-// the test's working directory: review it, then copy it over the golden
-// file. Every row is also re-proved by SAT, which PinnedTable::add does
-// only under assert (compiled out of Release builds).
+// The golden table is the compiled-in xlen-4 text, pinned_table_text():
+// the 15 programs, as EquivalenceTable::to_string() prints them. A
+// synthesis change that moves a pinned program fails here, and the newly
+// synthesized table is written to pinned_table_xlen4.actual.txt in the
+// test's working directory: review it, then paste it over the text in
+// src/engine/pinned_table.cpp. Every loaded row is also re-proved by SAT,
+// which the loader never does (it sweeps).
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <sstream>
 
 #include "engine/pinned_table.hpp"
+#include "util/fault.hpp"
 
 namespace sepe::engine {
 namespace {
 
-std::string read_file(const char* path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
 TEST(PinnedTable, MatchesTheGoldenTableAndReproves) {
-  const auto pinned = make_pinned_table(4);
-  ASSERT_NE(pinned, nullptr);
-  const std::string actual = pinned->table.to_string();
-  const std::string golden = read_file(SEPE_PINNED_TABLE_GOLDEN);
-  ASSERT_FALSE(golden.empty()) << "cannot read " << SEPE_PINNED_TABLE_GOLDEN;
+  const std::string golden(pinned_table_text());
+  const auto synthesized = synthesize_pinned_table(kPinnedTextXlen);
+  ASSERT_NE(synthesized, nullptr);
+  const std::string actual = synthesized->table.to_string();
   if (actual != golden) std::ofstream("pinned_table_xlen4.actual.txt") << actual;
   EXPECT_EQ(actual, golden);
 
+  const auto pinned = make_pinned_table(kPinnedTextXlen);
+  ASSERT_NE(pinned, nullptr);
+  EXPECT_EQ(pinned->table.to_string(), golden);
   ASSERT_EQ(pinned->specs.size(), 15u);
   EXPECT_EQ(pinned->table.size(), pinned->specs.size());
   for (const synth::SynthSpec& spec : pinned->specs) {
@@ -40,7 +35,53 @@ TEST(PinnedTable, MatchesTheGoldenTableAndReproves) {
     ASSERT_NE(programs, nullptr) << spec.name;
     ASSERT_EQ(programs->size(), 1u) << spec.name;
     EXPECT_EQ(programs->front().spec, &spec) << spec.name;
-    EXPECT_TRUE(synth::verify_program(programs->front(), 4)) << spec.name;
+    EXPECT_TRUE(synth::verify_program(programs->front(), kPinnedTextXlen)) << spec.name;
+  }
+}
+
+TEST(PinnedTable, LoadsWithoutASolver) {
+  // Every SAT solve fails as out of memory: CEGIS cannot synthesize a
+  // row, but the compiled-in table loads.
+  ASSERT_TRUE(fault::configure("point=solver.alloc:oom"));
+  std::string failed;
+  const auto loaded = make_pinned_table(kPinnedTextXlen, &failed);
+  const auto synthesized = synthesize_pinned_table(kPinnedTextXlen, &failed);
+  fault::configure("");
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->table.to_string(), pinned_table_text());
+  EXPECT_EQ(synthesized, nullptr);
+  EXPECT_EQ(failed, "ADD");
+}
+
+TEST(PinnedTable, RefusesATamperedTextAndNamesTheRow) {
+  struct Tamper {
+    const char* what;
+    std::string from, to;
+    const char* key;
+  };
+  const std::string xor_row =
+      "# XOR (1 equivalent program)\n    AND v0, in0, in1\n    OR v1, in0, in1\n"
+      "    SUB v2, v1, v0\n    --\n";
+  const Tamper tampers[] = {
+      // Renders back canonically, so only the sweep can refuse it.
+      {"a wrong constant", "XORI v0, in0, 0x008", "XORI v0, in0, 0x004", "SLT"},
+      {"an unknown component", "MULHSU_C v1", "MULHSU_X v1", "MULH"},
+      // Reads as the same program, so only the byte comparison refuses it.
+      {"a non-canonical spelling", "XORI v0, in1, 0x007", "XORI v0, in1, 0x7", "SLTU"},
+      {"an input read before it is written", "SUB v1, v0, in0", "SUB v1, v2, in0",
+       "ADD"},
+      {"a missing row", xor_row, "", "XOR"},
+      {"a repeated row", xor_row, xor_row + xor_row, "XOR"},
+      {"an unknown row", "# XORI (", "# XORJ (", "XORJ"},
+  };
+  for (const Tamper& t : tampers) {
+    std::string text(pinned_table_text());
+    const std::size_t at = text.find(t.from);
+    ASSERT_NE(at, std::string::npos) << t.what;
+    text.replace(at, t.from.size(), t.to);
+    std::string failed;
+    EXPECT_EQ(load_pinned_table(text, kPinnedTextXlen, &failed), nullptr) << t.what;
+    EXPECT_EQ(failed, t.key) << t.what;
   }
 }
 

@@ -335,20 +335,39 @@ else
   FAILURES=$((FAILURES + 1))
 fi
 
-# A QED run synthesizes the pinned equivalence table with the SAT solver
-# before any job. When that synthesis fails (here every solver runs out of
-# memory) the run exits 1 and names the equivalence and width, never a
-# crash.
-SEPE_FAULT="point=solver.alloc:oom" "$SEPE_RUN" --bugs table1 --rows 1 --bound 2 \
-  --max-k 0 --threads 1 >/dev/null 2>"$WORK/table-oom.stderr"
+# At a width without a compiled-in table (every width but 4), a QED run
+# synthesizes the pinned equivalence table with the SAT solver before any
+# job. When that synthesis fails (here every solver runs out of memory)
+# the run exits 1 and names the equivalence and width, never a crash.
+SEPE_FAULT="point=solver.alloc:oom" "$SEPE_RUN" --xlen 8 --bugs table1 --rows 1 \
+  --bound 2 --max-k 0 --threads 1 >/dev/null 2>"$WORK/table-oom.stderr"
 status=$?
 if [ "$status" -eq 1 ] \
-    && grep -q "pinned equivalence for ADD failed to synthesize at xlen 4" \
+    && grep -q "pinned equivalence for ADD failed to synthesize at xlen 8" \
       "$WORK/table-oom.stderr"; then
   echo "ok: a pinned table that fails to synthesize exits 1 with a diagnostic"
 else
-  echo "FAIL: pinned-table synthesis under OOM should exit 1 naming ADD at xlen 4, got $status"
+  echo "FAIL: pinned-table synthesis under OOM should exit 1 naming ADD at xlen 8, got $status"
   cat "$WORK/table-oom.stderr"
+  FAILURES=$((FAILURES + 1))
+fi
+
+# At xlen 4 the table is compiled in and loads without a solver, so a warm
+# QED run starts none: under the same fault it serves every job from the
+# journal and prints the cold run's stable JSON.
+OOM_WARM=(--bugs table1 --rows 2 --modes edsep --bound 6 --max-k 0 --threads 1
+          --cache "$WORK/oom-warm-cache" --stable-json)
+"$SEPE_RUN" "${OOM_WARM[@]}" --json "$WORK/oom-cold.json" >/dev/null 2>&1
+SEPE_FAULT="point=solver.alloc:oom" "$SEPE_RUN" "${OOM_WARM[@]}" \
+  --json "$WORK/oom-warm.json" >/dev/null 2>"$WORK/oom-warm.stderr"
+status=$?
+if [ "$status" -eq 0 ] && [ -s "$WORK/oom-cold.json" ] \
+    && cmp -s "$WORK/oom-cold.json" "$WORK/oom-warm.json"; then
+  echo "ok: a warm QED run starts no solver"
+else
+  echo "FAIL: a warm QED run under solver OOM should exit 0 with the cold JSON, got $status"
+  cat "$WORK/oom-warm.stderr"
+  diff "$WORK/oom-cold.json" "$WORK/oom-warm.json"
   FAILURES=$((FAILURES + 1))
 fi
 

@@ -564,7 +564,8 @@ TEST_F(JournalTest, ForeignShardBudgetFingerprintOrCorruptionOnlyMisses) {
     EXPECT_TRUE(error.empty()) << what << ": " << error;
     EXPECT_FALSE(r.jobs.empty()) << what;
     EXPECT_EQ(solved.load(), r.jobs.size()) << what;
-    for (const JobResult& j : r.jobs) EXPECT_FALSE(j.from_cache) << what << ": " << j.name;
+    for (const JobResult& j : r.jobs)
+      EXPECT_FALSE(j.from_cache) << what << ": " << j.name;
     return r;
   };
 

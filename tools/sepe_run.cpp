@@ -702,14 +702,18 @@ int main(int argc, char** argv) {
   const bool needs_table = modes_arg != "eddi";
   std::unique_ptr<engine::PinnedTable> pinned;
   if (needs_table) {
-    std::printf("synthesizing the pinned equivalence table (xlen=%u)...\n", xlen);
+    // make_pinned_table loads the compiled-in table at its width and
+    // synthesizes every other width.
+    const bool compiled_in = xlen == engine::kPinnedTextXlen;
+    std::printf("%s the pinned equivalence table (xlen=%u)...\n",
+                compiled_in ? "loading" : "synthesizing", xlen);
     Stopwatch synth_clock;
     std::string failed_key;
     pinned = engine::make_pinned_table(xlen, &failed_key);
     if (!pinned) {
-      std::fprintf(stderr, "sepe-run: the pinned equivalence for %s failed to "
-                           "synthesize at xlen %u\n",
-                   failed_key.c_str(), xlen);
+      std::fprintf(stderr, "sepe-run: the pinned equivalence for %s failed to %s "
+                           "at xlen %u\n",
+                   failed_key.c_str(), compiled_in ? "load" : "synthesize", xlen);
       return 1;
     }
     std::printf("table ready: %zu instructions, %.2fs\n\n", pinned->table.size(),
