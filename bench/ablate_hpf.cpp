@@ -1,6 +1,6 @@
-// ablate_hpf — ablation of the HPF-CEGIS priority components (DESIGN.md
-// experiment A1): how much of the speedup comes from each ingredient of
-// the priority function priority = Σ(c_j − α·χ_j) / Σ e_j ?
+// ablate_hpf — ablation of the HPF-CEGIS priority components: how much
+// of the speedup comes from each ingredient of the priority function
+// priority = Σ(c_j − α·χ_j) / Σ e_j ?
 //
 //   full        — choice + exclusion updates + α-penalty (the paper)
 //   no-alpha    — α-penalty off (same-name components not demoted)

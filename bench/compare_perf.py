@@ -1,17 +1,25 @@
 #!/usr/bin/env python3
-"""Compare a campaign_perf report against the committed baseline.
+"""Compare a sepe-run report against the committed counter baseline.
 
-Verdict-bearing fields (job set, verdict, trace_length, proved_k,
-bad_label) must match exactly — any drift is a hard failure, because it
-means the prover stack changed answers, not just speed. Every other
-total is a deterministic work counter, named by the reports themselves:
-a move of more than 10% either way is reported loudly but exits 0, so a
-deliberate trade (e.g. more conflicts for less memory) can land with an
-updated baseline rather than a red CI. When every counter equals the
-baseline, in the totals and in every job row, the last line says so
-("search bit-identical"): a change meant
-to be faster without changing the search shows it preserved the search.
-Wall time is ignored entirely.
+Both files are timing-form `sepe-run --json` reports of the Table-1 grid
+on one thread. The baseline is regenerated by
+
+    sepe-run --bugs table1 --rows 8 --bound 6 --max-k 2 --threads 1 \\
+        --json bench/baseline.json
+
+Verdict-bearing fields (the job set, verdict, trace_length, proved_k,
+bad_label, error) must match exactly — any drift is a hard failure,
+because it means the prover stack changed answers, not just speed. Every
+other integer or boolean field of a job row is a deterministic counter
+on one thread: the work counters (smt::kWorkCounters), bmc_bounds_checked,
+trace_length_shrunk and flags such as hit_memory_limit. Each is summed
+over the job rows. A sum that moves by more than 10% either way is
+reported loudly but exits 0, so a deliberate trade (e.g. more conflicts
+for less memory) can land with a refreshed baseline rather than a red
+CI. When every counter of every job row equals the baseline, the last
+line says so ("search bit-identical"): a change meant to be faster
+without changing the search shows it preserved the search. Floats
+(seconds, wall_seconds) are ignored.
 
 usage: compare_perf.py BASELINE.json CURRENT.json
 """
@@ -19,7 +27,21 @@ import json
 import sys
 
 THRESHOLD = 0.10
-VERDICT_FIELDS = ("verdict", "trace_length", "proved_k", "bad_label")
+VERDICT_FIELDS = ("verdict", "trace_length", "proved_k", "bad_label", "error")
+
+
+def counters(job):
+    """A job row's counters: its integer and boolean fields, verdict fields aside."""
+    return {k: int(v) for k, v in job.items()
+            if isinstance(v, (bool, int)) and k not in VERDICT_FIELDS}
+
+
+def totals(jobs):
+    sums = {}
+    for job in jobs.values():
+        for k, v in counters(job).items():
+            sums[k] = sums.get(k, 0) + v
+    return sums
 
 
 def main() -> int:
@@ -47,40 +69,28 @@ def main() -> int:
             print(f"  {line}")
         return 1
 
-    warm = dict(cur["warm_totals"])
-    served, total = warm.pop("jobs_from_cache"), warm.pop("jobs_total")
-    busy = [f"{v} {k}" for k, v in warm.items() if v]
-    print(f"warm rerun: {served}/{total} jobs from cache, "
-          f"work: {', '.join(busy) or 'none'}")
-    if served < total or busy:
-        print("  warning: the warm rerun did work the verdict cache should "
-              "have served (advisory)")
-
-    moved = False
-    identical = all(base_jobs[name] == cur_jobs[name] for name in base_jobs)
+    identical = all(counters(base_jobs[n]) == counters(cur_jobs[n]) for n in base_jobs)
+    base_sums, cur_sums = totals(base_jobs), totals(cur_jobs)
+    moved = []
     # Baseline counters first, in their order; counters new in the
     # current report after them.
-    for counter in {**base["totals"], **cur["totals"]}:
-        b, c = base["totals"].get(counter), cur["totals"].get(counter)
+    for counter in {**base_sums, **cur_sums}:
+        b, c = base_sums.get(counter), cur_sums.get(counter)
         if b is None or c is None:
-            identical = False
             which = "baseline" if b is None else "current"
             print(f"{counter:>22}: not recorded in the {which} report — skipped")
             continue
         # A zero baseline must not mask growth: any nonzero current value
         # counts as an (infinitely large) relative move.
         delta = (c - b) / b if b else (float("inf") if c else 0.0)
-        identical = identical and b == c
         marker = ""
         if abs(delta) > THRESHOLD:
             marker = f"  <-- moved beyond {THRESHOLD:.0%} (advisory)"
-            moved = True
+            moved.append(counter)
         print(f"{counter:>22}: {b:>12} -> {c:>12}  ({delta:+.1%}){marker}")
     if moved:
-        print(
-            "\nadvisory: deterministic counters moved; if intentional, "
-            "refresh bench/baseline.json in the same PR"
-        )
+        print(f"\nadvisory: deterministic counters moved ({', '.join(moved)}); if "
+              "intentional, refresh bench/baseline.json in the same PR")
     elif identical:
         print("\nverdicts identical, every counter equal to the baseline: "
               "search bit-identical")

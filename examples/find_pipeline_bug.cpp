@@ -1,8 +1,8 @@
 // find_pipeline_bug — the verification half of the paper (Fig. 1 lower
 // path, Fig. 2 model): inject a named RTL mutation into the pipelined
 // DUV, attach BOTH QED modules, and model-check them as a two-job
-// campaign on the parallel engine — each job racing BMC against
-// k-induction — to compare what SQED and SEPE-SQED can see.
+// campaign on the parallel engine — each job one BMC + k-induction
+// loop — to compare what SQED and SEPE-SQED can see.
 //
 // Usage: ./examples/find_pipeline_bug [BUG_NAME]
 //        ./examples/find_pipeline_bug --list
@@ -13,6 +13,7 @@
 #include <string>
 
 #include "engine/campaign.hpp"
+#include "engine/witness.hpp"
 #include "engine/workload.hpp"
 #include "proc/mutations.hpp"
 #include "qed/qed_module.hpp"
@@ -110,7 +111,7 @@ int main(int argc, char** argv) {
     if (!config.supports(op)) config.opcodes.push_back(op);
 
   // One engine job per QED module; both fan out on the worker pool, each
-  // racing BMC against k-induction under the shared wall cap.
+  // under the shared wall cap.
   engine::JobBudget budget;
   budget.max_bound = 10;
   budget.max_k = 4;
@@ -132,7 +133,7 @@ int main(int argc, char** argv) {
     switch (r.verdict) {
       case engine::Verdict::Falsified:
         std::printf("VIOLATION at bound %u (%.2fs)\n%s\n", r.trace_length, r.seconds,
-                    r.witness.c_str());
+                    engine::witness_table(spec.jobs[r.spec_index], r).c_str());
         break;
       case engine::Verdict::Proved:
         std::printf("PROVED by k-induction at k=%u (%.2fs) — no violation at any "

@@ -29,15 +29,6 @@ std::optional<Verdict> parse_verdict(const std::string& name) {
   return std::nullopt;
 }
 
-const char* prover_name(Prover p) {
-  switch (p) {
-    case Prover::None: return "none";
-    case Prover::Bmc: return "bmc";
-    case Prover::KInduction: return "k-induction";
-  }
-  return "?";
-}
-
 JobResult run_job(const JobSpec& job,
                   const std::shared_ptr<smt::ConeCache>& cone_cache) {
   assert(job.build && "JobSpec needs a model builder");
@@ -75,17 +66,14 @@ JobResult run_job(const JobSpec& job,
 
   if (kr.status == bmc::KInductionStatus::Falsified) {
     r.verdict = Verdict::Falsified;
-    r.winner = Prover::Bmc;
     r.trace_length = kr.witness->length;
     r.bad_label = kr.witness->bad_label;
-    // The rendered table and the index-ordered trace (for the witness
-    // post-pass) are read now, while the job-local TransitionSystem is
-    // alive: the bmc::Witness is keyed on its TermManager.
-    r.witness = bmc::witness_to_string(ts, *kr.witness);
+    // The index-ordered trace (for the witness post-pass) is read now,
+    // while the job-local TransitionSystem is alive: the bmc::Witness is
+    // keyed on its TermManager.
     r.trace = std::make_shared<const WitnessTrace>(extract_trace(ts, *kr.witness));
   } else if (kr.status == bmc::KInductionStatus::Proved) {
     r.verdict = Verdict::Proved;
-    r.winner = Prover::KInduction;
     r.proved_k = kr.k;
   } else if (kr.bound_clean) {
     // A clean sweep to the bound is a definite bounded result even when
@@ -118,8 +106,7 @@ CampaignReport run_campaign(const CampaignSpec& spec, const CampaignOptions& opt
   // Every job of the campaign shares one cone store: identical cones
   // blast once, replay everywhere. Replay is exact (cone_cache.hpp), so
   // this cannot perturb the determinism contract.
-  const std::shared_ptr<smt::ConeCache> cone_cache =
-      options.cone_cache ? options.cone_cache : std::make_shared<smt::ConeCache>();
+  const auto cone_cache = std::make_shared<smt::ConeCache>();
 
   // Work queue: an atomic cursor over the job list. Each worker pops the
   // next index and runs the job in full isolation; results land in spec
@@ -170,10 +157,10 @@ unsigned CampaignReport::count(Verdict v) const {
 std::string CampaignReport::to_table() const {
   std::ostringstream os;
   char line[256];
-  std::snprintf(line, sizeof line, "%-34s %-8s %-12s %-6s %-12s %10s %9s\n", "job",
-                "mode", "verdict", "len/k", "winner", "conflicts", "time");
+  std::snprintf(line, sizeof line, "%-34s %-8s %-12s %-6s %10s %9s\n", "job", "mode",
+                "verdict", "len/k", "conflicts", "time");
   os << line;
-  os << std::string(96, '-') << "\n";
+  os << std::string(83, '-') << "\n";
   for (const JobResult& j : jobs) {
     char lenk[16] = "-";
     if (j.verdict == Verdict::Falsified)
@@ -184,9 +171,8 @@ std::string CampaignReport::to_table() const {
     // have no QED mode.
     const std::string& mode =
         j.provenance.mode.empty() ? j.provenance.family : j.provenance.mode;
-    std::snprintf(line, sizeof line, "%-34s %-8s %-12s %-6s %-12s %10llu %8.2fs\n",
+    std::snprintf(line, sizeof line, "%-34s %-8s %-12s %-6s %10llu %8.2fs\n",
                   j.name.c_str(), mode.c_str(), verdict_name(j.verdict), lenk,
-                  prover_name(j.winner),
                   static_cast<unsigned long long>(j.work.solver_conflicts), j.seconds);
     os << line;
   }
@@ -259,7 +245,6 @@ std::string CampaignReport::to_json(bool include_timing) const {
     // byte-stable across runs, thread counts and warm or cold caches for
     // a fixed spec.
     if (include_timing) {
-      os << ", \"winner\": \"" << prover_name(j.winner) << "\"";
       os << ", \"bmc_bounds_checked\": " << j.bmc_bounds_checked;
       os << ", \"hit_resource_limit\": " << (j.hit_resource_limit ? "true" : "false");
       for (const smt::WorkCounter& c : smt::kWorkCounters)

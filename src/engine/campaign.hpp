@@ -56,11 +56,6 @@ const char* verdict_name(Verdict v);
 /// Inverse of verdict_name; nullopt for any other string.
 std::optional<Verdict> parse_verdict(const std::string& name);
 
-/// Which prover delivered the verdict: BMC for FALSIFIED rows,
-/// k-induction for PROVED rows, none otherwise.
-enum class Prover { None, Bmc, KInduction };
-const char* prover_name(Prover p);
-
 /// Workload-family tags (JobProvenance::family).
 inline constexpr const char* kQedFamily = "qed";
 inline constexpr const char* kBtor2Family = "btor2";
@@ -145,11 +140,9 @@ struct JobResult {
   std::size_t spec_index = 0;  // position in the full (unsharded) spec
   JobProvenance provenance;
   Verdict verdict = Verdict::Unknown;
-  Prover winner = Prover::None;
   unsigned trace_length = 0;  // Falsified: counterexample length
   unsigned proved_k = 0;      // Proved: depth at which induction closed
   std::string bad_label;      // Falsified: which bad condition fired
-  std::string witness;        // Falsified: rendered trace table
   /// Unknown: the model-build diagnostic (e.g. a corpus parse error with
   /// its line number). Deterministic, so it travels in stable reports.
   std::string note;
@@ -171,9 +164,10 @@ struct JobResult {
   bool witness_checked = false;
   unsigned trace_length_shrunk = 0;
   /// Falsified: the index-ordered trace of the counterexample. run_job
-  /// sets the raw trace (alongside `witness`); the witness post-pass
-  /// replaces it with the checked, shrunk one. The verdict journal
-  /// records whichever is here. Never serialized in reports.
+  /// sets the raw trace; the witness post-pass replaces it with the
+  /// checked, shrunk one (also on a row served from a verdict cache).
+  /// The verdict journal records whichever is here, and witness_table
+  /// renders it. Never serialized in reports.
   std::shared_ptr<const WitnessTrace> trace;
   /// Falsified, served from a verdict cache: the journaled stimulus
   /// (engine/witness.hpp render_stimulus), which the witness post-pass
@@ -207,11 +201,6 @@ struct CampaignOptions {
   /// the global stop left UNKNOWN is not reported: its row stays
   /// unclaimed (empty name).
   std::function<void(std::size_t, const JobResult&)> on_job_done;
-  /// Cone store shared by every job of the campaign. When null,
-  /// run_campaign creates a fresh one per call — pass one explicitly to
-  /// share blasted cones across *campaigns* in the same process (as
-  /// bench/campaign_perf's warm run does).
-  std::shared_ptr<smt::ConeCache> cone_cache;
 };
 
 struct CampaignReport {

@@ -434,7 +434,6 @@ void witness_post_pass(const JobSpec& job, const WitnessOptions& options,
     // row); the specific divergence goes to stderr.
     result->verdict = Verdict::Unknown;
     result->note = "witness: replay mismatch";
-    result->witness.clear();
     result->witness_checked = false;
     result->trace_length_shrunk = 0;
     result->trace.reset();
@@ -499,6 +498,32 @@ void witness_post_pass(const JobSpec& job, const WitnessOptions& options,
   // Kept for the verdict journal (shard.cpp), which records it so a warm
   // run replays this exact stimulus instead of re-solving the job.
   result->trace = std::make_shared<const WitnessTrace>(std::move(trace));
+}
+
+std::string witness_table(const JobSpec& job, const JobResult& result) {
+  if (result.verdict != Verdict::Falsified || !result.trace) return "";
+  smt::TermManager mgr;
+  ts::TransitionSystem ts(mgr);
+  std::string build_error;
+  if (!job.build(ts, &build_error)) return "";
+  const WitnessTrace& trace = *result.trace;
+  std::ostringstream os;
+  os << "counterexample of length " << trace.length;
+  if (!trace.bad_label.empty()) os << " violating [" << trace.bad_label << "]";
+  os << "\n";
+  const auto rows = [&](const char* tag, const std::vector<smt::TermRef>& vars,
+                        const std::vector<std::vector<BitVec>>& values, unsigned t) {
+    if (t >= values.size()) return;
+    for (std::size_t i = 0; i < values[t].size() && i < vars.size(); ++i)
+      os << "    " << tag << "  " << ts.mgr().node(vars[i]).name << " = "
+         << values[t][i].to_hex() << "\n";
+  };
+  for (unsigned t = 0; t <= trace.length; ++t) {
+    os << "  step " << t << ":\n";
+    rows("in", ts.inputs(), trace.inputs, t);
+    rows("st", ts.states(), trace.states, t);
+  }
+  return os.str();
 }
 
 }  // namespace sepe::engine

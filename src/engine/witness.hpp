@@ -176,4 +176,13 @@ std::string witness_self_check(const std::string& payload);
 void witness_post_pass(const JobSpec& job, const WitnessOptions& options,
                        JobResult* result);
 
+/// A campaign row's counterexample as a human-readable table (sepe-run
+/// --witness): the trace the witness post-pass left on the row — the
+/// checked, shrunk one, whether the job was solved or served from a
+/// verdict cache — step by step, each step's input row and each state
+/// row the trace holds (only step 0's once shrunk; later states follow
+/// by replay), named from a model rebuilt from `job`. Empty for a row
+/// without a trace (not FALSIFIED) or a model that fails to build.
+std::string witness_table(const JobSpec& job, const JobResult& result);
+
 }  // namespace sepe::engine

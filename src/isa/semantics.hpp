@@ -9,7 +9,7 @@
 //
 // Width parameterization (`xlen`): the architectural register width. The
 // paper works at RV32 (xlen=32); the BMC benches run reduced widths so the
-// in-repo SAT core solves in seconds (see DESIGN.md "Substitutions").
+// in-repo SAT core solves in seconds (docs/ARCHITECTURE.md "Substitutions").
 // Immediates keep their architectural 12-bit encoding and are sign-
 // extended or truncated onto the datapath, so all synthesized
 // equivalences remain width-generic.

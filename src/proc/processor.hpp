@@ -4,8 +4,8 @@
 // The paper evaluates on RIDECORE, a superscalar out-of-order Verilog
 // core, converted to BTOR2 via Yosys. This repository substitutes a
 // parameterized in-order pipeline built directly as a TransitionSystem
-// (see DESIGN.md "Substitutions" for why this preserves the experiments'
-// behaviour). The pipeline has three stages:
+// (see docs/ARCHITECTURE.md "Substitutions" for why this preserves the
+// experiments' behaviour). The pipeline has three stages:
 //
 //   D (decode latch) -> X (execute: regfile read + forwarding + ALU +
 //   memory access) -> W (writeback latch -> register file write)

@@ -50,7 +50,7 @@ SynthSpec make_spec(isa::Opcode op);
 
 /// Spec for the effective-address computation of LW/SW (rs1 + sext(imm)).
 /// Memory instructions are covered by synthesizing the address path and
-/// re-attaching the access (see DESIGN.md).
+/// re-attaching the access (docs/ARCHITECTURE.md "Substitutions").
 SynthSpec make_address_spec(isa::Opcode op);
 
 /// The 26 synthesis cases of the paper's Figure 3 experiment: every

@@ -89,8 +89,8 @@ class TransitionSystem {
 };
 
 /// Serialize in a BTOR2-style text format (sorts, states, inputs, init,
-/// next, constraint, bad). Intended for debugging and interoperability
-/// documentation; see docs in DESIGN.md.
+/// next, constraint, bad): the form in which the paper's flow hands a
+/// design to its model checker (docs/ARCHITECTURE.md "Substitutions").
 std::string to_btor2(const TransitionSystem& ts);
 
 }  // namespace sepe::ts

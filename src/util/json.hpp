@@ -1,8 +1,9 @@
 // json.hpp — the one JSON string escaper and the one JSON reader.
 //
-// Every report writer (CampaignReport::to_json, the campaign_perf bench)
-// escapes free-form names and labels through json_escape, so they always
-// escape identically and can never produce invalid JSON. Every reader of
+// Every writer (CampaignReport::to_json, whose timing form is also the
+// counter guard's input, the verdict journal, witness artifacts) escapes
+// free-form names and labels through json_escape, so they always escape
+// identically and can never produce invalid JSON. Every reader of
 // outside bytes — campaign reports, verdict-journal lines and their
 // stimuli, witness artifacts — parses through parse_json and takes its
 // fields from the tree. Sealed formats then accept a value only when

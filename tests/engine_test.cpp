@@ -11,6 +11,7 @@
 
 #include "engine/campaign.hpp"
 #include "engine/pinned_table.hpp"
+#include "engine/witness.hpp"
 #include "engine/workload.hpp"
 #include "proc/mutations.hpp"
 #include "sat/solver.hpp"
@@ -118,8 +119,8 @@ TEST(EngineJob, FalsifiesReachableCounter) {
   EXPECT_EQ(r.verdict, Verdict::Falsified);
   EXPECT_EQ(r.trace_length, 5u);
   EXPECT_EQ(r.bad_label, "cnt-target");
-  EXPECT_NE(r.winner, Prover::None);
-  EXPECT_NE(r.witness.find("counterexample of length 5"), std::string::npos);
+  ASSERT_TRUE(r.trace != nullptr);
+  EXPECT_EQ(r.trace->length, 5u);
 }
 
 TEST(EngineJob, ProvesFrozenRegisterByInduction) {
@@ -128,7 +129,6 @@ TEST(EngineJob, ProvesFrozenRegisterByInduction) {
   budget.max_k = 4;
   const JobResult r = run_job(frozen_job("frozen", 8, budget));
   EXPECT_EQ(r.verdict, Verdict::Proved);
-  EXPECT_EQ(r.winner, Prover::KInduction);
   EXPECT_GE(r.proved_k, 1u);
 }
 
@@ -138,7 +138,6 @@ TEST(EngineJob, BoundCleanWhenUnreachableWithinBound) {
   budget.max_k = 3;
   const JobResult r = run_job(counter_job("cnt40", 8, 40, budget));
   EXPECT_EQ(r.verdict, Verdict::BoundClean);
-  EXPECT_EQ(r.winner, Prover::None);
   EXPECT_EQ(r.bmc_bounds_checked, 6u);  // bounds 0..5, all clean
 }
 
@@ -148,7 +147,6 @@ TEST(EngineJob, RaceDisabledNeverProves) {
   budget.max_k = 0;  // BMC only
   const JobResult r = run_job(frozen_job("frozen", 8, budget));
   EXPECT_EQ(r.verdict, Verdict::BoundClean);
-  EXPECT_EQ(r.winner, Prover::None);
 }
 
 // The frozen register is 1-inductive, while the falsification horizon is
@@ -160,7 +158,6 @@ TEST(EngineJob, ProofStopsTheSweepAtItsDepth) {
   budget.max_k = 4;
   const JobResult r = run_job(frozen_job("frozen-deep", 24, budget));
   EXPECT_EQ(r.verdict, Verdict::Proved);
-  EXPECT_EQ(r.winner, Prover::KInduction);
   EXPECT_EQ(r.proved_k, 1u);
   EXPECT_EQ(r.bmc_bounds_checked, 2u);
 }
@@ -173,7 +170,6 @@ TEST(EngineJob, MaxKPastTheBoundDoesNotFalsifyPastIt) {
   budget.max_k = 8;
   const JobResult r = run_job(counter_job("cnt5", 8, 5, budget));
   EXPECT_EQ(r.verdict, Verdict::BoundClean);
-  EXPECT_EQ(r.winner, Prover::None);
   EXPECT_EQ(r.bmc_bounds_checked, 4u);  // bounds 0..3
 }
 
@@ -186,10 +182,10 @@ TEST(EngineJob, ProofPastTheBoundExtendsTheBaseCase) {
   budget.max_k = 3;
   const JobResult r = run_job(saturating_job("saturating", budget));
   EXPECT_EQ(r.verdict, Verdict::Falsified);
-  EXPECT_EQ(r.winner, Prover::Bmc);
   EXPECT_EQ(r.trace_length, 2u);
   EXPECT_EQ(r.bad_label, "c-two");
-  EXPECT_NE(r.witness.find("counterexample of length 2"), std::string::npos);
+  ASSERT_TRUE(r.trace != nullptr);
+  EXPECT_EQ(r.trace->length, 2u);
 }
 
 // A budget that trips in an inductive step forfeits only the proof: BMC
@@ -377,7 +373,8 @@ TEST(EngineMatrix, ExpandsMutationsTimesModes) {
   for (const JobSpec& job : spec.jobs) EXPECT_TRUE(static_cast<bool>(job.build));
 }
 
-// --- deterministic counters (bench/campaign_perf) ---
+// --- deterministic counters (the counter guard: the job rows of a
+// --- `sepe-run --json` report, summed by bench/compare_perf.py) ---
 
 /// Every JobResult field but the wall time, for a fixed spec. Work
 /// counters the table marks scheduling-dependent (which job of a
@@ -386,7 +383,6 @@ TEST(EngineMatrix, ExpandsMutationsTimesModes) {
 /// exact, so every other counter matches at any thread count.
 void expect_same_counters(const JobResult& a, const JobResult& b, bool same_schedule) {
   EXPECT_EQ(a.verdict, b.verdict) << a.name;
-  EXPECT_EQ(a.winner, b.winner) << a.name;
   EXPECT_EQ(a.trace_length, b.trace_length) << a.name;
   EXPECT_EQ(a.proved_k, b.proved_k) << a.name;
   EXPECT_EQ(a.bad_label, b.bad_label) << a.name;

@@ -68,6 +68,7 @@ expect_usage_error memory_missing    -- --memory-mb
 expect_usage_error witness_no_files         -- check-witness
 expect_usage_error witness_flag_operand     -- check-witness --frobnicate
 expect_usage_error witness_contradiction    -- --witness-dir wd --no-witness-check
+expect_usage_error witness_print_unchecked  -- --witness --no-witness-check
 expect_usage_error retired_backend          -- --backend native
 expect_usage_error retired_dispatch         -- dispatch
 
@@ -368,6 +369,22 @@ else
   echo "FAIL: a warm QED run under solver OOM should exit 0 with the cold JSON, got $status"
   cat "$WORK/oom-warm.stderr"
   diff "$WORK/oom-cold.json" "$WORK/oom-warm.json"
+  FAILURES=$((FAILURES + 1))
+fi
+
+# --witness prints the same tables warm as cold: a served row's table is
+# rendered from the trace the post-pass replayed from the journal, the
+# shrunk one the cold run checked.
+WITNESS_RUN=(--bugs table1 --rows 2 --modes edsep --bound 6 --max-k 0 --threads 1
+             --cache "$WORK/witness-cache" --witness)
+"$SEPE_RUN" "${WITNESS_RUN[@]}" 2>/dev/null | sed -n '/^\[/,$p' >"$WORK/witness-cold.txt"
+"$SEPE_RUN" "${WITNESS_RUN[@]}" 2>/dev/null | sed -n '/^\[/,$p' >"$WORK/witness-warm.txt"
+if [ "$(grep -c '^\[' "$WORK/witness-cold.txt")" -eq 2 ] \
+    && cmp -s "$WORK/witness-cold.txt" "$WORK/witness-warm.txt"; then
+  echo "ok: a warm --witness run prints the cold run's tables"
+else
+  echo "FAIL: --witness should print 2 tables cold and the same tables warm"
+  diff "$WORK/witness-cold.txt" "$WORK/witness-warm.txt"
   FAILURES=$((FAILURES + 1))
 fi
 

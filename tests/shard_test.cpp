@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -18,11 +17,13 @@
 #include "engine/report_io.hpp"
 #include "engine/shard.hpp"
 #include "engine/verdict_cache.hpp"
+#include "temp_dir.hpp"
 #include "util/fault.hpp"
 
 namespace sepe::engine {
 namespace {
 
+using sepe::testing::TempDir;
 using smt::TermRef;
 
 /// Counter that increments by an input-controlled step: falsified at
@@ -324,8 +325,9 @@ TEST(ReportIo, TimingReportParsesToTheRunsStableForm) {
 }
 
 // Retired timing keys: reports written while learnt-clause sharing
-// existed carry three counters this binary no longer knows, and those
-// written while the provers raced carry loser_cancelled. Shard reports
+// existed carry three counters this binary no longer knows, those
+// written while the provers raced carry loser_cancelled, and those
+// written before it was dropped a winner column. Shard reports
 // with such keys (plus the campaign digest every shard object now
 // needs) must still parse and merge, with the retired keys ignored.
 TEST(ReportIo, RetiredSharingCountersAreIgnored) {
@@ -465,14 +467,7 @@ TEST(ShardRun, JobDoneHookReportsFullSpecPositions) {
 /// a rerun serves every job the journal holds and solves only the rest.
 class JournalTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "shard_journal_test";
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override {
-    fault::configure("");
-    std::filesystem::remove_all(dir_);
-  }
+  void TearDown() override { fault::configure(""); }
   ShardRunOptions options() const {
     ShardRunOptions o;
     o.shard = ShardSpec{0, 2};
@@ -482,7 +477,8 @@ class JournalTest : public ::testing::Test {
   std::string journal() const {
     return read_text_file(VerdictCache::journal_path(dir_)).value_or("");
   }
-  std::string dir_;
+  TempDir tmp_;
+  const std::string dir_ = tmp_.path;
 };
 
 TEST_F(JournalTest, RerunAgainstACompleteJournalStartsNoSolver) {

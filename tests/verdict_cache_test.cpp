@@ -19,6 +19,7 @@
 #include "engine/shard.hpp"
 #include "engine/verdict_cache.hpp"
 #include "engine/witness.hpp"
+#include "temp_dir.hpp"
 #include "util/digest.hpp"
 #include "util/fault.hpp"
 #include "util/stopwatch.hpp"
@@ -26,6 +27,7 @@
 namespace sepe::engine {
 namespace {
 
+using sepe::testing::TempDir;
 using smt::TermRef;
 
 VerdictCache::Entry falsified_entry() {
@@ -261,12 +263,8 @@ TEST(VerdictCacheFormat, WallCappedJobsAreNotCacheable) {
 
 class VerdictCacheStoreTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "verdict_cache_test";
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::string dir_;
+  TempDir tmp_;
+  const std::string dir_ = tmp_.path;
 };
 
 TEST_F(VerdictCacheStoreTest, AppendPersistsAcrossReopen) {
@@ -395,13 +393,9 @@ CampaignSpec cached_spec() {
 
 class VerdictCacheRunTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "verdict_cache_run_test";
-    std::filesystem::remove_all(dir_);
-    g_builds.store(0);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::string dir_;
+  void SetUp() override { g_builds.store(0); }
+  TempDir tmp_;
+  const std::string dir_ = tmp_.path;
 };
 
 TEST_F(VerdictCacheRunTest, WarmRunIsByteIdenticalWithZeroBuilds) {
@@ -655,7 +649,7 @@ TEST_F(VerdictCacheRunTest, CorruptedEntryIsResolvedNotReplayed) {
 
 TEST_F(VerdictCacheRunTest, UnusableCacheDirectoryIsAHardError) {
   // A regular FILE where the cache directory should be.
-  const std::string blocker = dir_;
+  const std::string blocker = dir_ + "/blocker";
   std::ofstream(blocker, std::ios::binary) << "not a directory";
   ShardRunOptions options;
   options.cache_dir = blocker + "/sub";

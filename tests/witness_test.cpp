@@ -7,7 +7,6 @@
 // verdict cache must fail loudly, never pass silently.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -20,27 +19,14 @@
 #include "engine/witness.hpp"
 #include "engine/workload.hpp"
 #include "proc/mutations.hpp"
+#include "temp_dir.hpp"
 #include "util/fault.hpp"
 
 namespace sepe::engine {
 namespace {
 
+using sepe::testing::TempDir;
 using smt::TermRef;
-
-/// Unique scratch directory, removed on scope exit.
-struct TempDir {
-  std::string path;
-  TempDir() {
-    std::string tmpl =
-        (std::filesystem::temp_directory_path() / "sepe-witness-XXXXXX").string();
-    if (::mkdtemp(tmpl.data()) == nullptr) ADD_FAILURE() << "mkdtemp failed";
-    path = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-};
 
 /// The engine_test counter: increments when the 1-bit input is set,
 /// falsified at depth `target` when target <= max_bound. The minimal
@@ -367,10 +353,19 @@ TEST(WitnessPostPassTest, StampsChecksAndWritesArtifact) {
   EXPECT_EQ(result.verdict, Verdict::Falsified);
   EXPECT_TRUE(result.witness_checked);
   EXPECT_EQ(result.trace_length_shrunk, 4u);
-  // The shrunk trace stays on the row for the verdict journal.
+  // The shrunk trace stays on the row for the verdict journal, and is
+  // what --witness prints: every step's input, the state at step 0.
   ASSERT_TRUE(result.trace != nullptr);
   EXPECT_TRUE(result.trace->shrunk);
   EXPECT_EQ(result.trace->states.size(), 1u);
+  EXPECT_EQ(witness_table(job, result),
+            "counterexample of length 5 violating [cnt-target]\n"
+            "  step 0:\n    in  inc = 0x1\n    st  cnt = 0x00\n"
+            "  step 1:\n    in  inc = 0x1\n"
+            "  step 2:\n    in  inc = 0x1\n"
+            "  step 3:\n    in  inc = 0x1\n"
+            "  step 4:\n    in  inc = 0x1\n"
+            "  step 5:\n    in  inc = 0x0\n");
 
   const auto text =
       read_text_file(dir.path + "/" + witness_artifact_filename("cnt5"));
@@ -411,7 +406,8 @@ TEST(WitnessPostPassTest, RowThatCannotReplayIsDemotedToDiagnosedUnknown) {
   EXPECT_EQ(wrong_bound.verdict, Verdict::Unknown);
   EXPECT_EQ(wrong_bound.note, "witness: replay mismatch");
   EXPECT_FALSE(wrong_bound.witness_checked);
-  EXPECT_TRUE(wrong_bound.witness.empty());
+  EXPECT_TRUE(wrong_bound.trace == nullptr);
+  EXPECT_EQ(witness_table(job, wrong_bound), "");
 
   // A row whose bad label disagrees with the trace it carries.
   JobResult wrong_label = run_job(job);
@@ -610,6 +606,10 @@ TEST(WitnessCampaignTest, WarmCacheRunRechecksAndMatchesColdArtifacts) {
     EXPECT_EQ(cold.jobs[i].witness_checked, warm.jobs[i].witness_checked);
     EXPECT_EQ(cold.jobs[i].trace_length_shrunk, warm.jobs[i].trace_length_shrunk);
     if (cold.jobs[i].verdict != Verdict::Falsified) continue;
+    // ...the same --witness table...
+    const std::string table = witness_table(spec.jobs[i], cold.jobs[i]);
+    EXPECT_FALSE(table.empty()) << cold.jobs[i].name;
+    EXPECT_EQ(table, witness_table(spec.jobs[i], warm.jobs[i])) << cold.jobs[i].name;
     // ...and byte-identical artifacts.
     const std::string file = witness_artifact_filename(cold.jobs[i].name);
     const auto ca = read_text_file(cold_dir.path + "/" + file);

@@ -119,7 +119,9 @@ void usage() {
       "                   (--time-cap) are never journaled\n"
       "  --json FILE      write a JSON report ('-' = stdout)\n"
       "  --stable-json    JSON omits timing and counter fields (byte-deterministic)\n"
-      "  --witness        print the counterexample trace of falsified jobs\n"
+      "  --witness        print each falsified job's counterexample, solved or\n"
+      "                   served from --cache: the shrunk stimulus the witness\n"
+      "                   post-pass checked (not with --no-witness-check)\n"
       "  --witness-dir D  write one standalone witness artifact per falsified\n"
       "                   job into D (*.witness, see docs/FORMATS.md) — each\n"
       "                   re-validatable later with check-witness\n"
@@ -320,6 +322,13 @@ int run_and_report(const engine::CampaignSpec& spec, const CommonOptions& common
   engine::ShardRunOptions options;
   options.pool.threads = common.threads;
   options.pool.witness.check = common.witness_check;
+  if (common.print_witness && !common.witness_check) {
+    // The printed table is the checked trace the post-pass leaves on each
+    // row; a row served from the journal has no other.
+    std::fprintf(stderr, "sepe-run: --witness needs the witness post-pass "
+                         "(drop --no-witness-check) — try --help\n");
+    return 2;
+  }
   if (!common.witness_dir.empty()) {
     if (!common.witness_check) {
       // Artifacts are the post-pass's output; without it the directory
@@ -373,9 +382,10 @@ int run_and_report(const engine::CampaignSpec& spec, const CommonOptions& common
 
   std::printf("%s", report.to_table().c_str());
   if (common.print_witness) {
-    for (const engine::JobResult& j : report.jobs)
-      if (j.verdict == engine::Verdict::Falsified && !j.witness.empty())
-        std::printf("\n[%s]\n%s", j.name.c_str(), j.witness.c_str());
+    for (const engine::JobResult& j : report.jobs) {
+      const std::string table = engine::witness_table(spec.jobs[j.spec_index], j);
+      if (!table.empty()) std::printf("\n[%s]\n%s", j.name.c_str(), table.c_str());
+    }
   }
 
   if (!common.json_path.empty()) {
